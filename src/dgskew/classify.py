@@ -405,7 +405,7 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     for n in range(bound + 1):
         monos = monomials(n)
         index = {m: i for i, m in enumerate(monos)}
-        span = RowSpan(F, len(monos))
+        vecs = []
         if n >= 1:
             for m in monomials(n - 1):
                 for i in range(3):
@@ -416,7 +416,9 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
                             e[j] += 1
                             p = index[tuple(e)]
                             vec[p] = F.add(vec[p], M[i, j])
-                    span.add(vec)
+                    vecs.append(vec)
+        span = RowSpan(F, len(monos))
+        span.extend(vecs)
         q = len(monos) - span.dim
         dims.append(q)
         if q != 1:

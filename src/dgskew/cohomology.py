@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .dg import DGSpec, d, d_matrix
+from .dg import DGSpec, d, d_columns
+from .errors import DegreeOverflowError
 from .fields import check_same_field
 from .linalg import RowSpan
-from .skew import GradedElement, degree_dim
-
-
-class DegreeOverflowError(ValueError):
-    """A class operation left the computed degree range."""
+from .skew import GradedElement, degree_basis, degree_dim
 
 
 @dataclass
@@ -97,29 +94,39 @@ def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     F = spec.field
-
-    mats = [d_matrix(spec, deg) for deg in range(max_degree + 1)]
     dims, zr, br, bases = [], [], [], []
     boundary_spans, rep_spans = [], []
+    prev_cols, prev_pivots = [], []  # d_{deg-1}: sparse columns, pivot columns
 
     for deg in range(max_degree + 1):
         width = degree_dim(deg)
-        kernel = mats[deg].kernel_basis()
+        # the one elimination of d_deg: its rows, as sparse vectors on A^deg
+        cols = d_columns(spec, deg)
+        rows = [{} for _ in range(degree_dim(deg + 1))]
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                rows[i][j] = c
+        echelon = RowSpan(F, width)
+        echelon.extend(rows)
+        # the pivot columns of d_{deg-1} are a basis of its image
         boundaries = RowSpan(F, width)
-        if deg > 0:
-            src_dim = degree_dim(deg - 1)
-            for j in range(src_dim):
-                col = tuple(mats[deg - 1][i, j] for i in range(width))
-                boundaries.add(col)
-        z_rank = len(kernel)
+        boundaries.extend(prev_cols[j] for j in prev_pivots)
+        z_rank = width - echelon.dim
         b_rank = boundaries.dim
 
         # representatives: kernel vectors minus their boundary projection,
-        # kept in reduced echelon form for canonical output
+        # kept in reduced echelon form for canonical output.  The residues of
+        # any spanning set of the kernel span the same space, of dimension
+        # z_rank - b_rank, so the scan stops once that is reached.
         reps = RowSpan(F, width)
-        for v in kernel:
-            reps.add(boundaries.reduce(v))
-        basis_elems = [GradedElement.from_vector(F, deg, row) for row in reps.basis_rows()]
+        if z_rank > b_rank:
+            for v in echelon.kernel_sparse():
+                reps.add(boundaries.reduce_sparse(v))
+                if reps.dim == z_rank - b_rank:
+                    break
+        basis = degree_basis(deg)
+        basis_elems = [GradedElement(F, deg, {basis[j]: x for j, x in row.items()})
+                       for row in reps.rows_sparse()]
 
         dims.append(z_rank - b_rank)
         zr.append(z_rank)
@@ -127,6 +134,7 @@ def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
         bases.append(basis_elems)
         boundary_spans.append(boundaries)
         rep_spans.append(reps)
+        prev_cols, prev_pivots = cols, echelon.pivots
 
     report = CohomologyReport(spec, max_degree, dims, zr, br, bases)
     report._boundaries = boundary_spans

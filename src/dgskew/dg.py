@@ -89,24 +89,30 @@ def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     return GradedElement.from_terms(spec.field, u.degree + 1, items)
 
 
+def d_columns(spec: DGSpec, deg: int):
+    """Sparse columns of d on degree `deg`: column j is d of the j-th basis
+    monomial as {row index in degree deg+1: nonzero scalar}."""
+    if deg < 0:
+        raise ValueError("degree must be >= 0")
+    one = spec.field.one
+    idx = basis_index(deg + 1)
+    # the terms of d(x^e) are distinct monomials, since each block moves a
+    # different exponent by an odd amount, and no scalar among them is zero
+    return [{idx[mono]: c for mono, c in _d_monomial_items(spec, m, one)}
+            for m in degree_basis(deg)]
+
+
 def d_matrix(spec: DGSpec, deg: int) -> Matrix:
     """Matrix of d on degree `deg`: C(deg+3,2) x C(deg+2,2), column j = d of
     the j-th basis monomial."""
-    if deg < 0:
-        raise ValueError("degree must be >= 0")
     F = spec.field
-    src = degree_basis(deg)
-    idx = basis_index(deg + 1)
+    cols = d_columns(spec, deg)
     nrows = degree_dim(deg + 1)
-    cols = []
-    for m in src:
-        v = [F.zero] * nrows
-        for mono, c in _d_monomial_items(spec, m, F.one):
-            i = idx[mono]
-            v[i] = F.add(v[i], c)
-        cols.append(v)
-    rows = tuple(tuple(cols[j][i] for j in range(len(src))) for i in range(nrows))
-    return Matrix(F, nrows, len(src), rows)
+    rows = [[F.zero] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows[i][j] = c
+    return Matrix(F, nrows, len(cols), tuple(tuple(r) for r in rows))
 
 
 @dataclass

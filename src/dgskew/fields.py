@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Primes above 2**31 suitable for the fast modular screen.  Rank over Q and
-# over F_p agree for all but finitely many p, so a single large prime is a
-# cheap cross-check on any rational computation.
+# Primes above 2**31; the first is the default prime of "Fp".
 CANDIDATE_PRIMES = (2147483659, 4294967311)
 
 

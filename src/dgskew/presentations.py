@@ -234,7 +234,7 @@ class TruncatedAlgebra:
         pos = {w: i for i, w in enumerate(candidates)}
         n = len(candidates)
 
-        rel_span = RowSpan(F, n, pivot_from_right=True)
+        rel_vecs = []
         for rel in self.presentation.relations:
             dr = self.presentation.word_degree(next(iter(rel)))
             if dr > d:
@@ -249,11 +249,12 @@ class TruncatedAlgebra:
                         if not F.is_zero(a):
                             p = pos[self.basis[src][i] + (last,)]
                             vec[p] = F.add(vec[p], F.mul(c, a))
-                rel_span.add(vec)
+                rel_vecs.append(vec)
+        rel_span = RowSpan(F, n, pivot_from_right=True)
+        rel_span.extend(rel_vecs)
 
         chooser = RowSpan(F, n, pivot_from_right=True)
-        for row in rel_span.basis_rows():
-            chooser.add(row)
+        chooser.extend(rel_span.basis_rows())
         selected = []
         for i, w in enumerate(candidates):
             unit = [F.zero] * n

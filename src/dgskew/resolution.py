@@ -184,9 +184,9 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
                 continue
             width = _module_dim(t, prev.gen_degrees, j)
             span = RowSpan(F, width)
-            for gi, g in enumerate(t.presentation.generators):
-                for v in report.kernels.get((i - 1, j - g.degree), []):
-                    span.add(_left_mul_module(t, prev.gen_degrees, gi, v, j - g.degree))
+            span.extend(_left_mul_module(t, prev.gen_degrees, gi, v, j - g.degree)
+                        for gi, g in enumerate(t.presentation.generators)
+                        for v in report.kernels.get((i - 1, j - g.degree), []))
             for v in extend_independent(span, kb):
                 gen_vecs.append((j, v))
                 gen_degs.append(j)
@@ -419,9 +419,7 @@ def _ext_class_functionals(report: ResolutionReport, i: int, m: int):
                   for b in range(dom)]
     image = RowSpan(F, dom)
     if i >= 1:
-        dual = _dual_matrix(report, i, m)
-        for c in range(dual.ncols):
-            image.add(tuple(dual[r, c] for r in range(dual.nrows)))
+        image.extend(_dual_matrix(report, i, m).transpose().entries)
     return extend_independent(image, kernel)
 
 
@@ -482,9 +480,7 @@ def _verify_independent(report, w1: WitnessClass, w2: WitnessClass):
     i, m = w1.hom_degree, w1.internal_degree
     span = RowSpan(F, len(w1.functional))
     if i >= 1:
-        dual = _dual_matrix(report, i, m)
-        for c in range(dual.ncols):
-            span.add(tuple(dual[r, c] for r in range(dual.nrows)))
+        span.extend(_dual_matrix(report, i, m).transpose().entries)
     base = span.dim
     span.add(w1.functional)
     span.add(w2.functional)

@@ -1,12 +1,12 @@
 """Independent brute-force oracles the engine is checked against.
 
-Everything here works on free words and full relation spans, deliberately
-avoiding the package's normal-form and incremental-quotient code paths.
+Everything here works on free words, full relation spans and plain dense
+Gauss-Jordan elimination through the field's scalar methods, deliberately
+avoiding the package's normal-form, incremental-quotient and sparse
+elimination code paths.
 """
 
 from itertools import product
-
-from dgskew.linalg import RowSpan
 
 
 def reduce_word(word):
@@ -57,7 +57,7 @@ def quotient_dims_full_span(presentation, bound):
     for d in range(bound + 1):
         words = free_words(gd, d)
         index = {w: i for i, w in enumerate(words)}
-        span = RowSpan(F, len(words))
+        vectors = []
         for rel in presentation.relations:
             rdeg = presentation.word_degree(next(iter(rel)))
             if rdeg > d:
@@ -69,9 +69,98 @@ def quotient_dims_full_span(presentation, bound):
                         for w, c in rel.items():
                             k = index[w1 + w + w2]
                             vec[k] = F.add(vec[k], c)
-                        span.add(vec)
-        dims.append(len(words) - span.dim)
+                        vectors.append(vec)
+        _, pivots = dense_rref(F, vectors, len(words))
+        dims.append(len(words) - len(pivots))
     return dims
+
+
+# -- reference elimination -------------------------------------------------
+
+def dense_rref(F, rows, ncols):
+    """Reduced row echelon form by dense Gauss-Jordan elimination, pivots at
+    the first nonzero column; returns (rows, pivot_columns) with one row per
+    input row, zero rows last."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if not F.is_zero(rows[i][c]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and not F.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows], tuple(pivots)
+
+
+def dense_kernel(F, rows, ncols):
+    """Kernel basis read off the reference echelon form: one vector per free
+    column, 1 there and 0 at every other free column."""
+    ech, pivots = dense_rref(F, rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg(ech[r][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(F, rows, ncols, b):
+    """The solution of Ax = b with free coordinates 0, or None."""
+    ech, pivots = dense_rref(F, [tuple(r) + (F.coerce(x),) for r, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [F.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = ech[r][ncols]
+    return tuple(x)
+
+
+def dense_inverse(F, rows):
+    """Rows of the inverse of a square matrix, or None when it is singular."""
+    n = len(rows)
+    ident = [tuple(F.one if i == j else F.zero for j in range(n)) for i in range(n)]
+    ech, pivots = dense_rref(F, [tuple(r) + e for r, e in zip(rows, ident)], 2 * n)
+    if pivots != tuple(range(n)):
+        return None
+    return [row[n:] for row in ech]
+
+
+def span_echelon(F, vectors, width, from_right=False):
+    """The reduced echelon basis of span(vectors) as (pivot, row) pairs
+    sorted by pivot.  With from_right the pivot of a row is its last nonzero
+    coordinate: the columns are reversed around the reference elimination."""
+    if not from_right:
+        ech, pivots = dense_rref(F, vectors, width)
+        return list(zip(pivots, ech))
+    ech, pivots = dense_rref(F, [tuple(v)[::-1] for v in vectors], width)
+    return sorted((width - 1 - c, row[::-1]) for c, row in zip(pivots, ech))
+
+
+def span_reduce(F, echelon, vec):
+    """Residue of vec modulo a reduced echelon basis: each row is zero at
+    the other pivots, so its multiple is the entry of vec at its pivot."""
+    v = [F.coerce(x) for x in vec]
+    coeffs = [v[p] for p, _ in echelon]
+    for c, (_, row) in zip(coeffs, echelon):
+        v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
+    return v, coeffs
 
 
 def count_words_avoiding(degree, forbidden="yy"):

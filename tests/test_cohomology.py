@@ -1,11 +1,14 @@
+import hashlib
 import json
 import random
+from math import comb
 
 import pytest
 
+import dgskew
 from dgskew.cohomology import DegreeOverflowError, cohomology
 from dgskew.dg import DGSpec
-from dgskew.fields import QQ
+from dgskew.fields import QQ, PrimeField
 from dgskew.linalg import Matrix
 from dgskew.sampling import random_rank_two
 from dgskew.skew import GradedElement, Monomial, degree_dim, parse_element
@@ -146,3 +149,54 @@ def test_dims_agree_between_q_and_large_prime():
         dq = cohomology(DGSpec(QQ, Matrix.from_rows(QQ, rows)), 5).dims
         dp = cohomology(DGSpec(fp, Matrix.from_rows(fp, rows)), 5).dims
         assert dq == dp
+
+
+def test_degree_overflow_is_the_package_error():
+    rep = report_of([[1, 1, 0], [1, 1, 0], [1, 1, 0]], 3)
+    xi = rep.class_of(parse_element(QQ, "x1 - x2"))
+    sq = rep.class_product(xi, xi)
+    with pytest.raises(dgskew.DegreeOverflowError):
+        rep.class_of(parse_element(QQ, "x1^4"))
+    with pytest.raises(dgskew.DegreeOverflowError):
+        rep.class_product(sq, sq)
+
+
+# one matrix per rank, every entry nonzero except for rank 0
+RANK_MATRICES = {
+    0: [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    1: [[2, -1, 3], [4, -2, 6], [-2, 1, -3]],
+    2: [[1, -2, 3], [2, 1, -1], [4, -3, 5]],
+    3: [[2, -1, 3], [1, 3, -2], [-3, 2, 1]],
+}
+
+# sha256 of the indented, key-sorted JSON of cohomology(spec, 10), as the
+# dense elimination produced it; reduced echelon forms are unique, so any
+# exact elimination must reproduce these bytes
+REPORT_DIGESTS = {
+    ("Q", 0): "46c6d066c2f253b5a6be707648e916c531381e5862ade7e1e8e714348dc87cf5",
+    ("Q", 1): "8dcca86a33145e9280be87b1cb6dd5787a86ec228a2f212ef3a41d12902b20b8",
+    ("Q", 2): "ccf6a728802236af38af1f65c6bbafc68ff32670538acf91a564d86bc08dc207",
+    ("Q", 3): "a224e048c4ce521c65f72facf79561a61359e72abeeacff18f198dd2fe66a647",
+    ("Fp:2147483659", 0): "9ea45911c40521a5da9aa5ce74301cb6023a4dd1d114b3c48fb0e709117fc923",
+    ("Fp:2147483659", 1): "9d7ab0962d7b5d7fc5457ce01a64f1318e043d556bf5351fd4a143dd32992b8d",
+    ("Fp:2147483659", 2): "dd661a08c34c8ab21cf94162d7df9bbb028814a9d933a2cbb7c74f422581fbbe",
+    ("Fp:2147483659", 3): "299cfcee843e7defc0dc473acbb79e861e9e634c3fde2201810766799393c20b",
+}
+
+
+@pytest.mark.parametrize("field_name,rank", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(field_name, rank):
+    F = dgskew.field_from_name(field_name)
+    report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), 10)
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[(field_name, rank)]
+
+
+@pytest.mark.parametrize("F,top", [(QQ, 20), (PrimeField(2147483659), 24)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_dims_follow_the_koszul_closed_form(F, top, rank):
+    # (A, d) is the Koszul complex of three linear forms in the central
+    # squares, so dim H^n is the t^n coefficient of (1 - t)^-(3 - rank M)
+    k = 3 - rank
+    want = [comb(n + k - 1, k - 1) if k else int(n == 0) for n in range(top + 1)]
+    assert cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), top).dims == want

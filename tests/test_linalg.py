@@ -1,11 +1,15 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (dense_inverse, dense_kernel, dense_rref, dense_solve,
+                     span_echelon, span_reduce)
 
 from dgskew.fields import CANDIDATE_PRIMES, QQ, PrimeField
 from dgskew.linalg import Matrix, RowSpan, extend_independent
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
+# a small prime, so that integer entries and eliminations often vanish mod p
+FIELDS = [QQ, FP, PrimeField(7)]
 
 matrices = st.integers(1, 5).flatmap(
     lambda n: st.integers(1, 5).flatmap(
@@ -99,3 +103,123 @@ def test_rowspan_pivot_from_right():
     # leaves support on the earliest coordinates
     residue = span.reduce([0, 1, 1])
     assert [QQ.to_str(x) for x in residue] == ["-1", "1", "0"]
+
+
+# -- the sparse kernel against the dense reference elimination -------------
+
+nonzero = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def int_matrices(draw, nrows=None, ncols=None):
+    """Integer matrices of three kinds: at least 90% zeros, every entry
+    nonzero, or a product of two thin random factors (rank deficient)."""
+    n = nrows or draw(st.integers(1, 9))
+    m = ncols or draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["sparse", "dense", "low_rank"]))
+    if kind == "sparse":
+        rows = [[0] * m for _ in range(n)]
+        for _ in range(draw(st.integers(0, n * m // 10))):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(nonzero)
+        return rows
+    if kind == "dense":
+        return [[draw(nonzero) for _ in range(m)] for _ in range(n)]
+    k = draw(st.integers(1, max(1, min(n, m) - 1)))
+    a = [[draw(nonzero) for _ in range(k)] for _ in range(n)]
+    b = [[draw(nonzero) for _ in range(m)] for _ in range(k)]
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+def as_text(F, rows):
+    return [[F.to_str(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@given(rows=int_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rref_rank_kernel_match_reference(F, rows):
+    A = Matrix.from_rows(F, rows)
+    ech, pivots = A.rref()
+    want, want_pivots = dense_rref(F, A.entries, A.ncols)
+    assert pivots == want_pivots
+    assert as_text(F, ech) == as_text(F, want)
+    assert A.rank() == len(want_pivots)
+    assert as_text(F, A.kernel_basis()) == as_text(F, dense_kernel(F, A.entries, A.ncols))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@given(rows=int_matrices(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_reference(F, rows, data):
+    A = Matrix.from_rows(F, rows)
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=A.ncols, max_size=A.ncols))
+    free_b = data.draw(st.lists(st.integers(-5, 5), min_size=A.nrows, max_size=A.nrows))
+    for b in (A.apply([F.coerce(v) for v in x]), free_b):
+        got, want = A.solve(b), dense_solve(F, A.entries, A.ncols, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert as_text(F, [got]) == as_text(F, [want])
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_reference(F, data):
+    n = data.draw(st.integers(1, 6))
+    A = Matrix.from_rows(F, data.draw(int_matrices(n, n)))
+    want = dense_inverse(F, A.entries)
+    if want is None:
+        with pytest.raises(ValueError):
+            A.inverse()
+    else:
+        assert as_text(F, A.inverse().entries) == as_text(F, want)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@given(rows=int_matrices(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mul_and_apply_match_the_definition(F, rows, data):
+    A = Matrix.from_rows(F, rows)
+    B = Matrix.from_rows(F, data.draw(int_matrices(nrows=A.ncols)))
+
+    def dot(row, col):
+        acc = F.zero
+        for a, b in zip(row, col):
+            acc = F.add(acc, F.mul(a, b))
+        return acc
+
+    want = [[dot(A.row(i), B.col(j)) for j in range(B.ncols)] for i in range(A.nrows)]
+    assert as_text(F, A.mul(B).entries) == as_text(F, want)
+    assert as_text(F, [A.apply(B.col(0))]) == as_text(F, [[row[0] for row in want]])
+
+
+@pytest.mark.parametrize("from_right", [False, True], ids=["left", "right"])
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+@given(vectors=int_matrices(), probes=int_matrices())
+@settings(max_examples=60, deadline=None)
+def test_rowspan_matches_reference(F, from_right, vectors, probes):
+    width = len(vectors[0])
+    vectors = [[F.coerce(x) for x in v] for v in vectors]
+    probes = [[F.coerce(x) for x in (p + [0] * width)[:width]] for p in probes]
+    span = RowSpan(F, width, pivot_from_right=from_right)
+    for k, v in enumerate(vectors):
+        before = len(span_echelon(F, vectors[:k], width, from_right))
+        after = len(span_echelon(F, vectors[:k + 1], width, from_right))
+        assert span.add(v) == (after > before)
+        assert span.dim == after
+    echelon = span_echelon(F, vectors, width, from_right)
+    assert as_text(F, span.basis_rows()) == as_text(F, [row for _, row in echelon])
+    bulk = RowSpan(F, width, pivot_from_right=from_right)
+    bulk.extend(vectors)
+    assert as_text(F, bulk.basis_rows()) == as_text(F, [row for _, row in echelon])
+    # members of the span, then arbitrary vectors
+    members = [[F.add(x, y) for x, y in zip(v, w)] for v, w in zip(vectors, vectors[1:])]
+    for vec in members + probes:
+        residue, coeffs = span_reduce(F, echelon, vec)
+        inside = all(F.is_zero(x) for x in residue)
+        assert as_text(F, [span.reduce(vec)]) == as_text(F, [residue])
+        assert span.contains(vec) == inside
+        got = span.express(vec)
+        assert (got is not None) == inside
+        if inside:
+            assert as_text(F, [got]) == as_text(F, [coeffs])
