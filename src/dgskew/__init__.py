@@ -10,14 +10,13 @@ from .errors import BoundInsufficientError, DegreeOverflowError
 from .fields import CANDIDATE_PRIMES, QQ, FieldMismatchError, PrimeField, field_from_name
 from .linalg import Matrix, RowSpan
 from .presentations import (AlgebraPresentation, Generator, TruncatedAlgebra,
-                            case_presentation, hilbert_function, parse_presentation,
-                            presentation_of_case, truncate)
+                            case_presentation, parse_presentation, truncate)
 from .resolution import (ExtTable, GorensteinVerdict, ResolutionReport,
                          ext_against_algebra, gorenstein_certificate,
                          minimal_resolution, predicted_vs_certified)
 from .skew import (GradedElement, Monomial, degree_basis, generators,
                    mul_monomials, parse_element)
-from .transform import apply_transform, invariance_check, is_monomial
+from .transform import apply_transform, invariance_check
 
 __all__ = [
     "AlgebraPresentation", "BoundInsufficientError", "CANDIDATE_PRIMES",
@@ -28,9 +27,8 @@ __all__ = [
     "case_presentation", "classify", "cohomology", "crosscheck",
     "cubic_cocycle_rank", "d", "d_generator", "d_matrix", "degree_basis",
     "ext_against_algebra", "field_from_name", "generators",
-    "gorenstein_certificate", "hilbert_function", "invariance_check",
-    "is_monomial", "minimal_resolution", "mul_monomials", "normalize_rank_one",
-    "parse_element", "parse_presentation", "predicted_dims",
-    "predicted_vs_certified", "presentation_of_case", "squares_ideal_analysis",
+    "gorenstein_certificate", "invariance_check", "minimal_resolution",
+    "mul_monomials", "normalize_rank_one", "parse_element", "parse_presentation",
+    "predicted_dims", "predicted_vs_certified", "squares_ideal_analysis",
     "truncate", "verify_dg",
 ]

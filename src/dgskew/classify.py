@@ -28,7 +28,7 @@ from .dg import DGSpec
 from .linalg import Matrix, RowSpan
 from .presentations import AlgebraPresentation, case_presentation, truncate
 from .skew import (GradedElement, Monomial, degree_dim, element_from_linear,
-                   element_from_squares, permute_element)
+                   element_from_squares, generators, permute_element)
 
 GORENSTEIN = "Gorenstein"
 NON_GORENSTEIN = "NonGorenstein"
@@ -121,7 +121,7 @@ def classify(M: Matrix) -> Classification:
 
     if rank == 0:
         pres = case_presentation(F, "R0")
-        reps = list(zip("xyz", _generators_elems(F)))
+        reps = list(zip("xyz", generators(F)))
         return Classification(F, M, 0, "R0", {}, pres, GORENSTEIN, reps)
 
     if rank == 3:
@@ -176,11 +176,6 @@ def classify(M: Matrix) -> Classification:
     return Classification(F, M, 1, label, params, pres, verdict, reps)
 
 
-def _generators_elems(F):
-    from .skew import generators
-    return generators(F)
-
-
 def _rank_one_reps(F, label: str, l1, l2):
     """Cocycle representatives for the case generators, in the normalized
     (permuted) variables, ordered like the presentation generators."""
@@ -212,7 +207,7 @@ def case_dim_formula(c: Classification, max_degree: int):
 def predicted_dims(c: Classification, max_degree: int):
     """Hilbert function of the predicted presentation, computed independently
     by the degreewise truncation."""
-    return truncate(c.predicted_presentation, max_degree).hilbert_function()
+    return truncate(c.predicted_presentation, max_degree).dims
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .errors import BoundInsufficientError
 from .fields import field_from_name
 from .linalg import Matrix
 from .resolution import predicted_vs_certified
-from .suite import run_suite
+from .suite import CRITERIA, run_suite
 from .transform import invariance_check
 
 FIELD_ENV_VAR = "DGSKEW_FIELD"
@@ -86,35 +86,34 @@ def _build_config(args) -> JobConfig:
     except ValueError as e:
         raise UsageError(str(e)) from e
 
-    matrix_data = args.matrix if args.matrix is not None else raw.get("matrix")
-    matrix = _parse_matrix(field, matrix_data) if matrix_data is not None else None
-    transform_data = getattr(args, "transform", None)
-    if transform_data is None:
-        transform_data = raw.get("transform")
-    transform = _parse_matrix(field, transform_data) if transform_data is not None else None
-
-    def pick(name, default):
+    def pick(name, default=None):
         v = getattr(args, name, None)
-        if v is None:
-            v = raw.get(name, default)
-        return int(v)
+        return raw.get(name, default) if v is None else v
 
-    cfg = JobConfig(field, matrix,
-                    max_degree=pick("max_degree", 8),
-                    hom_bound=pick("hom_bound", 6),
-                    int_bound=pick("int_bound", 10),
-                    transform=transform,
+    matrix_data, transform_data = pick("matrix"), pick("transform")
+    cfg = JobConfig(field,
+                    None if matrix_data is None else _parse_matrix(field, matrix_data),
+                    max_degree=int(pick("max_degree", 8)),
+                    hom_bound=int(pick("hom_bound", 6)),
+                    int_bound=int(pick("int_bound", 10)),
+                    transform=(None if transform_data is None
+                               else _parse_matrix(field, transform_data)),
                     out=args.out or raw.get("out"))
     if cfg.max_degree < 2:
         raise UsageError("--max-degree must be >= 2")
+    if cfg.hom_bound < 1:
+        raise UsageError("--hom-bound must be >= 1")
     return cfg
 
 
 def _emit(cfg: JobConfig, payload: dict, summary: str):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"cannot write {cfg.out}: {e.strerror}") from e
     print(summary)
 
 
@@ -146,7 +145,10 @@ def _cmd_crosscheck(cfg: JobConfig) -> int:
 
 def _cmd_gorenstein(cfg: JobConfig) -> int:
     M = cfg.require_matrix()
-    comparison = predicted_vs_certified(M, cfg.hom_bound, cfg.int_bound)
+    try:
+        comparison = predicted_vs_certified(M, cfg.hom_bound, cfg.int_bound)
+    except ValueError as e:  # e.g. an --int-bound below the relation degree
+        raise UsageError(str(e)) from e
     summary = [comparison.detail, comparison.certificate.table.render()]
     if comparison.certificate.witness:
         for w in comparison.certificate.witness:
@@ -183,6 +185,14 @@ def _cmd_suite(cfg: JobConfig, numbers) -> int:
     report = run_suite(cfg.field, numbers=numbers)
     _emit(cfg, report.to_json(), report.render())
     return 0 if report.all_passed else 1
+
+
+def _parse_criteria(text):
+    """--criteria "1,5,7" as a set of criterion numbers; None runs them all."""
+    pieces = [p.strip() for p in text.split(",")] if text else []
+    if not all(p.isdecimal() and 1 <= int(p) <= len(CRITERIA) for p in pieces):
+        raise UsageError(f"--criteria takes numbers 1..{len(CRITERIA)}, got {text!r}")
+    return {int(p) for p in pieces} or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +235,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        args_matrix = getattr(args, "matrix", None)
-        args.matrix = args_matrix
         cfg = _build_config(args)
         if args.command == "cohomology":
             return _cmd_cohomology(cfg)
@@ -241,10 +249,7 @@ def main(argv=None) -> int:
         if args.command == "transform":
             return _cmd_transform(cfg)
         if args.command == "paper-suite":
-            numbers = None
-            if args.criteria:
-                numbers = {int(x) for x in args.criteria.split(",")}
-            return _cmd_suite(cfg, numbers)
+            return _cmd_suite(cfg, _parse_criteria(args.criteria))
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .dg import DGSpec, d, d_columns
 from .errors import DegreeOverflowError
 from .fields import check_same_field
-from .linalg import RowSpan
+from .linalg import RowSpan, columns_to_rows
 from .skew import GradedElement, degree_basis, degree_dim
 
 
@@ -102,12 +102,8 @@ def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
         width = degree_dim(deg)
         # the one elimination of d_deg: its rows, as sparse vectors on A^deg
         cols = d_columns(spec, deg)
-        rows = [{} for _ in range(degree_dim(deg + 1))]
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                rows[i][j] = c
         echelon = RowSpan(F, width)
-        echelon.extend(rows)
+        echelon.extend(columns_to_rows(cols, degree_dim(deg + 1)))
         # the pivot columns of d_{deg-1} are a basis of its image
         boundaries = RowSpan(F, width)
         boundaries.extend(prev_cols[j] for j in prev_pivots)

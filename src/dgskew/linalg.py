@@ -16,7 +16,9 @@ the order of elimination.
 
 `Matrix` is a dense immutable value; `rref`, `rank`, `kernel_basis`,
 `solve` and `inverse` all run its rows through a `RowSpan`, and `mul` and
-`apply` visit only nonzero entries.
+`apply` visit only nonzero entries.  Maps that are built column by column
+stay sparse instead: `columns_to_rows` turns their columns into the rows a
+`RowSpan` eliminates, and `apply_columns` applies them to a sparse vector.
 """
 
 from __future__ import annotations
@@ -350,13 +352,35 @@ class RowSpan:
 
 
 def extend_independent(span: RowSpan, candidates):
-    """Greedily pick candidates that enlarge `span`; returns the picked ones.
+    """Greedily pick candidates that enlarge `span`; returns the picked ones,
+    as given.
 
     The span is mutated.  Deterministic: candidates are tried in the order
     given and the earliest independent ones win.
     """
-    picked = []
-    for v in candidates:
-        if span.add(v):
-            picked.append(tuple(v))
-    return picked
+    return [v for v in candidates if span.add(v)]
+
+
+def columns_to_rows(columns, nrows):
+    """The rows of the matrix with the given sparse columns ``{row: nonzero}``,
+    as sparse ``{column: nonzero}`` dicts."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def apply_columns(field, columns, vec):
+    """The sparse vector sum_c vec[c] * columns[c], for a sparse vec.
+
+    A column is a dense sequence or a sparse dict; `columns` is anything
+    indexed by the keys of vec.
+    """
+    out = {}
+    for c, x in vec.items():
+        col = columns[c]
+        for r, y in col.items() if isinstance(col, dict) else enumerate(col):
+            if y:
+                out[r] = out.get(r, 0) + x * y
+    return _sparse(_modulus(field), out)

@@ -20,13 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import DegreeOverflowError
-from .linalg import RowSpan
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .classify import Classification
+from .linalg import RowSpan, apply_columns
 
 
 @dataclass(frozen=True)
@@ -172,6 +168,8 @@ def _parse_poly(field, text: str, gens) -> dict:
                 continue
             if "^" in f:
                 name, e = f.split("^")
+                if not e.isdecimal():
+                    raise ValueError(f"exponent in {f!r} is not a nonnegative integer")
                 e = int(e)
             else:
                 name, e = f, 1
@@ -203,15 +201,14 @@ class TruncatedAlgebra:
         self.basis = [[()]]            # chosen representative words per degree
         self._append: dict = {}        # (src_degree, gen) -> list of columns
         self._word_mul_cache: dict = {}
+        self._mul_columns_cache: dict = {}
         for d in range(1, bound + 1):
             self._build_degree(d)
 
     @property
     def dims(self):
+        """Basis sizes per degree 0..bound: the Hilbert function."""
         return [len(b) for b in self.basis]
-
-    def hilbert_function(self):
-        return list(self.dims)
 
     def dim(self, d: int) -> int:
         if d < 0:
@@ -323,6 +320,24 @@ class TruncatedAlgebra:
             self._word_mul_cache[key] = cols
         return self._word_mul_cache[key]
 
+    def mul_columns(self, vec, degree: int, q: int, left: bool):
+        """Sparse columns ``{row: nonzero}`` of u |-> c*u (left) or u |-> u*c
+        on A_q, one per basis word u, for the element c = vec of A_degree.
+
+        The columns are cached and shared between callers: read them only."""
+        key = (tuple(vec), degree, q, left)
+        if key not in self._mul_columns_cache:
+            coeffs = {k: x for k, x in enumerate(vec) if x}
+            if left:
+                tables = [self.word_mul_matrix(degree, u) for u in self.basis[q]]
+            else:
+                rights = {k: self.word_mul_matrix(q, self.basis[degree][k]) for k in coeffs}
+                tables = [{k: cols[w] for k, cols in rights.items()}
+                          for w in range(len(self.basis[q]))]
+            self._mul_columns_cache[key] = [apply_columns(self.field, table, coeffs)
+                                            for table in tables]
+        return self._mul_columns_cache[key]
+
     def mul(self, u, p: int, v, q: int):
         """Product of element-vectors: (u in degree p) * (v in degree q)."""
         F = self.field
@@ -402,11 +417,6 @@ def truncate(presentation: AlgebraPresentation, bound: int) -> TruncatedAlgebra:
     return TruncatedAlgebra(presentation, bound)
 
 
-def hilbert_function(t: TruncatedAlgebra):
-    """Basis sizes per degree 0..bound."""
-    return t.hilbert_function()
-
-
 # -- the candidate cohomology presentations, one per classifier case --
 
 
@@ -468,8 +478,3 @@ def case_presentation(field, label: str, row=None, l1=None, l2=None) -> AlgebraP
                    {(z, y): one, (y, z): F.neg(one)})
         return AlgebraPresentation(F, deg12, (quad, dict(anticomm)) + central)
     raise ValueError(f"unknown case label {label!r}")
-
-
-def presentation_of_case(classification: "Classification") -> AlgebraPresentation:
-    """The predicted presentation attached to a classification."""
-    return classification.predicted_presentation

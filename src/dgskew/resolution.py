@@ -8,6 +8,11 @@ echelonized kernel basis (lexicographically earliest complement).  Every
 differential entry then has positive degree, which is the defining property
 of a minimal resolution.
 
+Every map of free modules (d_i, its dual, a generator acting on the left)
+is a list of sparse columns ``{row: nonzero}``, one per basis word of the
+source, read off the algebra's cached word products; each d_i is built once
+per internal degree and kept on the report for the complex check.
+
 All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
 complete.  NonGorenstein verdicts are finitely witnessed (two classes
@@ -19,11 +24,13 @@ against the stored kernels); the absence of a second class only ever yields
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .classify import Classification, classify
 from .errors import BoundInsufficientError
-from .linalg import Matrix, RowSpan, extend_independent
+from .linalg import RowSpan, apply_columns, columns_to_rows, extend_independent
 from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
 
 
@@ -52,63 +59,66 @@ def _module_dim(t: TruncatedAlgebra, gens, j: int) -> int:
     return sum(_block_dim(t, j - g) for g in gens)
 
 
-def _map_matrix(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int) -> Matrix:
-    """Matrix of d at internal degree j; rows = F_{i-1} coords, cols = F_i."""
-    F = t.field
-    nrows = _module_dim(t, prev_gens, j)
-    cols = []
-    for a, g in enumerate(step.gen_degrees):
-        src = j - g
-        if not (0 <= src <= t.bound):
-            continue
-        for wi in range(len(t.basis[src])):
-            unit = [F.zero] * len(t.basis[src])
-            unit[wi] = F.one
-            col = []
-            for b, h in enumerate(prev_gens):
-                blk = _block_dim(t, j - h)
-                if blk == 0:
-                    continue
-                entry = step.entries[a][b]
-                if entry is None:
-                    col.extend([F.zero] * blk)
-                else:
-                    col.extend(t.mul(unit, src, entry.vec, entry.degree))
-            cols.append(tuple(col))
-    ncols = len(cols)
-    rows = tuple(tuple(cols[c][r] for c in range(ncols)) for r in range(nrows))
-    return Matrix(F, nrows, ncols, rows)
-
-
-def _left_mul_module(t: TruncatedAlgebra, gens, gi: int, v, j: int):
-    """g * v for a module vector v of internal degree j; result at j + |g|."""
-    F = t.field
-    e = t.presentation.generators[gi].degree
-    unit = [F.zero] * len(t.basis[e])
-    unit[t.basis[e].index((gi,))] = F.one
-    out = []
-    offset = 0
-    for g in gens:
-        blk_in = _block_dim(t, j - g)
-        blk_out = _block_dim(t, j + e - g)
-        seg = list(v[offset:offset + blk_in])
-        offset += blk_in
-        if blk_out == 0:
-            continue
-        if blk_in == 0:
-            out.extend([F.zero] * blk_out)
-        else:
-            out.extend(t.mul(unit, e, seg, j - g))
+def _segments(t: TruncatedAlgebra, degrees, vec):
+    """A sparse vector on a free module as dense coordinates on each of its
+    blocks A_q, q in `degrees`."""
+    out, offset = [], 0
+    for q in degrees:
+        n = _block_dim(t, q)
+        out.append([vec.get(k, t.field.zero) for k in range(offset, offset + n)])
+        offset += n
     return out
+
+
+def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: bool):
+    """Sparse columns of a map of free modules, block by block.
+
+    Source block s is A_q for q = src_degrees[s], target block r is A_q for
+    q = dst_degrees[r]; the map multiplies block s into block r by the
+    element coeff(s, r) (None when zero), on the left or on the right.
+    """
+    offsets = list(accumulate((_block_dim(t, q) for q in dst_degrees), initial=0))
+    cols = []
+    for s, q in enumerate(src_degrees):
+        block = [{} for _ in range(_block_dim(t, q))]
+        for r, q_dst in enumerate(dst_degrees):
+            c = coeff(s, r)
+            if c is None or not block or not _block_dim(t, q_dst):
+                continue
+            off = offsets[r]
+            for col, part in zip(block, t.mul_columns(c.vec, c.degree, q, left)):
+                col.update((off + k, x) for k, x in part.items())
+        cols.extend(block)
+    return cols
+
+
+def _map_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int):
+    """d at internal degree j: columns index (F_i)_j, rows (F_{i-1})_j."""
+    return _module_columns(t, [j - g for g in step.gen_degrees], [j - h for h in prev_gens],
+                           lambda a, b: step.entries[a][b], left=False)
+
+
+def _left_mul_module(t: TruncatedAlgebra, gens, gi: int, j: int):
+    """Left multiplication by generator gi on the free module with generators
+    in degrees `gens`, from internal degree j to j + |g|."""
+    e = t.presentation.generators[gi].degree
+    g = AlgElt(e, tuple(t.word_vector((gi,))))
+    return _module_columns(t, [j - h for h in gens], [j + e - h for h in gens],
+                           lambda s, r: g if s == r else None, left=True)
 
 
 @dataclass
 class ResolutionReport:
+    """The free modules F_0..F_n, plus per (i, j) the sparse columns of d_i
+    at internal degree j (`maps`) and a basis of its kernel as sparse
+    vectors on (F_i)_j (`kernels`)."""
+
     algebra: TruncatedAlgebra
     hom_bound: int
     int_bound: int
     steps: list                      # steps[0] = F_0
     kernels: dict = dataclass_field(default_factory=dict, repr=False)
+    maps: dict = dataclass_field(default_factory=dict, repr=False)
     stopped_at: int | None = None    # first i with no kernel generators <= bound
 
     @property
@@ -170,23 +180,21 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
 
     # kernel of the augmentation: everything in positive internal degrees
     for j in range(1, D + 1):
-        n = len(t.basis[j])
-        report.kernels[(0, j)] = [tuple(F.one if a == b else F.zero for a in range(n))
-                                  for b in range(n)]
+        report.kernels[(0, j)] = [{k: F.one} for k in range(len(t.basis[j]))]
 
     for i in range(1, hom_bound + 1):
         prev = report.steps[i - 1]
-        min_deg = min(prev.gen_degrees) + 1
         gen_vecs, gen_degs = [], []
-        for j in range(min_deg, D + 1):
+        for j in range(min(prev.gen_degrees) + 1, D + 1):
             kb = report.kernels.get((i - 1, j), [])
             if not kb:
                 continue
-            width = _module_dim(t, prev.gen_degrees, j)
-            span = RowSpan(F, width)
-            span.extend(_left_mul_module(t, prev.gen_degrees, gi, v, j - g.degree)
-                        for gi, g in enumerate(t.presentation.generators)
-                        for v in report.kernels.get((i - 1, j - g.degree), []))
+            span = RowSpan(F, _module_dim(t, prev.gen_degrees, j))
+            for gi, g in enumerate(t.presentation.generators):
+                below = report.kernels.get((i - 1, j - g.degree))
+                if below:
+                    cols = _left_mul_module(t, prev.gen_degrees, gi, j - g.degree)
+                    span.extend(apply_columns(F, cols, v) for v in below)
             for v in extend_independent(span, kb):
                 gen_vecs.append((j, v))
                 gen_degs.append(j)
@@ -195,47 +203,39 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
             report.stopped_at = i
             break
 
-        entries = []
-        for j, v in gen_vecs:
-            row = []
-            offset = 0
-            for h in prev.gen_degrees:
-                blk = _block_dim(t, j - h)
-                seg = tuple(v[offset:offset + blk])
-                offset += blk
-                if blk and any(not F.is_zero(x) for x in seg):
-                    if j - h == 0:
-                        raise AssertionError("degree-0 differential entry breaks minimality")
-                    row.append(AlgElt(j - h, seg))
-                else:
-                    row.append(None)
-            entries.append(row)
+        entries = [[AlgElt(j - h, tuple(seg)) if any(seg) else None
+                    for h, seg in zip(prev.gen_degrees,
+                                      _segments(t, [j - h for h in prev.gen_degrees], v))]
+                   for j, v in gen_vecs]
+        if any(e is not None and e.degree == 0 for row in entries for e in row):
+            raise AssertionError("degree-0 differential entry breaks minimality")
         step = FreeStep(gen_degs, entries)
         report.steps.append(step)
 
         if i < hom_bound and min(gen_degs) + 1 > D:
             raise BoundInsufficientError(i, min(gen_degs) + 1)
 
-        for j in range(min(gen_degs) + 1, D + 1):
-            mat = _map_matrix(t, step, prev.gen_degrees, j)
-            report.kernels[(i, j)] = mat.kernel_basis()
+        for j in range(min(gen_degs), D + 1):
+            cols = report.maps[(i, j)] = _map_columns(t, step, prev.gen_degrees, j)
+            if j > min(gen_degs):
+                span = RowSpan(F, len(cols))
+                span.extend(columns_to_rows(cols, _module_dim(t, prev.gen_degrees, j)))
+                report.kernels[(i, j)] = span.kernel_sparse()
 
     _assert_complex(report)
     return report
 
 
 def _assert_complex(report: ResolutionReport):
-    """d_{i-1} o d_i = 0 within the truncation, per internal degree."""
-    t = report.algebra
-    F = t.field
-    for i in range(2, len(report.steps)):
-        step, prev = report.steps[i], report.steps[i - 1]
-        for j in range(min(step.gen_degrees), report.int_bound + 1):
-            m1 = _map_matrix(t, prev, report.steps[i - 2].gen_degrees, j)
-            m2 = _map_matrix(t, step, prev.gen_degrees, j)
-            comp = m1.mul(m2)
-            if any(not F.is_zero(x) for row in comp.entries for x in row):
-                raise AssertionError(f"d_{i-1} o d_{i} != 0 at internal degree {j}")
+    """d_{i-1} o d_i = 0 within the truncation, per internal degree: the
+    stored d_{i-1} applied to every stored column of d_i."""
+    F = report.algebra.field
+    for (i, j), cols in report.maps.items():
+        if i < 2:
+            continue
+        prev = report.maps[(i - 1, j)]
+        if any(apply_columns(F, prev, col) for col in cols):
+            raise AssertionError(f"d_{i-1} o d_{i} != 0 at internal degree {j}")
 
 
 @dataclass
@@ -271,45 +271,37 @@ class ExtTable:
         return "\n".join(lines)
 
 
-def _dual_matrix(report: ResolutionReport, i: int, m: int) -> Matrix:
-    """Matrix of the dualized differential Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m.
+def _dual_columns(report: ResolutionReport, i: int, m: int):
+    """The dualized differential Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m.
 
     A functional is a block vector (phi_b in A_{m + g_b}); composing with d_i
     left-multiplies by the entries: (d_i^* phi)_a = sum_b c_{ab} phi_b.
     """
-    t = report.algebra
-    F = t.field
     step = report.steps[i]
-    prev = report.steps[i - 1]
-    src_dims = [_block_dim(t, m + g) for g in prev.gen_degrees]
-    dst_dims = [_block_dim(t, m + g) for g in step.gen_degrees]
-    nrows, ncols = sum(dst_dims), sum(src_dims)
-    cols = []
-    for b, gb in enumerate(prev.gen_degrees):
-        for k in range(src_dims[b]):
-            phi = [F.zero] * src_dims[b]
-            phi[k] = F.one
-            col = []
-            for a, _ga in enumerate(step.gen_degrees):
-                blk = dst_dims[a]
-                if blk == 0:
-                    continue
-                entry = step.entries[a][b]
-                if entry is None:
-                    col.extend([F.zero] * blk)
-                else:
-                    col.extend(t.mul(entry.vec, entry.degree, phi, m + gb))
-            cols.append(tuple(col))
-    rows = tuple(tuple(cols[c][r] for c in range(ncols)) for r in range(nrows))
-    return Matrix(F, nrows, ncols, rows)
+    return _module_columns(report.algebra, [m + h for h in report.steps[i - 1].gen_degrees],
+                           [m + g for g in step.gen_degrees],
+                           lambda b, a: step.entries[a][b], left=True)
+
+
+def _functional_dim(report: ResolutionReport, i: int, m: int) -> int:
+    """dim Hom(F_i, A)_m."""
+    return sum(_block_dim(report.algebra, m + g) for g in report.steps[i].gen_degrees)
+
+
+def _coboundaries(report: ResolutionReport, i: int, m: int) -> RowSpan:
+    """The image of d_i^* in Hom(F_i, A)_m (zero for i = 0)."""
+    span = RowSpan(report.algebra.field, _functional_dim(report, i, m))
+    if i >= 1:
+        span.extend(_dual_columns(report, i, m))
+    return span
 
 
 def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     """Graded dims of ker/im in the dualized complex, per internal degree
     within each homological degree's validity window."""
-    t = report.algebra
     dims = {}
     windows, ranges = [], []
+    rank = cache(lambda i, m: _coboundaries(report, i, m).dim)  # of d_i^* at m
     for i in range(report.hom_bound):
         win = report.window(i)
         windows.append(win)
@@ -319,14 +311,12 @@ def ext_against_algebra(report: ResolutionReport) -> ExtTable:
             continue
         lo = -max(cur.gen_degrees)
         ranges.append((lo, win))
+        nxt = report.step_or_none(i + 1)
         for m in range(lo, win + 1):
-            dom = sum(_block_dim(t, m + g) for g in cur.gen_degrees)
+            dom = _functional_dim(report, i, m)
             if dom == 0:
                 continue
-            nxt = report.step_or_none(i + 1)
-            rank_next = _dual_matrix(report, i + 1, m).rank() if nxt else 0
-            rank_cur = _dual_matrix(report, i, m).rank() if i >= 1 else 0
-            d = dom - rank_next - rank_cur
+            d = dom - (rank(i + 1, m) if nxt else 0) - rank(i, m)
             if d < 0:
                 raise AssertionError("negative Ext dimension: broken complex")
             if d:
@@ -338,7 +328,7 @@ def ext_against_algebra(report: ResolutionReport) -> ExtTable:
 class WitnessClass:
     hom_degree: int
     internal_degree: int
-    functional: tuple
+    functional: dict                  # sparse coordinates on Hom(F_i, A)_m
     rendered: str
 
 
@@ -394,7 +384,7 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
     if len(witnesses) >= 2:
         for w in witnesses:
             _verify_cocycle(report, w)
-        _verify_independent(report, witnesses[0], witnesses[1])
+        _verify_independent(report, witnesses)
         total = table.total_within_windows()
         return GorensteinVerdict(
             "NonGorenstein", table, witnesses[:2],
@@ -407,40 +397,23 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
 
 def _ext_class_functionals(report: ResolutionReport, i: int, m: int):
     """Representative functionals of Ext^i at internal degree m."""
-    t = report.algebra
-    F = t.field
-    cur = report.step_or_none(i)
-    dom = sum(_block_dim(t, m + g) for g in cur.gen_degrees)
-    nxt = report.step_or_none(i + 1)
-    if nxt:
-        kernel = _dual_matrix(report, i + 1, m).kernel_basis()
-    else:
-        kernel = [tuple(F.one if a == b else F.zero for a in range(dom))
-                  for b in range(dom)]
-    image = RowSpan(F, dom)
-    if i >= 1:
-        image.extend(_dual_matrix(report, i, m).transpose().entries)
-    return extend_independent(image, kernel)
+    cocycles = RowSpan(report.algebra.field, _functional_dim(report, i, m))
+    if report.step_or_none(i + 1):
+        cocycles.extend(columns_to_rows(_dual_columns(report, i + 1, m),
+                                        _functional_dim(report, i + 1, m)))
+    return extend_independent(_coboundaries(report, i, m), cocycles.kernel_sparse())
 
 
 def _functional_blocks(report: ResolutionReport, i: int, m: int, phi):
-    t = report.algebra
-    blocks = []
-    offset = 0
-    for g in report.steps[i].gen_degrees:
-        blk = _block_dim(t, m + g)
-        blocks.append((g, list(phi[offset:offset + blk])))
-        offset += blk
-    return blocks
+    """(g, phi_g in A_{m + g}) for each generator degree g of F_i."""
+    gens = report.steps[i].gen_degrees
+    return list(zip(gens, _segments(report.algebra, [m + g for g in gens], phi)))
 
 
 def _render_functional(report, i, m, phi) -> str:
     t = report.algebra
-    F = t.field
-    parts = []
-    for k, (g, blk) in enumerate(_functional_blocks(report, i, m, phi)):
-        if blk and any(not F.is_zero(x) for x in blk):
-            parts.append(f"e{i}.{k}* . ({t.element_render(blk, m + g)})")
+    parts = [f"e{i}.{k}* . ({t.element_render(blk, m + g)})"
+             for k, (g, blk) in enumerate(_functional_blocks(report, i, m, phi)) if any(blk)]
     return " + ".join(parts) if parts else "0"
 
 
@@ -457,12 +430,9 @@ def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
             continue
         for kappa in kernel:
             acc = [F.zero] * len(t.basis[m + j])
-            offset = 0
-            for (g, phi_g) in blocks:
-                blk = _block_dim(t, j - g)
-                seg = list(kappa[offset:offset + blk])
-                offset += blk
-                if blk and phi_g:
+            segs = _segments(t, [j - g for g, _ in blocks], kappa)
+            for (g, phi_g), seg in zip(blocks, segs):
+                if seg and phi_g:
                     prod = t.mul(seg, j - g, phi_g, m + g)
                     for idx, x in enumerate(prod):
                         acc[idx] = F.add(acc[idx], x)
@@ -471,21 +441,24 @@ def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
                     f"witness at ({i},{m}) fails the cocycle re-verification")
 
 
-def _verify_independent(report, w1: WitnessClass, w2: WitnessClass):
-    """The two witnesses span dimension 2 modulo coboundaries."""
-    if (w1.hom_degree, w1.internal_degree) != (w2.hom_degree, w2.internal_degree):
-        return  # distinct bidegrees: each is already nonzero modulo its image
-    t = report.algebra
-    F = t.field
-    i, m = w1.hom_degree, w1.internal_degree
-    span = RowSpan(F, len(w1.functional))
-    if i >= 1:
-        span.extend(_dual_matrix(report, i, m).transpose().entries)
-    base = span.dim
-    span.add(w1.functional)
-    span.add(w2.functional)
-    if span.dim != base + 2:
-        raise AssertionError("witness pair is not independent modulo coboundaries")
+def _verify_independent(report: ResolutionReport, witnesses):
+    """The witnesses are independent modulo coboundaries.
+
+    Classes of different bidegrees lie in different graded pieces, so the
+    witnesses at each bidegree must extend the image of the dual map there
+    by as many dimensions as they are.
+    """
+    by_bidegree = {}
+    for w in witnesses:
+        by_bidegree.setdefault((w.hom_degree, w.internal_degree), []).append(w)
+    for (i, m), group in by_bidegree.items():
+        span = _coboundaries(report, i, m)
+        base = span.dim
+        for w in group:
+            span.add(w.functional)
+        if span.dim != base + len(group):
+            raise AssertionError(
+                f"witnesses at ({i},{m}) are not independent modulo coboundaries")
 
 
 @dataclass
@@ -501,10 +474,10 @@ class CertificateComparison:
                 "consistent": self.consistent, "detail": self.detail}
 
 
-def predicted_vs_certified(M: Matrix, hom_bound: int = 6,
+def predicted_vs_certified(M, hom_bound: int = 6,
                            int_bound: int = 10) -> CertificateComparison:
-    """Classifier verdict versus the certificate on the predicted
-    presentation: NonGorenstein must be refuted, Gorenstein must stay
+    """Classifier verdict for the defining `Matrix` M versus the certificate
+    on the predicted presentation: NonGorenstein must be refuted, Gorenstein must stay
     consistent up to the cutoff.  Mismatches are reported, not raised."""
     c = classify(M)
     cert = gorenstein_certificate(c.predicted_presentation, hom_bound, int_bound)

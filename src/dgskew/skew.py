@@ -245,6 +245,8 @@ def _parse_term(field, chunk: str):
             continue
         if "^" in factor:
             name, e = factor.split("^")
+            if not e.isdecimal():
+                raise ValueError(f"exponent in {factor!r} is not a nonnegative integer")
             e = int(e)
         else:
             name, e = factor, 1

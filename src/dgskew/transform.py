@@ -37,14 +37,6 @@ def validate_monomial(C: Matrix) -> None:
         raise ValueError("not a monomial matrix: " + "; ".join(bad))
 
 
-def is_monomial(C: Matrix) -> bool:
-    try:
-        validate_monomial(C)
-        return True
-    except ValueError:
-        return False
-
-
 def entrywise_square(C: Matrix) -> Matrix:
     F = C.field
     return Matrix(F, C.nrows, C.ncols,

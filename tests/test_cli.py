@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dgskew.cli import main
 
 FLAGSHIP = "[[1,1,0],[1,1,0],[1,1,0]]"
@@ -113,3 +115,16 @@ def test_suite_subset(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "criterion  5" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["paper-suite", "--criteria", "a"],
+    ["paper-suite", "--criteria", "13"],
+    ["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"],
+    ["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"],
+    ["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"],
+], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "unwritable-out"])
+def test_bad_input_is_a_one_line_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

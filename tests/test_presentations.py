@@ -8,8 +8,7 @@ import pytest
 from dgskew.errors import DegreeOverflowError
 from dgskew.fields import QQ
 from dgskew.presentations import (AlgebraPresentation, Generator,
-                                  case_presentation, hilbert_function,
-                                  parse_presentation, truncate)
+                                  case_presentation, parse_presentation, truncate)
 from oracles import count_words_avoiding, quotient_dims_full_span
 
 
@@ -59,7 +58,7 @@ def test_rank_one_case_presentations_all_grow_linearly():
              ("R1e", (4, 3, 1), 0, 2), ("R1f", (0, 1, 1), 0, 0))
     for label, row, l1, l2 in cases:
         p = case_presentation(QQ, label, row=row, l1=l1, l2=l2)
-        assert hilbert_function(truncate(p, 6)) == [1, 2, 3, 4, 5, 6, 7], label
+        assert truncate(p, 6).dims == [1, 2, 3, 4, 5, 6, 7], label
 
 
 def test_dims_match_full_span_oracle():
@@ -121,6 +120,13 @@ def test_relation_validation():
     with pytest.raises(ValueError):
         AlgebraPresentation(QQ, (Generator("x", 1), Generator("y", 2)),
                             ({(0,): QQ.one, (1,): QQ.one},))  # inhomogeneous
+
+
+def test_bad_exponents_are_rejected_when_parsed():
+    # "x^-1*y^3" used to drop the x factor and read as the relation y^3
+    for text in ("gen x:1, y:1; rel x^-1*y^3", "gen x:1; rel x^1.5"):
+        with pytest.raises(ValueError, match="exponent"):
+            pres(text)
 
 
 def test_truncate_bound_below_relation_degree():

@@ -1,12 +1,22 @@
+import hashlib
+import json
+
 import pytest
 
+from dgskew.classify import classify
 from dgskew.errors import BoundInsufficientError
-from dgskew.fields import QQ
-from dgskew.linalg import Matrix
+from dgskew.fields import QQ, PrimeField, field_from_name
+from dgskew.linalg import Matrix, RowSpan
 from dgskew.presentations import case_presentation, parse_presentation, truncate
-from dgskew.resolution import (ext_against_algebra, gorenstein_certificate,
+from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
                                minimal_resolution, predicted_vs_certified,
-                               _map_matrix)
+                               _assert_complex, _block_dim, _dual_columns, _map_columns,
+                               _module_dim,
+                               _verify_independent)
+
+ONE_SIDED = "gen x:1, y:1; rel y^2"
+TWO_SIDED = "gen x:1, y:1; rel x^2 + x*y + y*x + y^2"
+SKEW_PLANE = "gen x:1, y:1; rel x*y + y*x"
 
 
 def resolve(text, hom_bound=6, int_bound=10):
@@ -64,8 +74,10 @@ def test_exactness_per_internal_degree():
     for i in range(1, 5):
         nxt = res.steps[i + 1]
         for j in range(min(nxt.gen_degrees), res.int_bound + 1):
-            image_rank = _map_matrix(t, nxt, res.steps[i].gen_degrees, j).rank()
-            assert len(res.kernels[(i, j)]) == image_rank
+            rows = res.steps[i].gen_degrees
+            image = RowSpan(t.field, _module_dim(t, rows, j))
+            image.extend(_map_columns(t, nxt, rows, j))
+            assert len(res.kernels[(i, j)]) == image.dim
 
 
 def test_euler_characteristic_bookkeeping():
@@ -147,3 +159,115 @@ def test_report_json_and_text():
     table = ext_against_algebra(res)
     assert "hom  internal" in table.render()
     assert table.to_json()["classes"]
+
+
+def _dense_unit_products(t, src_degrees, dst_degrees, coeff, left):
+    """Columns of a block map of free modules the slow way: each basis word a
+    dense unit vector pushed through TruncatedAlgebra.mul."""
+    F = t.field
+    cols = []
+    for s, q in enumerate(src_degrees):
+        n = _block_dim(t, q)
+        for w in range(n):
+            unit = [F.zero] * n
+            unit[w] = F.one
+            col = []
+            for r, q_dst in enumerate(dst_degrees):
+                blk = _block_dim(t, q_dst)
+                c = coeff(s, r)
+                if not blk:
+                    continue
+                if c is None:
+                    col.extend([F.zero] * blk)
+                elif left:
+                    col.extend(t.mul(c.vec, c.degree, unit, q))
+                else:
+                    col.extend(t.mul(unit, q, c.vec, c.degree))
+            cols.append({k: x for k, x in enumerate(col) if not F.is_zero(x)})
+    return cols
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "gen x:1, y:1; rel x^2 - 2*y*x"])
+def test_sparse_maps_match_dense_products(F, text):
+    # the stored d_i and the dual maps against unit vectors through mul
+    res = minimal_resolution(truncate(parse_presentation(F, text), 7), 4, 7)
+    t = res.algebra
+    assert res.maps
+    for (i, j), cols in res.maps.items():
+        step, prev = res.steps[i], res.steps[i - 1].gen_degrees
+        assert cols == _dense_unit_products(
+            t, [j - g for g in step.gen_degrees], [j - h for h in prev],
+            lambda a, b: step.entries[a][b], left=False)
+    for i in range(1, len(res.steps)):
+        step, prev = res.steps[i], res.steps[i - 1].gen_degrees
+        for m in range(-max(step.gen_degrees), res.window(i - 1) + 1):
+            assert _dual_columns(res, i, m) == _dense_unit_products(
+                t, [m + h for h in prev], [m + g for g in step.gen_degrees],
+                lambda b, a: step.entries[a][b], left=True)
+
+
+def test_assert_complex_sees_a_corrupted_differential():
+    res = resolve(ONE_SIDED, hom_bound=4)
+    _assert_complex(res)
+    # add a term to one stored column of d_3 where d_2 does not vanish
+    j = min(res.steps[3].gen_degrees)
+    d2 = res.maps[(2, j)]
+    row = next(r for r, col in enumerate(d2) if col)
+    res.maps[(3, j)][0][row] = res.maps[(3, j)][0].get(row, 0) + 1
+    with pytest.raises(AssertionError, match="d_2 o d_3"):
+        _assert_complex(res)
+
+
+def test_independence_check_rejects_a_coboundary_or_zero_witness():
+    # the one-sided witnesses sit at the distinct bidegrees (1, -1) and (1, 0)
+    res = resolve(ONE_SIDED)
+    low, high = sorted(gorenstein_certificate(parse_presentation(QQ, ONE_SIDED)).witness,
+                       key=lambda w: w.internal_degree)
+    assert (low.internal_degree, high.internal_degree) == (-1, 0)
+    _verify_independent(res, [low, high])
+    # d_1^* of the unit functional on F_0: a coboundary at (1, 0)
+    coboundary = _dual_columns(res, 1, 0)[0]
+    assert coboundary
+    for pair in ([low, WitnessClass(1, 0, coboundary, "")],
+                 [WitnessClass(1, -1, {}, ""), high]):
+        with pytest.raises(AssertionError, match="not independent"):
+            _verify_independent(res, pair)
+
+
+def test_linear_relation_resolves_as_a_polynomial_ring():
+    # x - y identifies the generators: the algebra is k[x]
+    p = parse_presentation(QQ, "gen x:1, y:1; rel x - y")
+    res = resolve(p.render(), hom_bound=4)
+    assert res.betti == [[0], [1]]
+    cert = gorenstein_certificate(p)
+    assert cert.table.classes() == [(1, -1, 1)]
+    assert cert.verdict == "ConsistentUpToCutoff"
+
+
+FLAGSHIPS = {"R1c": [[1, 1, 0], [1, 1, 0], [1, 1, 0]], "R1a": [[0, 1, 1], [0, 1, 1], [0, 1, 1]]}
+
+# sha256 of gorenstein_certificate(...).to_json(), recorded before the
+# resolution's maps became sparse columns; hom_bound 6, int_bound 10
+CERTIFICATE_DIGESTS = {
+    (ONE_SIDED, "Q"): "f4f014cd505ee5d390e9c817976071f608b556454f458482ce70972967b730fd",
+    (ONE_SIDED, "Fp:2147483659"): "f4f014cd505ee5d390e9c817976071f608b556454f458482ce70972967b730fd",
+    (TWO_SIDED, "Q"): "4179e9422313fc4c114b15654196c3bdd67486ef7088c25d3d6977063596301d",
+    (TWO_SIDED, "Fp:2147483659"): "2182007a622026edff90cf18240093b6362a1bd734339ebad075f6f43437a815",
+    (SKEW_PLANE, "Q"): "e690549d0dd00306e99208bcd1dfdd4a494ac4696c83f7ab3a3ce3ba69ce5bf7",
+    (SKEW_PLANE, "Fp:2147483659"): "e690549d0dd00306e99208bcd1dfdd4a494ac4696c83f7ab3a3ce3ba69ce5bf7",
+    ("R1c", "Q"): "5aabeef125d95feb6084f922c625a1272951634b463f42ca7699ab1b7614c52e",
+    ("R1a", "Q"): "4f1785e4cc331ef1b97425cdbf29195786c29249141025cb256581c4b8fa9e45",
+    ("R1a", "Fp:2147483659"): "bbe946bfe33df5ec26d8db88ec87ed42c34d31834931c36c4d44302d273f8606",
+}
+
+
+@pytest.mark.parametrize("name,field_name", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_bytes_are_pinned(name, field_name):
+    F = field_from_name(field_name)
+    if name in FLAGSHIPS:
+        pres = classify(Matrix.from_rows(F, FLAGSHIPS[name])).predicted_presentation
+    else:
+        pres = parse_presentation(F, name)
+    text = json.dumps(gorenstein_certificate(pres).to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[(name, field_name)]

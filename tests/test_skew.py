@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,12 @@ def test_render_parse_round_trip():
         e = parse_element(QQ, text, degree=None if text != "0" else 4)
         again = parse_element(QQ, e.render(), degree=e.degree)
         assert again.sub(e).is_zero()
+
+
+@pytest.mark.parametrize("text", ["x1^-1 x2^2", "x2 x1^1.5", "x3^a", "2*x1^"])
+def test_bad_exponents_are_rejected(text):
+    with pytest.raises(ValueError, match="exponent"):
+        parse_element(QQ, text)
 
 
 def test_permute_element_signs():
