@@ -27,6 +27,9 @@ from .transform import invariance_check
 
 FIELD_ENV_VAR = "DGSKEW_FIELD"
 
+# config keys that are read as they are; matrices are checked when parsed
+CONFIG_TYPES = {"field": str, "out": str, "max_degree": int, "hom_bound": int, "int_bound": int}
+
 
 class UsageError(ValueError):
     pass
@@ -79,6 +82,13 @@ def _build_config(args) -> JobConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(raw, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
+        for name, kind in CONFIG_TYPES.items():
+            # type(), not isinstance(): a JSON true is not the integer 1
+            if name in raw and type(raw[name]) is not kind:
+                raise UsageError(f"config {name} must be "
+                                 f"{'an integer' if kind is int else 'a string'}, got {raw[name]!r}")
 
     field_name = args.field or raw.get("field") or os.environ.get(FIELD_ENV_VAR) or "Q"
     try:
@@ -93,9 +103,9 @@ def _build_config(args) -> JobConfig:
     matrix_data, transform_data = pick("matrix"), pick("transform")
     cfg = JobConfig(field,
                     None if matrix_data is None else _parse_matrix(field, matrix_data),
-                    max_degree=int(pick("max_degree", 8)),
-                    hom_bound=int(pick("hom_bound", 6)),
-                    int_bound=int(pick("int_bound", 10)),
+                    max_degree=pick("max_degree", 8),
+                    hom_bound=pick("hom_bound", 6),
+                    int_bound=pick("int_bound", 10),
                     transform=(None if transform_data is None
                                else _parse_matrix(field, transform_data)),
                     out=args.out or raw.get("out"))

@@ -8,7 +8,11 @@ in ``[0, p)``.  There is no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# the scalars of the text grammars
+_SCALAR = re.compile(r"[0-9]+(/[0-9]+)?")
 
 # Primes above 2**31; the first is the default prime of "Fp".
 CANDIDATE_PRIMES = (2147483659, 4294967311)
@@ -140,6 +144,19 @@ def field_from_name(name: str):
     if name == "Fp":
         return PrimeField(CANDIDATE_PRIMES[0])
     raise ValueError(f"unknown field descriptor {name!r} (expected 'Q' or 'Fp:<prime>')")
+
+
+def parse_scalar(field, text: str):
+    """The scalar written as text in the form `to_str` renders it, an
+    integer "3" or a quotient "2/5" (a sign is a token of its own); anything
+    else, such as "0.5" or "1e5000", raises ValueError, and so does a
+    denominator that is zero in the field."""
+    if not _SCALAR.fullmatch(text):
+        raise ValueError(f"coefficient {text!r} is not an integer or a quotient p/q")
+    try:
+        return field.coerce(text)
+    except ZeroDivisionError as e:
+        raise ValueError(f"coefficient {text!r} has a zero denominator in {field.name}") from e
 
 
 def check_same_field(a, b):

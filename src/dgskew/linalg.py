@@ -44,7 +44,8 @@ def _sparse(p, vec):
     return {j: y for j, x in items if (y := x % p)}
 
 
-def _dense(field, width, vec):
+def dense(field, width, vec):
+    """The sparse vector vec as a fresh dense list of the given width."""
     out = [field.zero] * width
     for j, x in vec.items():
         out[j] = x
@@ -175,7 +176,7 @@ class Matrix:
         Vector j has a 1 in its free coordinate and 0 in every other free
         coordinate, so the result is deterministic and reduced.
         """
-        return [tuple(_dense(self.field, self.ncols, v)) for v in self._echelon().kernel_sparse()]
+        return [tuple(dense(self.field, self.ncols, v)) for v in self._echelon().kernel_sparse()]
 
     def solve(self, b):
         """One solution of Ax = b, or None when inconsistent.
@@ -301,7 +302,7 @@ class RowSpan:
 
     def reduce(self, vec):
         """Residue of vec modulo the span (a fresh list)."""
-        return _dense(self.field, self.width, self.reduce_sparse(_sparse(self._p, vec)))
+        return dense(self.field, self.width, self.reduce_sparse(_sparse(self._p, vec)))
 
     def contains(self, vec) -> bool:
         return not self.reduce_sparse(_sparse(self._p, vec))
@@ -348,7 +349,7 @@ class RowSpan:
         return [{q: one, **self._rows[q]} for q in self.pivots]
 
     def basis_rows(self):
-        return [tuple(_dense(self.field, self.width, row)) for row in self.rows_sparse()]
+        return [tuple(dense(self.field, self.width, row)) for row in self.rows_sparse()]
 
 
 def extend_independent(span: RowSpan, candidates):
@@ -372,15 +373,12 @@ def columns_to_rows(columns, nrows):
 
 
 def apply_columns(field, columns, vec):
-    """The sparse vector sum_c vec[c] * columns[c], for a sparse vec.
-
-    A column is a dense sequence or a sparse dict; `columns` is anything
-    indexed by the keys of vec.
-    """
+    """The sparse vector sum_c vec[c] * columns[c], for a sparse vec and
+    sparse columns ``{row: nonzero}``; `columns` is anything indexed by the
+    keys of vec."""
     out = {}
+    get = out.get
     for c, x in vec.items():
-        col = columns[c]
-        for r, y in col.items() if isinstance(col, dict) else enumerate(col):
-            if y:
-                out[r] = out.get(r, 0) + x * y
+        for r, y in columns[c].items():
+            out[r] = get(r, 0) + x * y
     return _sparse(_modulus(field), out)

@@ -3,8 +3,10 @@
 A presentation is a list of generators with positive degrees and a list of
 homogeneous relations (noncommutative polynomials in the generators).  The
 truncation computes, degree by degree, a monomial-word basis of the quotient
-together with the "append one generator" maps; every product inside the
-bound reduces to those.  This stays linear algebra throughout: in degree d
+together with the "append one generator" maps, kept as sparse columns.  The
+table of right multiplication by a word is one append step from the table
+of its prefix, so every product inside the bound reduces to those maps.
+This stays linear algebra throughout: in degree d
 the relation span is generated by u * r with u running over the degree
 d - |r| quotient basis, because occurrences of a relation anywhere left of
 the last letter already vanish in the lower-degree quotients.
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegreeOverflowError
-from .linalg import RowSpan, apply_columns
+from .fields import parse_scalar
+from .linalg import RowSpan, apply_columns, dense
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,9 @@ class AlgebraPresentation:
             if g.degree < 1:
                 raise ValueError(f"generator {g.name} must have positive degree")
         names = [g.name for g in self.generators]
+        for name in names:
+            if not name.isidentifier():
+                raise ValueError(f"generator name {name!r} is not an identifier")
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         cleaned = []
@@ -155,13 +160,11 @@ def _parse_poly(field, text: str, gens) -> dict:
             chunk = chunk[1:].strip()
         coeff = field.one
         factors = [f.strip() for f in chunk.split("*")]
-        if factors and factors[0] not in index and "^" not in factors[0]:
-            # leading factor is a scalar, e.g. "3/2" or "2"
-            try:
-                coeff = field.coerce(Fraction(factors[0]))
-                factors = factors[1:]
-            except ValueError:
-                pass
+        if factors and not factors[0].isidentifier() and "^" not in factors[0]:
+            # generator names are identifiers: the leading factor is a
+            # scalar, e.g. "3/2" or "2"
+            coeff = parse_scalar(field, factors[0])
+            factors = factors[1:]
         word: list[int] = []
         for f in factors:
             if not f or f == "1":
@@ -199,7 +202,7 @@ class TruncatedAlgebra:
         self.field = presentation.field
         self.bound = bound
         self.basis = [[()]]            # chosen representative words per degree
-        self._append: dict = {}        # (src_degree, gen) -> list of columns
+        self._append: dict = {}        # (src_degree, gen) -> sparse columns
         self._word_mul_cache: dict = {}
         self._mul_columns_cache: dict = {}
         for d in range(1, bound + 1):
@@ -218,107 +221,86 @@ class TruncatedAlgebra:
         return len(self.basis[d])
 
     def _build_degree(self, d: int):
-        F = self.field
-        gens = self.presentation.generators
-        # candidate words: lower-degree basis word + one generator
-        candidates = []
-        for gi, g in enumerate(gens):
-            if g.degree > d:
-                continue
-            for b in self.basis[d - g.degree]:
-                candidates.append(b + (gi,))
-        candidates.sort()
-        pos = {w: i for i, w in enumerate(candidates)}
-        n = len(candidates)
+        """Basis and append maps of degree d.
 
+        The candidates are the words b + (g,) for b a basis word of degree
+        d - |g|, sorted.  With pivots at the right, the non-pivot columns of
+        the relation span are the greedy, lexicographically earliest
+        complement of it, so they are the basis; the residue of a candidate
+        modulo the span is its normal form.
+        """
+        gens = self.presentation.generators
+        candidates = sorted(b + (gi,) for gi, g in enumerate(gens) if g.degree <= d
+                            for b in self.basis[d - g.degree])
+        pos = {w: i for i, w in enumerate(candidates)}
+
+        # u * r for every relation r and basis word u of degree d - |r|: the
+        # prefix of each word of r folds in through the word tables, the last
+        # letter lands on a candidate
         rel_vecs = []
         for rel in self.presentation.relations:
-            dr = self.presentation.word_degree(next(iter(rel)))
-            if dr > d:
+            src = d - self.presentation.word_degree(next(iter(rel)))
+            if src < 0:
                 continue
-            for u in self.basis[d - dr]:
-                vec = [F.zero] * n
-                for w, c in rel.items():
-                    prefix, last = w[:-1], w[-1]
-                    head = self._fold(u, prefix)  # vector in degree d - deg(last)
-                    src = d - gens[last].degree
-                    for i, a in enumerate(head):
-                        if not F.is_zero(a):
-                            p = pos[self.basis[src][i] + (last,)]
-                            vec[p] = F.add(vec[p], F.mul(c, a))
-                rel_vecs.append(vec)
-        rel_span = RowSpan(F, n, pivot_from_right=True)
+            vecs = [{} for _ in self.basis[src]]
+            for w, c in rel.items():
+                prefix, last = w[:-1], w[-1]
+                heads = self.basis[d - gens[last].degree]
+                for vec, head in zip(vecs, self.word_mul_matrix(src, prefix)):
+                    for i, a in head.items():
+                        p = pos[heads[i] + (last,)]
+                        vec[p] = vec.get(p, 0) + c * a
+            rel_vecs.extend(vecs)
+        rel_span = RowSpan(self.field, len(candidates), pivot_from_right=True)
         rel_span.extend(rel_vecs)
 
-        chooser = RowSpan(F, n, pivot_from_right=True)
-        chooser.extend(rel_span.basis_rows())
-        selected = []
-        for i, w in enumerate(candidates):
-            unit = [F.zero] * n
-            unit[i] = F.one
-            if chooser.add(unit):
-                selected.append((i, w))
-        sel_pos = {i: k for k, (i, _) in enumerate(selected)}
-        self.basis.append([w for _, w in selected])
+        pivots = set(rel_span.pivots)
+        selected = [i for i in range(len(candidates)) if i not in pivots]
+        sel_pos = {i: k for k, i in enumerate(selected)}
+        self.basis.append([candidates[i] for i in selected])
 
-        # append maps: normal form of (basis word of degree d-e) + generator
+        one = self.field.one
         for gi, g in enumerate(gens):
             if g.degree > d:
                 continue
             src = d - g.degree
             cols = []
             for b in self.basis[src]:
-                unit = [F.zero] * n
-                unit[pos[b + (gi,)]] = F.one
-                residue = rel_span.reduce(unit)
-                col = [F.zero] * len(selected)
-                for i, a in enumerate(residue):
-                    if not F.is_zero(a):
-                        if i not in sel_pos:
-                            raise AssertionError("reduction left a non-basis candidate")
-                        col[sel_pos[i]] = a
-                cols.append(tuple(col))
+                residue = rel_span.reduce_sparse({pos[b + (gi,)]: one})
+                if not residue.keys() <= sel_pos.keys():
+                    raise AssertionError("reduction left a non-basis candidate")
+                cols.append({sel_pos[i]: a for i, a in residue.items()})
             self._append[(src, gi)] = cols
-
-    def _fold(self, word, letters):
-        """Vector of word * letters, folding one generator at a time."""
-        F = self.field
-        deg = self.presentation.word_degree(word)
-        vec = [F.zero] * len(self.basis[deg])
-        vec[self.basis[deg].index(word)] = F.one
-        for g in letters:
-            vec = self._apply_append(vec, deg, g)
-            deg += self.presentation.generators[g].degree
-        return vec
-
-    def _apply_append(self, vec, deg: int, g: int):
-        F = self.field
-        gdeg = self.presentation.generators[g].degree
-        if deg + gdeg > self.bound:
-            raise DegreeOverflowError(f"product degree {deg + gdeg} beyond bound {self.bound}")
-        cols = self._append[(deg, g)]
-        out = [F.zero] * len(self.basis[deg + gdeg])
-        for i, a in enumerate(vec):
-            if not F.is_zero(a):
-                for j, x in enumerate(cols[i]):
-                    if not F.is_zero(x):
-                        out[j] = F.add(out[j], F.mul(a, x))
-        return out
 
     def word_vector(self, word):
         """Normal form of an arbitrary word: coordinates in its degree basis."""
-        return self._fold((), tuple(word))
+        word = tuple(word)
+        return dense(self.field, self.dim(self.presentation.word_degree(word)),
+                     self.word_mul_matrix(0, word)[0])
 
     def word_mul_matrix(self, src_degree: int, word):
-        """Columns of left-multiplication sending A_src -> A_(src+|word|),
-        v |-> v * word ... applied on basis elements of A_src."""
+        """Sparse columns ``{row: nonzero}`` of v |-> v * word from A_src to
+        A_(src+|word|), one per basis word of A_src.
+
+        A table is one append step from the table of its prefix; both are
+        cached, and shared between callers: read them only."""
         key = (src_degree, tuple(word))
-        if key not in self._word_mul_cache:
-            cols = []
-            for b in self.basis[src_degree]:
-                cols.append(tuple(self._fold(b, tuple(word))))
+        cols = self._word_mul_cache.get(key)
+        if cols is None:
+            word = key[1]
+            if not word:
+                one = self.field.one
+                cols = [{i: one} for i in range(self.dim(src_degree))]
+            else:
+                end = src_degree + self.presentation.word_degree(word)
+                if end > self.bound:
+                    raise DegreeOverflowError(f"product degree {end} beyond bound {self.bound}")
+                last = word[-1]
+                step = self._append[(end - self.presentation.generators[last].degree, last)]
+                cols = [apply_columns(self.field, step, col)
+                        for col in self.word_mul_matrix(src_degree, word[:-1])]
             self._word_mul_cache[key] = cols
-        return self._word_mul_cache[key]
+        return cols
 
     def mul_columns(self, vec, degree: int, q: int, left: bool):
         """Sparse columns ``{row: nonzero}`` of u |-> c*u (left) or u |-> u*c
@@ -338,27 +320,23 @@ class TruncatedAlgebra:
                                             for table in tables]
         return self._mul_columns_cache[key]
 
-    def mul(self, u, p: int, v, q: int):
-        """Product of element-vectors: (u in degree p) * (v in degree q)."""
-        F = self.field
+    def mul_sparse(self, u, p: int, v, q: int):
+        """u * v for sparse vectors u of A_p and v of A_q, as a sparse vector
+        of A_(p+q): the sum over the words w of v of v[w] * (u * w)."""
         if p + q > self.bound:
             raise DegreeOverflowError(f"product degree {p + q} beyond bound {self.bound}")
-        out = [F.zero] * len(self.basis[p + q])
-        for j, c in enumerate(v):
-            if F.is_zero(c):
-                continue
-            cols = self.word_mul_matrix(p, self.basis[q][j])
-            for i, a in enumerate(u):
-                if not F.is_zero(a):
-                    col = cols[i]
-                    for k, x in enumerate(col):
-                        if not F.is_zero(x):
-                            out[k] = F.add(out[k], F.mul(F.mul(a, c), x))
-        return out
+        words = self.basis[q]
+        images = {j: apply_columns(self.field, self.word_mul_matrix(p, words[j]), u) for j in v}
+        return apply_columns(self.field, images, v)
+
+    def mul(self, u, p: int, v, q: int):
+        """Product of element-vectors: (u in degree p) * (v in degree q)."""
+        prod = self.mul_sparse({i: a for i, a in enumerate(u) if a}, p,
+                               {j: c for j, c in enumerate(v) if c}, q)
+        return dense(self.field, self.dim(p + q), prod)
 
     def normal_form(self, poly, degree: int | None = None):
         """Coordinates of a word combination {word: coeff} in its degree basis."""
-        F = self.field
         degs = {self.presentation.word_degree(w) for w in poly}
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
@@ -367,15 +345,9 @@ class TruncatedAlgebra:
             raise ValueError(f"element has degree {d}, expected {degree}")
         if d > self.bound:
             raise DegreeOverflowError(f"degree {d} beyond bound {self.bound}")
-        out = [F.zero] * len(self.basis[d])
-        for w, c in poly.items():
-            if F.is_zero(c):
-                continue
-            vec = self.word_vector(w)
-            for i, a in enumerate(vec):
-                if not F.is_zero(a):
-                    out[i] = F.add(out[i], F.mul(c, a))
-        return out
+        coeffs = {tuple(w): c for w, c in poly.items() if c}
+        images = {w: self.word_mul_matrix(0, w)[0] for w in coeffs}
+        return dense(self.field, self.dim(d), apply_columns(self.field, images, coeffs))
 
     def element_render(self, vec, degree: int) -> str:
         F = self.field
@@ -407,7 +379,7 @@ class TruncatedAlgebra:
             w = [F.coerce(rng.randint(-2, 2)) for _ in range(self.dims[r])]
             left = self.mul(self.mul(u, p, v, q), p + q, w, r)
             right = self.mul(u, p, self.mul(v, q, w, r), q + r)
-            if any(not F.is_zero(F.sub(a, b)) for a, b in zip(left, right)):
+            if left != right:
                 return False
         return True
 

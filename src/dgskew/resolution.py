@@ -420,23 +420,24 @@ def _render_functional(report, i, m, phi) -> str:
 def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
     """Independent re-check: the functional kills the entire stored kernel of
     d_i (not only the chosen generators) wherever the product stays inside
-    the truncation."""
+    the truncation.  The products go through `TruncatedAlgebra.mul_sparse`,
+    not through the module maps the resolution was built from."""
     t = report.algebra
     F = t.field
     i, m = w.hom_degree, w.internal_degree
-    blocks = _functional_blocks(report, i, m, w.functional)
+    blocks = [(g, {k: x for k, x in enumerate(phi_g) if x})
+              for g, phi_g in _functional_blocks(report, i, m, w.functional)]
     for (ii, j), kernel in report.kernels.items():
         if ii != i or m + j > report.int_bound or m + j < 0:
             continue
         for kappa in kernel:
-            acc = [F.zero] * len(t.basis[m + j])
-            segs = _segments(t, [j - g for g, _ in blocks], kappa)
-            for (g, phi_g), seg in zip(blocks, segs):
-                if seg and phi_g:
-                    prod = t.mul(seg, j - g, phi_g, m + g)
-                    for idx, x in enumerate(prod):
-                        acc[idx] = F.add(acc[idx], x)
-            if any(not F.is_zero(x) for x in acc):
+            prods = []
+            for (g, phi_g), seg in zip(blocks, _segments(t, [j - g for g, _ in blocks], kappa)):
+                u = {k: x for k, x in enumerate(seg) if x}
+                if u and phi_g:
+                    prods.append(t.mul_sparse(u, j - g, phi_g, m + g))
+            # the sum of the block products: the columns prods applied to all ones
+            if apply_columns(F, prods, dict.fromkeys(range(len(prods)), F.one)):
                 raise AssertionError(
                     f"witness at ({i},{m}) fails the cocycle re-verification")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fields import check_same_field
+from .fields import check_same_field, parse_scalar
 
 
 class Monomial(NamedTuple):
@@ -211,6 +211,8 @@ def parse_element(field, text: str, degree: int | None = None) -> GradedElement:
         chunk = chunk.strip()
         if chunk:
             terms.append(chunk)
+    if not terms:
+        raise ValueError(f"no terms in {text!r}")
     items = []
     deg = None
     for chunk in terms:
@@ -235,9 +237,9 @@ def _parse_term(field, chunk: str):
     coeff = field.one
     if "*" in chunk:
         head, chunk = chunk.split("*", 1)
-        coeff = field.coerce(head.strip())
+        coeff = parse_scalar(field, head.strip())
     elif not chunk.startswith("x"):
-        coeff = field.coerce(chunk)
+        coeff = parse_scalar(field, chunk)
         chunk = ""
     exps = [0, 0, 0]
     for factor in chunk.split():

@@ -48,31 +48,63 @@ def free_words(gens_degrees, total):
     return out
 
 
+def full_span_vectors(presentation, words):
+    """The two-sided relation span {w1 * r * w2} in the degree of `words`,
+    as dense vectors over those words."""
+    F = presentation.field
+    gd = [g.degree for g in presentation.generators]
+    d = presentation.word_degree(words[0]) if words else 0
+    index = {w: i for i, w in enumerate(words)}
+    vectors = []
+    for rel in presentation.relations:
+        rdeg = presentation.word_degree(next(iter(rel)))
+        if rdeg > d:
+            continue
+        for p in range(d - rdeg + 1):
+            for w1 in free_words(gd, p):
+                for w2 in free_words(gd, d - rdeg - presentation.word_degree(w1)):
+                    vec = [F.zero] * len(words)
+                    for w, c in rel.items():
+                        k = index[w1 + w + w2]
+                        vec[k] = F.add(vec[k], c)
+                    vectors.append(vec)
+    return vectors
+
+
 def quotient_dims_full_span(presentation, bound):
     """Dims of the quotient computed from the full two-sided relation span
     {w1 * r * w2} inside the free algebra, degree by degree."""
-    F = presentation.field
     gd = [g.degree for g in presentation.generators]
     dims = []
     for d in range(bound + 1):
         words = free_words(gd, d)
-        index = {w: i for i, w in enumerate(words)}
-        vectors = []
-        for rel in presentation.relations:
-            rdeg = presentation.word_degree(next(iter(rel)))
-            if rdeg > d:
-                continue
-            for p in range(d - rdeg + 1):
-                for w1 in free_words(gd, p):
-                    for w2 in free_words(gd, d - rdeg - presentation.word_degree(w1)):
-                        vec = [F.zero] * len(words)
-                        for w, c in rel.items():
-                            k = index[w1 + w + w2]
-                            vec[k] = F.add(vec[k], c)
-                        vectors.append(vec)
-        _, pivots = dense_rref(F, vectors, len(words))
+        _, pivots = dense_rref(presentation.field, full_span_vectors(presentation, words),
+                               len(words))
         dims.append(len(words) - len(pivots))
     return dims
+
+
+def free_normal_forms(presentation, degree):
+    """(basis, {word: normal form}) of the quotient in one degree, from the
+    full two-sided relation span over all free words of that degree.
+
+    The words are sorted and the span is echelonized with pivots at the
+    right, so the non-pivot words are the lexicographically earliest
+    complement: the basis.  A non-pivot word is its own normal form; a
+    pivot word is congruent to minus the rest of its echelon row.  Normal
+    forms are dense coordinates on the basis."""
+    F = presentation.field
+    words = sorted(free_words([g.degree for g in presentation.generators], degree))
+    echelon = dict(span_echelon(F, full_span_vectors(presentation, words), len(words),
+                                from_right=True))
+    free = [i for i in range(len(words)) if i not in echelon]
+    forms = {}
+    for k, w in enumerate(words):
+        if k in echelon:
+            forms[w] = [F.neg(echelon[k][i]) for i in free]
+        else:
+            forms[w] = [F.one if i == k else F.zero for i in free]
+    return [words[i] for i in free], forms
 
 
 # -- reference elimination -------------------------------------------------

@@ -117,14 +117,22 @@ def test_suite_subset(capsys):
     assert "criterion  5" in out and "PASS" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["paper-suite", "--criteria", "a"],
-    ["paper-suite", "--criteria", "13"],
-    ["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"],
-    ["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"],
-    ["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"],
-], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "unwritable-out"])
-def test_bad_input_is_a_one_line_usage_error(argv, capsys):
+@pytest.mark.parametrize("argv,config", [
+    (["paper-suite", "--criteria", "a"], None),
+    (["paper-suite", "--criteria", "13"], None),
+    (["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"], None),
+    (["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"], None),
+    (["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"], None),
+    (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": "x"}'),
+    (["cohomology", "--matrix", FLAGSHIP], "[1, 2]"),
+    (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": 4.5}'),
+], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "unwritable-out",
+        "config-string-degree", "config-not-an-object", "config-fractional-degree"])
+def test_bad_input_is_a_one_line_usage_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "job.json"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

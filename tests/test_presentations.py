@@ -2,14 +2,22 @@
 two-sided-span oracle in the free algebra."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgskew.errors import DegreeOverflowError
-from dgskew.fields import QQ
+from dgskew.fields import QQ, PrimeField
 from dgskew.presentations import (AlgebraPresentation, Generator,
                                   case_presentation, parse_presentation, truncate)
-from oracles import count_words_avoiding, quotient_dims_full_span
+from oracles import (count_words_avoiding, free_normal_forms, free_words,
+                     quotient_dims_full_span)
+
+
+FIELDS = (QQ, PrimeField(7))
 
 
 def pres(text):
@@ -75,6 +83,49 @@ def test_dims_match_full_span_oracle():
         assert truncate(p, bound).dims == quotient_dims_full_span(p, bound)
 
 
+ORACLE_TEXTS = {"one-sided": "gen x:1, y:1; rel y^2",
+                "two-sided": "gen x:1, y:1; rel x^2 + x*y + y*x + y^2",
+                "linear": "gen x:1, y:1; rel x - y"}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["Q", "F7"])
+@pytest.mark.parametrize("name", ["one-sided", "two-sided", "linear", "R1d"])
+def test_word_tables_match_the_free_word_oracle(F, name):
+    if name == "R1d":  # a degree-2 generator
+        p = case_presentation(F, "R1d", row=(4, 1, 2), l1=2, l2=0)
+    else:
+        p = parse_presentation(F, ORACLE_TEXTS[name])
+    bound = 6
+    t = truncate(p, bound)
+    oracle = [free_normal_forms(p, d) for d in range(bound + 1)]
+    for d, (basis, forms) in enumerate(oracle):
+        assert t.basis[d] == basis
+        for w, form in forms.items():
+            assert t.word_vector(w) == form, w
+    # column b of the table of a word w is the normal form of b * w
+    gd = [g.degree for g in p.generators]
+    for src in range(bound + 1):
+        for e in range(bound - src + 1):
+            forms = oracle[src + e][1]
+            for w in free_words(gd, e):
+                assert t.word_mul_matrix(src, w) == [
+                    {k: x for k, x in enumerate(forms[b + w]) if x} for b in t.basis[src]]
+    # products of random elements, bilinearly from the normal forms
+    rng = random.Random(11)
+    for _ in range(20):
+        p_deg = rng.randint(0, bound)
+        q_deg = rng.randint(0, bound - p_deg)
+        u = [F.coerce(rng.randint(-2, 2)) for _ in t.basis[p_deg]]
+        v = [F.coerce(rng.randint(-2, 2)) for _ in t.basis[q_deg]]
+        expected = [F.zero] * t.dim(p_deg + q_deg)
+        for a, b in zip(u, t.basis[p_deg]):
+            for c, b2 in zip(v, t.basis[q_deg]):
+                form = oracle[p_deg + q_deg][1][b + b2]
+                expected = [F.add(x, F.mul(F.mul(a, c), y)) for x, y in zip(expected, form)]
+        assert t.mul(u, p_deg, v, q_deg) == expected
+    assert t.check_associativity(rng, samples=40)
+
+
 def test_normal_form_examples():
     t = truncate(pres("gen x:1, y:1; rel y^2"), 5)
     rel = {(1, 1): QQ.one}
@@ -110,6 +161,68 @@ def test_grammar_round_trip():
         q = parse_presentation(QQ, p.render())
         assert q.generators == p.generators
         assert q.relations == p.relations
+
+
+@pytest.mark.parametrize("text", ["gen x:1, y:1; rel 2/0*x*y", "gen x:1; rel x^2 - 1/0*x^2",
+                                  "gen x:1; rel 1e5000*x^2"])
+def test_malformed_scalars_are_rejected(text):
+    with pytest.raises(ValueError, match="coefficient"):
+        pres(text)
+
+
+def test_generator_names_must_be_identifiers():
+    # "1" would render words the parser reads as the scalar 1
+    for text in ("gen 1:1; rel 1^2", "gen x y:1", "gen :1"):
+        with pytest.raises(ValueError, match="identifier"):
+            pres(text)
+
+
+@st.composite
+def presentations(draw):
+    degrees = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    gens = tuple(Generator(name, d) for name, d in zip("xyz", degrees))
+    rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        words = draw(st.sampled_from([ws for ws in (free_words(degrees, d) for d in (1, 2, 3))
+                                      if ws]))
+        picked = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4, unique=True))
+        rels.append({w: Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 6)))
+                     for w in picked})
+    return gens, rels
+
+
+@given(presentations(), st.sampled_from(FIELDS))
+@settings(max_examples=150)
+def test_grammar_round_trip_on_random_presentations(drawn, F):
+    gens, rels = drawn
+    try:
+        p = AlgebraPresentation(F, gens, tuple({w: F.coerce(c) for w, c in r.items()}
+                                               for r in rels))
+    except ValueError:  # a relation that vanishes mod 7
+        return
+    q = parse_presentation(F, p.render())
+    assert (q.generators, q.relations) == (p.generators, p.relations)
+
+
+# pieces of the grammar and near misses; inputs keep digit runs short so
+# that no exponent or degree gets large
+PRESENTATION_TOKENS = ["gen ", "rel ", "x", "y", "z", ":", "1", "2", "0", ",", "; ", "*", "^",
+                       " + ", " - ", "-", "/", "1/0", "3/2", "1/7", " ", "1x"]
+
+
+@given(st.sampled_from(["", "gen x:1, y:1; rel ", "gen x:1, y:2; rel ", "gen x:1; rel "]),
+       st.lists(st.sampled_from(PRESENTATION_TOKENS), max_size=14).map("".join)
+       .filter(lambda t: not re.search(r"\d{3}", t)))
+@settings(max_examples=400)
+def test_presentation_grammar_parses_and_round_trips_or_rejects(head, tail):
+    text = head + tail
+    for F in FIELDS:
+        try:
+            p = parse_presentation(F, text)
+        except ValueError:
+            continue
+        q = parse_presentation(F, p.render())
+        assert (q.generators, q.relations) == (p.generators, p.relations), text
 
 
 def test_relation_validation():

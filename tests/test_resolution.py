@@ -12,7 +12,7 @@ from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_cer
                                minimal_resolution, predicted_vs_certified,
                                _assert_complex, _block_dim, _dual_columns, _map_columns,
                                _module_dim,
-                               _verify_independent)
+                               _verify_cocycle, _verify_independent)
 
 ONE_SIDED = "gen x:1, y:1; rel y^2"
 TWO_SIDED = "gen x:1, y:1; rel x^2 + x*y + y*x + y^2"
@@ -233,6 +233,19 @@ def test_independence_check_rejects_a_coboundary_or_zero_witness():
                  [WitnessClass(1, -1, {}, ""), high]):
         with pytest.raises(AssertionError, match="not independent"):
             _verify_independent(res, pair)
+
+
+def test_cocycle_check_rejects_a_perturbed_witness():
+    res = resolve(ONE_SIDED)
+    low = min(gorenstein_certificate(parse_presentation(QQ, ONE_SIDED)).witness,
+              key=lambda w: w.internal_degree)
+    assert (low.hom_degree, low.internal_degree) == (1, -1)
+    _verify_cocycle(res, low)
+    # coordinate 1 is the dual of F_1's y generator: phi(e_y) = 1 does not
+    # kill y * e_y, the kernel vector the relation y^2 gives in degree 2
+    bad = WitnessClass(1, -1, {**low.functional, 1: QQ.one}, "")
+    with pytest.raises(AssertionError, match="fails the cocycle re-verification"):
+        _verify_cocycle(res, bad)
 
 
 def test_linear_relation_resolves_as_a_polynomial_ring():

@@ -1,12 +1,14 @@
 """The signed normal form is validated against a brute-force word oracle."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgskew.fields import QQ
+from dgskew.fields import QQ, PrimeField
 from dgskew.skew import (GradedElement, Monomial, degree_basis, degree_dim,
                          generators, mul_monomials, parse_element,
                          permute_element)
@@ -137,3 +139,49 @@ def test_permute_element_signs():
     lhs = permute_element(u.mul(v), perm)
     rhs = permute_element(u, perm).mul(permute_element(v, perm))
     assert lhs.sub(rhs).is_zero()
+
+
+@pytest.mark.parametrize("text", ["2/0*x1", "x1^2 + 1/0", "0.5*x1", "1e5000*x1"])
+def test_malformed_scalars_are_rejected(text):
+    # "1e5000" used to parse into a scalar that render() cannot print
+    with pytest.raises(ValueError, match="coefficient"):
+        parse_element(QQ, text)
+
+
+FIELDS = (QQ, PrimeField(7))
+
+coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))  # units mod 7
+
+
+@st.composite
+def elements(draw):
+    d = draw(st.integers(0, 4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(degree_basis(d)), coefficients),
+                          max_size=6))
+    return d, terms
+
+
+@given(elements(), st.sampled_from(FIELDS))
+@settings(max_examples=150)
+def test_render_parse_round_trip_on_random_elements(element, F):
+    d, terms = element
+    e = GradedElement.from_terms(F, d, terms)
+    assert parse_element(F, e.render(), degree=d) == e
+
+
+# pieces of the grammar and near misses; inputs keep digit runs short so
+# that no exponent gets large
+ELEMENT_TOKENS = ["x1", "x2", "x3", "x4", "x", "^", "2", "0", "1", "-", "+", " ", "*",
+                  "/", "1/0", "3/2", "-1/7", "."]
+
+
+@given(st.lists(st.sampled_from(ELEMENT_TOKENS), max_size=12).map("".join)
+       .filter(lambda t: not re.search(r"\d{3}", t)))
+@settings(max_examples=400)
+def test_element_grammar_parses_and_round_trips_or_rejects(text):
+    for F in FIELDS:
+        try:
+            e = parse_element(F, text)
+        except ValueError:
+            continue
+        assert parse_element(F, e.render(), degree=e.degree) == e, text
