@@ -19,7 +19,7 @@ from .classify import classify, crosscheck
 from .cohomology import cohomology
 from .dg import DGSpec, verify_dg
 from .errors import BoundInsufficientError
-from .fields import field_from_name
+from .fields import field_from_name, parse_scalar
 from .linalg import Matrix
 from .resolution import predicted_vs_certified
 from .suite import CRITERIA, run_suite
@@ -55,18 +55,23 @@ def _parse_matrix(field, data) -> Matrix:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # malformed, or an integer too long to read
             raise UsageError(f"malformed matrix JSON: {e}") from e
     if (not isinstance(data, list) or len(data) != 3
             or any(not isinstance(r, list) or len(r) != 3 for r in data)):
         raise UsageError("matrix must be a 3x3 JSON array")
     def entry(x):
+        # type(), not isinstance(): a JSON true is not the integer 1
         if isinstance(x, list):  # rational as an integer pair [p, q]
-            if len(x) != 2 or not all(isinstance(v, int) for v in x):
+            if len(x) != 2 or not all(type(v) is int for v in x):
                 raise UsageError(f"bad rational pair {x!r}")
             return Fraction(x[0], x[1])
-        if isinstance(x, float):
-            raise UsageError(f"floating-point entry {x!r}; use ints or 'p/q' strings")
+        if isinstance(x, str):  # the grammar's scalar, with an optional sign
+            negative = x.startswith("-")
+            value = parse_scalar(field, x[1:] if negative else x)
+            return field.neg(value) if negative else value
+        if type(x) is not int:
+            raise UsageError(f"{x!r} is not an integer, a 'p/q' string or a pair [p, q]")
         return x
     try:
         return Matrix.from_rows(field, [[entry(x) for x in row] for row in data])

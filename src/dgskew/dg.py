@@ -6,6 +6,8 @@ d(uv) = d(u) v + (-1)^|u| u d(v).  On a normal-form monomial this unfolds
 into three blocks, one per variable, using d(x^e) = 0 for even e and
 d(x^e) = d(x) x^(e-1) for odd e (even powers are central cocycles, which is
 what makes the blockwise formula well defined; verify_dg checks it).
+`d` and `d_columns` share that formula and combine scalars with the native
+operators, reducing mod p once at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 from .fields import check_same_field
-from .linalg import Matrix
+from .linalg import Matrix, normalized
 from .skew import (GradedElement, Monomial, basis_index, degree_basis,
                    degree_dim)
 
@@ -46,47 +48,41 @@ def d_generator(spec: DGSpec, i: int) -> GradedElement:
         [(Monomial(2, 0, 0), row[0]), (Monomial(0, 2, 0), row[1]), (Monomial(0, 0, 2), row[2])])
 
 
-def _d_monomial_items(spec: DGSpec, m: Monomial, coeff):
-    """Terms of d(coeff * x1^a x2^b x3^c) as (monomial, scalar) pairs."""
-    F = spec.field
-    M = spec.matrix
+def _blocks(spec: DGSpec):
+    """Per generator x_i, the nonzero terms M[i][j] x_j^2 of d(x_i), each as
+    (exponent shift of x_j^2 / x_i, M[i][j])."""
+    return [[(tuple(2 * (k == j) - (k == i) for k in range(3)), x)
+             for j, x in enumerate(row) if x]
+            for i, row in enumerate(spec.matrix.entries)]
+
+
+def _d_monomial(blocks, m: Monomial):
+    """Terms of d(x1^a x2^b x3^c) as (monomial, +-M[i][j]) pairs, distinct
+    monomials with unreduced native scalars.
+
+    Block i is d(x_i) times the monomial with one x_i less, signed by the
+    parity of the generators before x_i; it is nonzero only when the
+    exponent of x_i is odd (even powers are central cocycles)."""
     a, b, c = m
     out = []
-    if a % 2 == 1:
-        for j in range(3):
-            mij = M[0, j]
-            if not F.is_zero(mij):
-                e = [a - 1, b, c]
-                e[j] += 2
-                out.append((Monomial(*e), F.mul(coeff, mij)))
-    if b % 2 == 1:
-        s = -1 if a % 2 else 1
-        for j in range(3):
-            mij = M[1, j]
-            if not F.is_zero(mij):
-                e = [a, b - 1, c]
-                e[j] += 2
-                cc = F.mul(coeff, mij)
-                out.append((Monomial(*e), F.neg(cc) if s < 0 else cc))
-    if c % 2 == 1:
-        s = -1 if (a + b) % 2 else 1
-        for j in range(3):
-            mij = M[2, j]
-            if not F.is_zero(mij):
-                e = [a, b, c - 1]
-                e[j] += 2
-                cc = F.mul(coeff, mij)
-                out.append((Monomial(*e), F.neg(cc) if s < 0 else cc))
+    for i, odd, neg in ((0, a & 1, 0), (1, b & 1, a & 1), (2, c & 1, (a + b) & 1)):
+        if odd:
+            for (da, db, dc), x in blocks[i]:
+                out.append((Monomial(a + da, b + db, c + dc), -x if neg else x))
     return out
 
 
 def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     """The differential on a homogeneous element; degree rises by 1."""
     check_same_field(spec.field, u.field)
-    items = []
-    for m, c in u.terms.items():
-        items.extend(_d_monomial_items(spec, m, c))
-    return GradedElement.from_terms(spec.field, u.degree + 1, items)
+    blocks = _blocks(spec)
+    out = {}
+    get = out.get
+    for m, coeff in u.terms.items():
+        for mono, x in _d_monomial(blocks, m):
+            y = get(mono)
+            out[mono] = coeff * x if y is None else y + coeff * x
+    return GradedElement(spec.field, u.degree + 1, normalized(spec.field, out))
 
 
 def d_columns(spec: DGSpec, deg: int):
@@ -94,11 +90,9 @@ def d_columns(spec: DGSpec, deg: int):
     monomial as {row index in degree deg+1: nonzero scalar}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
-    one = spec.field.one
+    blocks = _blocks(spec)
     idx = basis_index(deg + 1)
-    # the terms of d(x^e) are distinct monomials, since each block moves a
-    # different exponent by an odd amount, and no scalar among them is zero
-    return [{idx[mono]: c for mono, c in _d_monomial_items(spec, m, one)}
+    return [normalized(spec.field, {idx[mono]: x for mono, x in _d_monomial(blocks, m)})
             for m in degree_basis(deg)]
 
 

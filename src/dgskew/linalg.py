@@ -4,9 +4,13 @@ The kernel is `RowSpan`: a reduced row echelon form kept as sparse rows
 (``{column: nonzero}``) indexed by their pivots and grown one vector at a
 time by Gauss-Jordan steps.  Rows and vectors store only their nonzero
 entries, so elimination work follows the nonzeros rather than the shape;
-the matrices this engine meets are mostly ~97% zeros.  Q scalars are
-`Fraction` and F_p scalars are ints reduced mod p; the inner loops apply
-the native operators to them directly, so every step is exact.
+the matrices this engine meets are mostly ~97% zeros.  Over F_p the rows
+hold ints reduced mod p.  Over Q they are fraction-free (Bareiss 1968): each
+row is a primitive integer row over one positive denominator, vectors are
+cleared of denominators when they come in, and elimination multiplies and
+subtracts ints, so no `Fraction` arithmetic runs inside it; `Fraction`s are
+built only for the scalars the span hands back.  The inner loops apply the
+native operators directly, so every step is exact.
 
 A span has exactly one reduced echelon form for a given pivot rule, and
 pivots sit at the first (or, with ``pivot_from_right``, the last) nonzero
@@ -18,13 +22,16 @@ the order of elimination.
 `solve` and `inverse` all run its rows through a `RowSpan`, and `mul` and
 `apply` visit only nonzero entries.  Maps that are built column by column
 stay sparse instead: `columns_to_rows` turns their columns into the rows a
-`RowSpan` eliminates, and `apply_columns` applies them to a sparse vector.
+`RowSpan` eliminates, `apply_columns` applies them to a sparse vector, and
+`normalized` brings a sparse vector summed with native operators to
+normalized field scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import check_same_field
 
@@ -44,6 +51,33 @@ def _sparse(p, vec):
     return {j: y for j, x in items if (y := x % p)}
 
 
+def _integral(vec):
+    """(den, w) for a rational dense sequence or sparse dict: w is a fresh
+    {index: nonzero int} and den > 0 the lcm of the denominators, so that
+    vec = w / den.  Ints pass straight through."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    w, dens = {}, {}
+    for j, x in items:
+        if type(x) is not int:
+            x, d = x.as_integer_ratio()
+            if d != 1:
+                dens[j] = d
+        if x:
+            w[j] = x
+    if not dens:
+        return 1, w
+    den = lcm(*dens.values())
+    for j in w:
+        w[j] *= den // dens.get(j, 1)
+    return den, w
+
+
+def normalized(field, vec):
+    """The nonzero entries of the sparse vector vec (any keys), as a fresh
+    dict of normalized field scalars; vec may hold unreduced ints over F_p."""
+    return _sparse(_modulus(field), vec)
+
+
 def dense(field, width, vec):
     """The sparse vector vec as a fresh dense list of the given width."""
     out = [field.zero] * width
@@ -53,7 +87,8 @@ def dense(field, width, vec):
 
 
 def _axpy(p, dst, c, src):
-    """dst -= c * src on sparse vectors, in place; c is a nonzero scalar."""
+    """dst -= c * src on sparse vectors, in place; c is nonzero.  With p None
+    the scalars are ints (or any exact numbers), otherwise ints mod p."""
     if p is None:
         nc = -c
         for j, b in src.items():
@@ -222,12 +257,19 @@ class Matrix:
 class RowSpan:
     """Incrementally maintained reduced row space, stored sparse.
 
-    Each row is kept as its pivot plus a tail ``{column: nonzero}``; the
-    pivot entry is 1 and every tail is zero at all other pivots, so the rows
-    form the reduced echelon basis of the span and `reduce` residues are
-    canonical.  With ``pivot_from_right`` pivots are taken at the *last*
-    nonzero coordinate (used where the complement of a span must consist of
-    the lexicographically smallest coordinates).
+    Each row is zero at every other row's pivot and 1 at its own, so the
+    rows form the reduced echelon basis of the span and `reduce` residues
+    are canonical.  Pivots sit at the first nonzero coordinate, or with
+    ``pivot_from_right`` at the *last* one (used where the complement of a
+    span must consist of the lexicographically smallest coordinates).
+
+    A row is kept as its pivot q plus a tail ``{column: nonzero}``.  Over
+    F_p the tail holds ints in [1, p).  Over Q the row is kept
+    fraction-free: the tail holds ints and q also has a denominator c > 0
+    that shares no common factor with them, standing for the row
+    e_q + tail / c.  That form is unique, and all elimination over Q runs
+    on ints: a vector is brought to one common denominator when it comes
+    in, and `Fraction`s are built only for the scalars handed back.
 
     Vectors go in as dense sequences or as sparse ``{index: nonzero}``
     dicts.  The ``*_sparse`` methods return such dicts, holding normalized
@@ -241,6 +283,7 @@ class RowSpan:
         self.from_right = pivot_from_right
         self._p = _modulus(field)  # None over Q
         self._rows = {}       # pivot -> tail
+        self._den = {}        # pivot -> denominator c of its row (Q only)
         self._pivots = None   # sorted pivots, rebuilt after a row is added
 
     @property
@@ -254,37 +297,89 @@ class RowSpan:
             self._pivots = sorted(self._rows)
         return self._pivots
 
-    def reduce_sparse(self, v):
-        """Reduce the sparse vector v modulo the span in place; returns v."""
-        rows = self._rows
-        # a tail is zero at every other pivot, so the pivots v hits now are
-        # all it will ever hit, and each is cleared exactly once
-        hits = [q for q in v if q in rows] if len(v) <= len(rows) else [q for q in rows if q in v]
-        p = self._p
-        for q in hits:
-            _axpy(p, v, v.pop(q), rows[q])
-        return v
+    def _load(self, vec):
+        """(den, w): vec as a fresh sparse vector w over the working scalars
+        (ints over Q, ints in [1, p) over F_p), with vec = w / den."""
+        if self._p is None:
+            return _integral(vec)
+        return 1, _sparse(self._p, vec)
 
-    def _insert(self, v) -> bool:
-        """Insert the sparse vector v, which the span may keep and change."""
-        self.reduce_sparse(v)
-        if not v:
+    def _reduce(self, w):
+        """Reduce the loaded vector w modulo the span in place; returns
+        (w, s) with w / s the residue (s = 1 over F_p)."""
+        rows = self._rows
+        # a row is zero at every other pivot, so the pivots w hits now are
+        # all it will ever hit, and each is cleared exactly once
+        hits = [q for q in w if q in rows] if len(w) <= len(rows) else [q for q in rows if q in w]
+        if not hits:
+            return w, 1
+        p = self._p
+        if p is not None:
+            for q in hits:
+                _axpy(p, w, w.pop(q), rows[q])
+            return w, 1
+        # scale once so that every row denominator divides its entry
+        den = self._den
+        s = lcm(*(den[q] for q in hits))
+        if s != 1:
+            for j in w:
+                w[j] *= s
+        for q in hits:
+            _axpy(None, w, w.pop(q) // den[q], rows[q])
+        return w, s
+
+    def _scalars(self, w, den):
+        """The loaded vector w / den with normalized field scalars (a fresh
+        dict over Q; w itself over F_p, where den is 1)."""
+        if self._p is None:
+            return {j: Fraction(x, den) for j, x in w.items()}
+        return w
+
+    def _insert(self, w) -> bool:
+        """Insert the loaded vector w, which the span may keep and change."""
+        w, _ = self._reduce(w)
+        if not w:
             return False
         p = self._p
-        q = max(v) if self.from_right else min(v)
-        c = v.pop(q)
-        if c != 1:
-            if p is None:
-                inv = 1 / c
-                v = {j: x * inv for j, x in v.items()}
-            else:
-                inv = pow(c, -1, p)
-                v = {j: x * inv % p for j, x in v.items()}
-        for row in self._rows.values():
-            a = row.pop(q, None)
-            if a is not None:
-                _axpy(p, row, a, v)
-        self._rows[q] = v
+        q = max(w) if self.from_right else min(w)
+        a = w.pop(q)
+        rows = self._rows
+        # the rows that meet the new pivot, which back-elimination clears
+        hit = [r for r, tail in rows.items() if q in tail]
+        if p is not None:
+            if a != 1:
+                inv = pow(a, -1, p)
+                w = {j: x * inv % p for j, x in w.items()}
+            for r in hit:
+                tail = rows[r]
+                _axpy(p, tail, tail.pop(q), w)
+            rows[q] = w
+        else:
+            # the row e_q + w / a, made primitive with a positive denominator
+            g = gcd(a, *w.values())
+            if a < 0:
+                g = -g
+            c = a // g
+            if g != 1:
+                w = {j: x // g for j, x in w.items()}
+            den = self._den
+            for r in hit:
+                tail = rows[r]
+                b = tail.pop(q)
+                # e_r + tail/cr - (b/cr)(e_q + w/c) = e_r + (c tail - b w)/(c cr)
+                if c != 1:
+                    for j in tail:
+                        tail[j] *= c
+                _axpy(None, tail, b, w)
+                cr = den[r] * c
+                h = gcd(cr, *tail.values())
+                if h != 1:
+                    cr //= h
+                    for j in tail:
+                        tail[j] //= h
+                den[r] = cr
+            rows[q] = w
+            den[q] = c
         self._pivots = None
         return True
 
@@ -295,21 +390,33 @@ class RowSpan:
         p = self._p
         free = [f for f in range(self.width) if f not in self._rows]
         basis = {f: {f: one} for f in free}
-        for q, tail in self._rows.items():
-            for f, x in tail.items():
-                basis[f][q] = -x if p is None else p - x
+        if p is None:
+            for q, tail in self._rows.items():
+                c = self._den[q]
+                for f, x in tail.items():
+                    basis[f][q] = Fraction(-x, c)
+        else:
+            for q, tail in self._rows.items():
+                for f, x in tail.items():
+                    basis[f][q] = p - x
         return [basis[f] for f in free]
+
+    def reduce_sparse(self, v):
+        """Residue of the vector v modulo the span, as a fresh sparse dict."""
+        den, w = self._load(v)
+        w, s = self._reduce(w)
+        return self._scalars(w, den * s)
 
     def reduce(self, vec):
         """Residue of vec modulo the span (a fresh list)."""
-        return dense(self.field, self.width, self.reduce_sparse(_sparse(self._p, vec)))
+        return dense(self.field, self.width, self.reduce_sparse(vec))
 
     def contains(self, vec) -> bool:
-        return not self.reduce_sparse(_sparse(self._p, vec))
+        return not self._reduce(self._load(vec)[1])[0]
 
     def add(self, vec) -> bool:
         """Insert vec; True when the span grew."""
-        return self._insert(_sparse(self._p, vec))
+        return self._insert(self._load(vec)[1])
 
     def extend(self, vectors):
         """Insert every vector.
@@ -320,14 +427,13 @@ class RowSpan:
         seldom lies in the tail of an older row, and the rows already
         stored rarely need back-elimination.
         """
-        p = self._p
-        vecs = [v for v in (_sparse(p, vec) for vec in vectors) if v]
+        vecs = [w for _, w in map(self._load, vectors) if w]
         if self.from_right:
             vecs.sort(key=max)
         else:
             vecs.sort(key=min, reverse=True)
-        for v in vecs:
-            self.add(v)
+        for w in vecs:
+            self.add(w)
 
     def express(self, vec):
         """Coefficients of vec over the stored rows, or None if outside.
@@ -336,17 +442,19 @@ class RowSpan:
         at the other rows' pivots, so the coefficient of a row is the entry
         of vec at its pivot.
         """
-        v = _sparse(self._p, vec)
-        zero = self.field.zero
-        coeffs = [v.get(q, zero) for q in self.pivots]
-        if self.reduce_sparse(v):
+        den, w = self._load(vec)
+        coeffs = [w.get(q, 0) for q in self.pivots]
+        if self._reduce(w)[0]:
             return None
+        if self._p is None:
+            return [Fraction(x, den) for x in coeffs]
         return coeffs
 
     def rows_sparse(self):
         """The reduced echelon rows, sorted by pivot, as fresh sparse dicts."""
         one = self.field.one
-        return [{q: one, **self._rows[q]} for q in self.pivots]
+        return [{q: one, **self._scalars(self._rows[q], self._den.get(q, 1))}
+                for q in self.pivots]
 
     def basis_rows(self):
         return [tuple(dense(self.field, self.width, row)) for row in self.rows_sparse()]
@@ -381,4 +489,4 @@ def apply_columns(field, columns, vec):
     for c, x in vec.items():
         for r, y in columns[c].items():
             out[r] = get(r, 0) + x * y
-    return _sparse(_modulus(field), out)
+    return normalized(field, out)

@@ -70,7 +70,7 @@ class CriterionResult:
 
 
 def _result(number, name, started, passed, detail=""):
-    return CriterionResult(number, name, passed, detail, time.time() - started)
+    return CriterionResult(number, name, passed, detail, time.perf_counter() - started)
 
 
 def _mat(field, rows):
@@ -79,7 +79,7 @@ def _mat(field, rows):
 
 def criterion_01(field=QQ) -> CriterionResult:
     """Invertible defining matrices: cohomology collapses to scalars."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(101)
     expected = [1] + [0] * 8
     for _ in range(25):
@@ -88,7 +88,7 @@ def criterion_01(field=QQ) -> CriterionResult:
         if dims != expected:
             return _result(1, "rank-3 vanishing", started, False,
                            f"dims {dims} for {M}")
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     return _result(1, "rank-3 vanishing", started, elapsed < 30.0,
                    "25 matrices, dims [1,0,...,0], within the 30s budget")
 
@@ -96,7 +96,7 @@ def criterion_01(field=QQ) -> CriterionResult:
 def criterion_02(field=QQ) -> CriterionResult:
     """Rank 2: every dimension is 1 and the squared degree-1 class vanishes
     exactly when the kernel pairing does."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(202)
     for _ in range(25):
         M = random_rank_two(field, rng)
@@ -126,7 +126,7 @@ def _generic_rank_one(field, rng):
 
 def criterion_03(field=QQ) -> CriterionResult:
     """Rank 1: dims are 1,2,3,... and match the presentation's Hilbert function."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(303)
     expected = list(range(1, 10))
     mats = [_mat(field, rows) for rows in CASE_REPRESENTATIVES.values()]
@@ -147,7 +147,7 @@ def criterion_03(field=QQ) -> CriterionResult:
 def criterion_04(field=QQ) -> CriterionResult:
     """Case representatives: displayed relations vanish in cohomology and the
     degree-2 dimension equals the presentation's count."""
-    started = time.time()
+    started = time.perf_counter()
     for label, rows in CASE_REPRESENTATIVES.items():
         report = crosscheck(_mat(field, rows), 6)
         if report.classification.case_label != label:
@@ -163,7 +163,7 @@ def criterion_04(field=QQ) -> CriterionResult:
 
 def criterion_05(field=QQ) -> CriterionResult:
     """Degree-3 constraint matrix: rank 5 on rank-2 input, 6 on rank-3 input."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(505)
     for _ in range(50):
         M = random_rank_two(field, rng)
@@ -180,7 +180,7 @@ def criterion_05(field=QQ) -> CriterionResult:
 def criterion_06(field=QQ) -> CriterionResult:
     """Squares-ideal quotient of a rank-2 matrix is a univariate polynomial
     ring: Hilbert function all ones through degree 10."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(606)
     for _ in range(20):
         M = random_rank_two(field, rng)
@@ -194,9 +194,9 @@ def criterion_07(field=QQ) -> CriterionResult:
     """The non-Gorenstein trio: classifier verdict plus a verified two-class
     witness with homological degree <= 2 and internal degree <= 5, under 10s
     each."""
-    started = time.time()
+    started = time.perf_counter()
     for rows in NON_GORENSTEIN_TRIO:
-        t0 = time.time()
+        t0 = time.perf_counter()
         M = _mat(field, rows)
         c = classify(M)
         if c.predicted_gorenstein != "NonGorenstein":
@@ -210,7 +210,7 @@ def criterion_07(field=QQ) -> CriterionResult:
             if w.hom_degree > 2 or w.internal_degree > 5:
                 return _result(7, "non-Gorenstein trio", started, False,
                                f"witness at ({w.hom_degree},{w.internal_degree}) out of range")
-        if time.time() - t0 >= 10.0:
+        if time.perf_counter() - t0 >= 10.0:
             return _result(7, "non-Gorenstein trio", started, False,
                            f"{rows} exceeded the 10s budget")
     return _result(7, "non-Gorenstein trio", started, True,
@@ -227,7 +227,7 @@ def criterion_08(field=QQ) -> CriterionResult:
     """Degenerate quadratic y^2: resolution has F_1 of rank 2, then rank-1
     steps with differential 'multiply by y'; Ext vanishes outside homological
     degree 1 inside the window and Ext^1 is spread over >= 2 internal degrees."""
-    started = time.time()
+    started = time.perf_counter()
     name = "one-sided degenerate quadratic"
     _, res = _betti_and_entries("gen x:1, y:1; rel y^2", field, 6, 10)
     t = res.algebra
@@ -261,7 +261,7 @@ def criterion_09(field=QQ) -> CriterionResult:
     """Fully degenerate quadratic (x+y)^2 shape: rank-1 tail with
     differential 'multiply by x+y', non-Gorenstein certificate, Hilbert
     function 1,2,3,5,8,13."""
-    started = time.time()
+    started = time.perf_counter()
     name = "two-sided degenerate quadratic"
     pres, res = _betti_and_entries("gen x:1, y:1; rel x^2 + x*y + y*x + y^2", field, 6, 10)
     t = res.algebra
@@ -309,7 +309,7 @@ def _proportional(field, v, w):
 def criterion_10(field=QQ) -> CriterionResult:
     """Transform invariance: dims, rank and verdict agree between M and
     C^-1 M (c_ij^2) for random monomial C."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(1010)
     for k in range(20):
         M = random_matrix(field, rng)
@@ -324,7 +324,7 @@ def criterion_10(field=QQ) -> CriterionResult:
 def criterion_11(field=QQ) -> CriterionResult:
     """Differential validity for 50 random matrices over Q and a large prime
     field, with agreeing ranks."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(1111)
     fp = PrimeField(CANDIDATE_PRIMES[0])
     for _ in range(50):
@@ -346,7 +346,7 @@ def criterion_11(field=QQ) -> CriterionResult:
 def criterion_12(field=QQ) -> CriterionResult:
     """Every Gorenstein-verdict instance stays ConsistentUpToCutoff at
     hom_bound 5, int_bound 10."""
-    started = time.time()
+    started = time.perf_counter()
     for name, rows in GORENSTEIN_SIDE_INSTANCES:
         M = _mat(field, rows)
         comparison = predicted_vs_certified(M, hom_bound=5, int_bound=10)

@@ -3,10 +3,15 @@
 Everything here works on free words, full relation spans and plain dense
 Gauss-Jordan elimination through the field's scalar methods, deliberately
 avoiding the package's normal-form, incremental-quotient and sparse
-elimination code paths.
+elimination code paths.  The differential is unfolded letter by letter
+through the Leibniz rule instead of the package's blockwise formula; those
+products use `GradedElement.mul`, which the free-word oracle checks.
 """
 
 from itertools import product
+
+from dgskew.dg import d_generator
+from dgskew.skew import GradedElement, Monomial, generators
 
 
 def reduce_word(word):
@@ -185,6 +190,21 @@ def span_echelon(F, vectors, width, from_right=False):
     return sorted((width - 1 - c, row[::-1]) for c, row in zip(pivots, ech))
 
 
+def span_kernel(F, echelon, width):
+    """The vectors orthogonal to a reduced echelon basis, one per non-pivot
+    column f in ascending order: 1 at f, 0 at every other non-pivot, and
+    minus the entry at f of each row at that row's pivot."""
+    pivots = [p for p, _ in echelon]
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [F.zero] * width
+        v[f] = F.one
+        for p, row in echelon:
+            v[p] = F.neg(row[f])
+        basis.append(v)
+    return basis
+
+
 def span_reduce(F, echelon, vec):
     """Residue of vec modulo a reduced echelon basis: each row is zero at
     the other pivots, so its multiple is the entry of vec at its pivot."""
@@ -202,3 +222,20 @@ def count_words_avoiding(degree, forbidden="yy"):
         if forbidden not in "".join(w):
             total += 1
     return total
+
+
+def leibniz_d(spec, m):
+    """d(x1^a x2^b x3^c), unfolded letter by letter: d(w x) = d(w) x +
+    (-1)^|w| w d(x), with d(x_i) from `d_generator` and every product taken
+    by `GradedElement.mul`."""
+    F = spec.field
+    xs = generators(F)
+    word = GradedElement.monomial(F, Monomial(0, 0, 0))
+    dword = GradedElement.zero(F, 1)
+    for i, e in enumerate(Monomial(*m)):
+        for _ in range(e):
+            step = word.mul(d_generator(spec, i + 1))
+            dword = dword.mul(xs[i])
+            dword = dword.sub(step) if word.degree % 2 else dword.add(step)
+            word = word.mul(xs[i])
+    return dword

@@ -82,6 +82,9 @@ def test_rational_entries_as_pairs_and_strings(capsys):
     rc = main(["classify", "--matrix", half_flagship])
     assert rc == 0
     assert "R1c" in capsys.readouterr().out  # scaling preserves the case
+    negated = '[["-1/2",[-1,2],0],["-1/2","-1/2",0],[[1,-2],"-1/2",0]]'
+    assert main(["classify", "--matrix", negated]) == 0
+    assert "R1c" in capsys.readouterr().out
     assert main(["classify", "--matrix", "[[0.5,0,0],[0,1,0],[0,0,1]]"]) == 2
 
 
@@ -126,8 +129,14 @@ def test_suite_subset(capsys):
     (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": "x"}'),
     (["cohomology", "--matrix", FLAGSHIP], "[1, 2]"),
     (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": 4.5}'),
+    (["classify", "--matrix", '[["1e5000",0,0],[0,1,0],[0,0,1]]'], None),
+    (["classify", "--matrix", '[["0.5",0,0],[0,1,0],[0,0,1]]'], None),
+    (["classify", "--matrix", '[[true,0,0],[0,1,0],[0,0,1]]'], None),
+    (["classify", "--matrix", '[[[true,2],0,0],[0,1,0],[0,0,1]]'], None),
 ], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "unwritable-out",
-        "config-string-degree", "config-not-an-object", "config-fractional-degree"])
+        "config-string-degree", "config-not-an-object", "config-fractional-degree",
+        "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
+        "matrix-json-true-in-pair"])
 def test_bad_input_is_a_one_line_usage_error(argv, config, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "job.json"

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import leibniz_d
+
 from dgskew.dg import DGSpec, d, d_generator, d_matrix, verify_dg
-from dgskew.fields import QQ
+from dgskew.fields import QQ, PrimeField
 from dgskew.linalg import Matrix
 from dgskew.sampling import random_full_rank
-from dgskew.skew import GradedElement, Monomial, generators, parse_element
+from dgskew.skew import (GradedElement, Monomial, degree_basis, generators,
+                         parse_element)
 
 int_matrices = st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                         min_size=3, max_size=3)
@@ -145,3 +148,33 @@ def test_rank_two_kernel_vector_is_not_a_coboundary_target():
     M = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     s = M.kernel_basis()[0]
     assert M.transpose().solve(s) is None
+
+
+# non-integral entries (no denominator divisible by 7), of rank 3, 2 and 1
+LEIBNIZ_MATRICES = {
+    "rank-3": [["1/2", "-2/3", "3"], ["2", "1/5", "-1"], ["-3/4", "2", "5/3"]],
+    "rank-2": [["1/2", "-2/3", "3"], ["2", "1/5", "-1"], ["5/2", "-7/15", "2"]],
+    "rank-1": [["1/3", "-1", "2/5"], ["2/3", "-2", "4/5"], ["-1/6", "1/2", "-1/5"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_MATRICES))
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_d_matches_the_leibniz_unfolding(F, name):
+    # the blockwise d against the letter-by-letter Leibniz rule, on every
+    # monomial up to degree 8, on every column of d_matrix and on random
+    # elements
+    spec = DGSpec.from_rows(F, LEIBNIZ_MATRICES[name])
+    rng = random.Random(16)
+    for deg in range(9):
+        want = [leibniz_d(spec, m) for m in degree_basis(deg)]
+        for m, w in zip(degree_basis(deg), want):
+            assert d(spec, GradedElement.monomial(F, m)).terms == w.terms, m
+        D = d_matrix(spec, deg)
+        assert [D.col(j) for j in range(D.ncols)] == [w.vector() for w in want]
+        u = GradedElement.from_terms(F, deg, [(m, rng.randint(-30, 30))
+                                              for m in degree_basis(deg)])
+        expected = GradedElement.zero(F, deg + 1)
+        for m, c in u.terms.items():
+            expected = expected.add(leibniz_d(spec, m).scale(c))
+        assert d(spec, u).terms == expected.terms

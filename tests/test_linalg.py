@@ -1,11 +1,13 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (dense_inverse, dense_kernel, dense_rref, dense_solve,
-                     span_echelon, span_reduce)
+                     span_echelon, span_kernel, span_reduce)
 
 from dgskew.fields import CANDIDATE_PRIMES, QQ, PrimeField
-from dgskew.linalg import Matrix, RowSpan, extend_independent
+from dgskew.linalg import Matrix, RowSpan, dense, extend_independent
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
 # a small prime, so that integer entries and eliminations often vanish mod p
@@ -130,21 +132,57 @@ def int_matrices(draw, nrows=None, ncols=None):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
+def scalings(n):
+    """n nonzero scale factors: quotients p/q with |p|, q <= 12, or integers
+    up to 10^10 in magnitude."""
+    small = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    huge = st.integers(1, 10 ** 10)
+    signed = st.tuples(st.sampled_from([1, -1]), st.one_of(small, huge)).map(
+        lambda t: t[0] * t[1])
+    return st.lists(signed, min_size=n, max_size=n)
+
+
+@st.composite
+def rational_matrices(draw, nrows=None, ncols=None):
+    """`int_matrices` with every row and every column scaled by its own
+    factor from `scalings`: the zero pattern and the rank stay, and the
+    entries get denominators up to 144 or magnitudes up to about 10^21."""
+    rows = draw(int_matrices(nrows, ncols))
+    r = draw(scalings(len(rows)))
+    c = draw(scalings(len(rows[0])))
+    return [[x * ri * cj for x, cj in zip(row, c)] for row, ri in zip(rows, r)]
+
+
+# each field with its entry strategy; Q also runs on non-integral entries
+CASES = [(F, int_matrices()) for F in FIELDS] + [(QQ, rational_matrices())]
+CASE_IDS = [str(F) for F in FIELDS] + ["QQ-rational"]
+
+
 def as_text(F, rows):
     return [[F.to_str(x) for x in row] for row in rows]
 
 
-@pytest.mark.parametrize("F", FIELDS, ids=str)
-@given(rows=int_matrices())
+def assert_exact(F, vectors):
+    """Over Q every scalar handed back is a `Fraction`, never an int."""
+    if F == QQ:
+        for v in vectors:
+            values = v.values() if isinstance(v, dict) else v
+            assert all(type(x) is Fraction for x in values), v
+
+
+@pytest.mark.parametrize("F,matrices", CASES, ids=CASE_IDS)
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_rref_rank_kernel_match_reference(F, rows):
-    A = Matrix.from_rows(F, rows)
+def test_rref_rank_kernel_match_reference(F, matrices, data):
+    A = Matrix.from_rows(F, data.draw(matrices))
     ech, pivots = A.rref()
     want, want_pivots = dense_rref(F, A.entries, A.ncols)
     assert pivots == want_pivots
     assert as_text(F, ech) == as_text(F, want)
     assert A.rank() == len(want_pivots)
-    assert as_text(F, A.kernel_basis()) == as_text(F, dense_kernel(F, A.entries, A.ncols))
+    kernel = A.kernel_basis()
+    assert as_text(F, kernel) == as_text(F, dense_kernel(F, A.entries, A.ncols))
+    assert_exact(F, ech + kernel)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
@@ -194,10 +232,11 @@ def test_mul_and_apply_match_the_definition(F, rows, data):
 
 
 @pytest.mark.parametrize("from_right", [False, True], ids=["left", "right"])
-@pytest.mark.parametrize("F", FIELDS, ids=str)
-@given(vectors=int_matrices(), probes=int_matrices())
+@pytest.mark.parametrize("F,matrices", CASES, ids=CASE_IDS)
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_rowspan_matches_reference(F, from_right, vectors, probes):
+def test_rowspan_matches_reference(F, matrices, from_right, data):
+    vectors, probes = data.draw(matrices), data.draw(matrices)
     width = len(vectors[0])
     vectors = [[F.coerce(x) for x in v] for v in vectors]
     probes = [[F.coerce(x) for x in (p + [0] * width)[:width]] for p in probes]
@@ -212,14 +251,24 @@ def test_rowspan_matches_reference(F, from_right, vectors, probes):
     bulk = RowSpan(F, width, pivot_from_right=from_right)
     bulk.extend(vectors)
     assert as_text(F, bulk.basis_rows()) == as_text(F, [row for _, row in echelon])
+    rows, kernel = span.rows_sparse(), span.kernel_sparse()
+    assert as_text(F, [dense(F, width, r) for r in rows]) == as_text(F, [r for _, r in echelon])
+    assert (as_text(F, [dense(F, width, v) for v in kernel])
+            == as_text(F, span_kernel(F, echelon, width)))
+    assert_exact(F, span.basis_rows() + rows + kernel)
     # members of the span, then arbitrary vectors
     members = [[F.add(x, y) for x, y in zip(v, w)] for v, w in zip(vectors, vectors[1:])]
     for vec in members + probes:
         residue, coeffs = span_reduce(F, echelon, vec)
         inside = all(F.is_zero(x) for x in residue)
-        assert as_text(F, [span.reduce(vec)]) == as_text(F, [residue])
+        reduced = span.reduce(vec)
+        assert as_text(F, [reduced]) == as_text(F, [residue])
+        sparse = span.reduce_sparse({j: x for j, x in enumerate(vec) if x})
+        assert as_text(F, [dense(F, width, sparse)]) == as_text(F, [residue])
         assert span.contains(vec) == inside
         got = span.express(vec)
         assert (got is not None) == inside
         if inside:
             assert as_text(F, [got]) == as_text(F, [coeffs])
+            assert_exact(F, [got])
+        assert_exact(F, [reduced, sparse])
