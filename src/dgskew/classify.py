@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 from .cohomology import cohomology
 from .dg import DGSpec
+from .fields import normalized
 from .linalg import Matrix, RowSpan
 from .presentations import AlgebraPresentation, case_presentation, truncate
-from .skew import (GradedElement, Monomial, degree_dim, element_from_linear,
-                   element_from_squares, generators, permute_element)
+from .skew import (GradedElement, Monomial, basis_index, degree_basis, degree_dim,
+                   element_from_linear, element_from_squares, generators,
+                   permute_element)
 
 GORENSTEIN = "Gorenstein"
 NON_GORENSTEIN = "NonGorenstein"
@@ -87,31 +89,30 @@ def normalize_rank_one(M: Matrix) -> RankOneForm:
 
     Deterministic: the first nonzero entry of u moves to position one via a
     transposition (a 0/1 monomial-matrix conjugation, rank and cohomology
-    invariant).  Returns row = u[0] * v and l_i = u[i] / u[0] for the
-    permuted matrix.
+    invariant).  Returns row = u[0] * v, the first row of the permuted
+    matrix, and l_i = u[i] / u[0].
     """
     F = M.field
     if M.rank() != 1:
         raise ValueError("matrix does not have rank 1")
 
     def factor(mat):
-        vrow = next(r for r in mat.entries if any(not F.is_zero(x) for x in r))
-        j = next(j for j, x in enumerate(vrow) if not F.is_zero(x))
-        u = tuple(F.div(mat[i, j], vrow[j]) for i in range(3))
-        return u, vrow
+        # row i of mat is u[i] times v, its first nonzero row
+        v = next(r for r in mat.entries if any(r))
+        j = next(j for j, x in enumerate(v) if x)
+        return tuple(F.div(mat[i, j], v[j]) for i in range(3))
 
-    u, v = factor(M)
+    u = factor(M)
     perm = (0, 1, 2)
     mat = M
-    if F.is_zero(u[0]):
-        i = next(i for i, x in enumerate(u) if not F.is_zero(x))
+    if not u[0]:
+        i = next(i for i, x in enumerate(u) if x)
         p = [0, 1, 2]
         p[0], p[i] = p[i], p[0]
         perm = tuple(p)
         mat = Matrix.from_rows(F, [[M[perm[r], perm[c]] for c in range(3)] for r in range(3)])
-        u, v = factor(mat)
-    row = tuple(F.mul(u[0], x) for x in v)
-    return RankOneForm(row=row, l1=F.div(u[1], u[0]), l2=F.div(u[2], u[0]),
+        u = factor(mat)
+    return RankOneForm(row=mat.row(0), l1=F.div(u[1], u[0]), l2=F.div(u[2], u[0]),
                        permutation=perm, matrix=mat)
 
 
@@ -131,10 +132,8 @@ def classify(M: Matrix) -> Classification:
     if rank == 2:
         s = M.kernel_basis()[0]
         t = M.transpose().kernel_basis()[0]
-        pairing = F.zero
-        for si, ti in zip(s, t):
-            pairing = F.add(pairing, F.mul(si, F.mul(ti, ti)))
-        label = "R2_pairing_nonzero" if not F.is_zero(pairing) else "R2_pairing_zero"
+        pairing = normalized(F, {0: sum(si * ti * ti for si, ti in zip(s, t))}).get(0, F.zero)
+        label = "R2_pairing_nonzero" if pairing else "R2_pairing_zero"
         pres = case_presentation(F, label)
         reps = [("x", element_from_linear(F, t))]
         if label == "R2_pairing_zero":
@@ -145,28 +144,22 @@ def classify(M: Matrix) -> Classification:
     form = normalize_rank_one(M)
     m11, m12, m13 = form.row
     l1, l2 = form.l1, form.l2
-    A = F.add(F.mul(m12, F.mul(l1, l1)), F.mul(m13, F.mul(l2, l2)))
-    l1l2 = F.mul(l1, l2)
-    if not F.is_zero(F.sub(A, m11)):
-        label = "R1a" if not F.is_zero(l1l2) else "R1b"
+    shift = m12 * l1 * l1 + m13 * l2 * l2 - m11  # A - m11
+    # the nonzero ones among the quantities the case chart tests
+    nonzero = normalized(F, {"shift": shift, "l1l2": l1 * l2, "m12m13": m12 * m13,
+                             "square": 4 * m12 * m13 * (l1 * l2) ** 2 - shift * shift})
+    if "shift" in nonzero:
+        label = "R1a" if "l1l2" in nonzero else "R1b"
+    elif "l1l2" in nonzero:
+        label = "R1c"
     else:
-        if not F.is_zero(l1l2):
-            label = "R1c"
-        elif not F.is_zero(l1):
-            label = "R1d"
-        elif not F.is_zero(l2):
-            label = "R1e"
-        else:
-            label = "R1f"
+        label = "R1d" if l1 else "R1e" if l2 else "R1f"
 
     verdict = GORENSTEIN
-    if label == "R1c" and F.is_zero(F.mul(m12, m13)):
+    if label == "R1c" and "m12m13" not in nonzero:
         verdict = NON_GORENSTEIN
-    if label == "R1a":
-        lhs = F.mul(F.coerce(4), F.mul(F.mul(m12, m13), F.mul(F.mul(l1, l1), F.mul(l2, l2))))
-        rhs = F.mul(F.sub(A, m11), F.sub(A, m11))
-        if F.is_zero(F.sub(lhs, rhs)):
-            verdict = NON_GORENSTEIN
+    if label == "R1a" and "square" not in nonzero:
+        verdict = NON_GORENSTEIN
 
     pres = case_presentation(F, label, row=form.row, l1=l1, l2=l2)
     reps = [(g.name, permute_element(rep, form.permutation))
@@ -179,10 +172,10 @@ def classify(M: Matrix) -> Classification:
 def _rank_one_reps(F, label: str, l1, l2):
     """Cocycle representatives for the case generators, in the normalized
     (permuted) variables, ordered like the presentation generators."""
-    xi = element_from_linear(F, (l1, F.neg(F.one), F.zero))       # l1 x1 - x2
-    eta = element_from_linear(F, (l2, F.zero, F.neg(F.one)))      # l2 x1 - x3
-    x2 = element_from_linear(F, (F.zero, F.one, F.zero))
-    x3 = element_from_linear(F, (F.zero, F.zero, F.one))
+    xi = element_from_linear(F, (l1, -1, 0))       # l1 x1 - x2
+    eta = element_from_linear(F, (l2, 0, -1))      # l2 x1 - x3
+    x2 = element_from_linear(F, (0, 1, 0))
+    x3 = element_from_linear(F, (0, 0, 1))
     sq1 = GradedElement.monomial(F, Monomial(2, 0, 0))
     if label in ("R1a", "R1b", "R1c"):
         return [xi, eta]
@@ -276,7 +269,7 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
     if c.rank == 2:
         t_class = report.class_of(dict(c.generator_reps)["x"])
         square = report.class_product(t_class, t_class)
-        pairing_nonzero = not F.is_zero(c.parameters["pairing"])
+        pairing_nonzero = bool(c.parameters["pairing"])
         probes.append(Probe("square_vs_pairing", (not square.is_zero) == pairing_nonzero,
                             f"pairing nonzero={pairing_nonzero}, square nonzero={not square.is_zero}"))
         probes.append(Probe("cubic_constraint_rank", cubic_cocycle_rank(M) == 5,
@@ -388,33 +381,20 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     base = Matrix.from_rows(F, [M.row(j) for j in pivot_rows]).transpose()
     dep_coeffs = base.solve(M.row(dep_index))
 
-    def monomials(n):
-        out = []
-        for e1 in range(n, -1, -1):
-            for e2 in range(n - e1, -1, -1):
-                out.append((e1, e2, n - e1 - e2))
-        return out
-
+    # the degree-n monomials in u1, u2, u3 are the exponent triples of
+    # degree_basis(n); the ideal in degree n is spanned by m * r_i for m of
+    # degree n - 1
     dims = []
     ok = True
     for n in range(bound + 1):
-        monos = monomials(n)
-        index = {m: i for i, m in enumerate(monos)}
+        index = basis_index(n)
         vecs = []
-        if n >= 1:
-            for m in monomials(n - 1):
-                for i in range(3):
-                    vec = [F.zero] * len(monos)
-                    for j in range(3):
-                        if not F.is_zero(M[i, j]):
-                            e = list(m)
-                            e[j] += 1
-                            p = index[tuple(e)]
-                            vec[p] = F.add(vec[p], M[i, j])
-                    vecs.append(vec)
-        span = RowSpan(F, len(monos))
+        for m in degree_basis(n - 1):
+            up = [index[Monomial(*(e + (k == j) for k, e in enumerate(m)))] for j in range(3)]
+            vecs += [{up[j]: x for j, x in enumerate(row) if x} for row in M.entries]
+        span = RowSpan(F, degree_dim(n))
         span.extend(vecs)
-        q = len(monos) - span.dim
+        q = degree_dim(n) - span.dim
         dims.append(q)
         if q != 1:
             ok = False

@@ -69,7 +69,7 @@ def _parse_matrix(field, data) -> Matrix:
         if isinstance(x, str):  # the grammar's scalar, with an optional sign
             negative = x.startswith("-")
             value = parse_scalar(field, x[1:] if negative else x)
-            return field.neg(value) if negative else value
+            return -value if negative else value
         if type(x) is not int:
             raise UsageError(f"{x!r} is not an integer, a 'p/q' string or a pair [p, q]")
         return x

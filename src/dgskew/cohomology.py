@@ -12,9 +12,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .dg import DGSpec, d, d_columns
 from .errors import DegreeOverflowError
-from .fields import check_same_field
+from .fields import check_same_field, normalized
 from .linalg import RowSpan, columns_to_rows
-from .skew import GradedElement, degree_basis, degree_dim
+from .skew import GradedElement, basis_index, degree_basis, degree_dim
 
 
 @dataclass
@@ -25,8 +25,7 @@ class CohomologyClass:
 
     @property
     def is_zero(self) -> bool:
-        F = self.representative.field
-        return all(F.is_zero(c) for c in self.coordinates)
+        return not any(self.coordinates)
 
 
 @dataclass
@@ -53,15 +52,17 @@ class CohomologyReport:
         if not d(self.spec, z).is_zero():
             return None
         F = self.spec.field
-        residue = self._boundaries[deg].reduce(z.vector())
+        idx = basis_index(deg)
+        residue = self._boundaries[deg].reduce_sparse({idx[m]: c for m, c in z.terms.items()})
         coeffs = self._reps[deg].express(residue)
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")
-        rep = GradedElement.zero(F, deg)
+        rep = {}
         for c, basis_rep in zip(coeffs, self.bases[deg]):
-            if not F.is_zero(c):
-                rep = rep.add(basis_rep.scale(c))
-        return CohomologyClass(deg, rep, tuple(coeffs))
+            if c:
+                for m, x in basis_rep.terms.items():
+                    rep[m] = rep.get(m, 0) + c * x
+        return CohomologyClass(deg, GradedElement(F, deg, normalized(F, rep)), tuple(coeffs))
 
     def class_product(self, u: CohomologyClass, v: CohomologyClass) -> CohomologyClass:
         """Class of representative(u) * representative(v)."""

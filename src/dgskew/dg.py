@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import check_same_field
-from .linalg import Matrix, normalized
+from .fields import check_same_field, normalized
+from .linalg import Matrix
 from .skew import (GradedElement, Monomial, basis_index, degree_basis,
                    degree_dim)
 

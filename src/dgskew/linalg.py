@@ -22,9 +22,10 @@ the order of elimination.
 `solve` and `inverse` all run its rows through a `RowSpan`, and `mul` and
 `apply` visit only nonzero entries.  Maps that are built column by column
 stay sparse instead: `columns_to_rows` turns their columns into the rows a
-`RowSpan` eliminates, `apply_columns` applies them to a sparse vector, and
-`normalized` brings a sparse vector summed with native operators to
-normalized field scalars.
+`RowSpan` eliminates, and `apply_columns` applies them to a sparse vector.
+Scalars come to normal form through `fields.normalized`; the only Field
+methods called here are `coerce`, on the entries `Matrix.from_rows` and
+`Matrix.solve` take from outside, and `to_str`, on output.
 """
 
 from __future__ import annotations
@@ -33,22 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import check_same_field
-
-
-def _modulus(field):
-    """p for F_p, None for Q."""
-    return getattr(field, "p", None)
-
-
-def _sparse(p, vec):
-    """The nonzero entries of a dense sequence or a sparse dict, as a fresh
-    {index: scalar} with each scalar a `Fraction` (p is None) or an int in
-    [1, p)."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    if p is None:
-        return {j: x if type(x) is Fraction else Fraction(x) for j, x in items if x}
-    return {j: y for j, x in items if (y := x % p)}
+from .fields import _modulus, check_same_field, normalized
 
 
 def _integral(vec):
@@ -70,12 +56,6 @@ def _integral(vec):
     for j in w:
         w[j] *= den // dens.get(j, 1)
     return den, w
-
-
-def normalized(field, vec):
-    """The nonzero entries of the sparse vector vec (any keys), as a fresh
-    dict of normalized field scalars; vec may hold unreduced ints over F_p."""
-    return _sparse(_modulus(field), vec)
 
 
 def dense(field, width, vec):
@@ -302,7 +282,7 @@ class RowSpan:
         (ints over Q, ints in [1, p) over F_p), with vec = w / den."""
         if self._p is None:
             return _integral(vec)
-        return 1, _sparse(self._p, vec)
+        return 1, normalized(self.field, vec)
 
     def _reduce(self, w):
         """Reduce the loaded vector w modulo the span in place; returns
@@ -425,7 +405,7 @@ class RowSpan:
         insertion, so the vectors go in with the latest leading coordinate
         first (the earliest, with ``pivot_from_right``).  A new pivot then
         seldom lies in the tail of an older row, and the rows already
-        stored rarely need back-elimination.
+        stored rarely need back-elimination.  Each vector is loaded once.
         """
         vecs = [w for _, w in map(self._load, vectors) if w]
         if self.from_right:
@@ -433,7 +413,7 @@ class RowSpan:
         else:
             vecs.sort(key=min, reverse=True)
         for w in vecs:
-            self.add(w)
+            self._insert(w)
 
     def express(self, vec):
         """Coefficients of vec over the stored rows, or None if outside.

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DegreeOverflowError
-from .fields import parse_scalar
+from .fields import normalized, parse_scalar
 from .linalg import RowSpan, apply_columns, dense
 
 
@@ -36,7 +36,8 @@ class Generator:
 @dataclass(frozen=True)
 class AlgebraPresentation:
     """Generators plus homogeneous relations; a relation maps words (tuples
-    of generator indices) to scalars."""
+    of generator indices) to scalars, anything `field.coerce` accepts.  The
+    stored relations hold their nonzero coefficients as field scalars."""
 
     field: object
     generators: tuple
@@ -54,7 +55,7 @@ class AlgebraPresentation:
             raise ValueError("duplicate generator names")
         cleaned = []
         for rel in self.relations:
-            rel = {tuple(w): c for w, c in rel.items() if not self.field.is_zero(c)}
+            rel = normalized(self.field, {tuple(w): self.field.coerce(c) for w, c in rel.items()})
             if not rel:
                 raise ValueError("zero relation")
             degs = {self.word_degree(w) for w in rel}
@@ -180,13 +181,8 @@ def _parse_poly(field, text: str, gens) -> dict:
                 raise ValueError(f"unknown generator {name!r}")
             word.extend([index[name]] * e)
         key = tuple(word)
-        c = coeff if sign > 0 else field.neg(coeff)
-        acc = field.add(out.get(key, field.zero), c)
-        if field.is_zero(acc):
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
+        out[key] = out.get(key, 0) + sign * coeff
+    return normalized(field, out)
 
 
 class TruncatedAlgebra:
@@ -353,7 +349,7 @@ class TruncatedAlgebra:
         F = self.field
         parts = []
         for w, c in zip(self.basis[degree], vec):
-            if F.is_zero(c):
+            if not c:
                 continue
             s = F.to_str(c)
             word = self.presentation.render_word(w)
@@ -424,16 +420,15 @@ def case_presentation(field, label: str, row=None, l1=None, l2=None) -> AlgebraP
         return AlgebraPresentation(F, (Generator("x", 1),), ())
     if label == "R2_pairing_zero":
         gens = (Generator("x", 1), Generator("y", 2))
-        rels = ({(x, x): one}, {(x, y): one, (y, x): F.neg(one)})
+        rels = ({(x, x): one}, {(x, y): one, (y, x): -one})
         return AlgebraPresentation(F, gens, rels)
 
     m11, m12, m13 = (F.coerce(v) for v in row)
     l1 = F.coerce(l1)
     l2 = F.coerce(l2)
     if label == "R1a":
-        shifted = F.sub(F.add(F.mul(m12, F.mul(l1, l1)), F.mul(m13, F.mul(l2, l2))), m11)
-        c = F.div(shifted, F.mul(F.coerce(2), F.mul(l1, l2)))
-        rel = {(x, x): m12, (y, y): m13, (x, y): F.neg(c), (y, x): F.neg(c)}
+        c = F.div(m12 * l1 * l1 + m13 * l2 * l2 - m11, 2 * l1 * l2)
+        rel = {(x, x): m12, (y, y): m13, (x, y): -c, (y, x): -c}
         return AlgebraPresentation(F, deg1, (rel,))
     if label == "R1b":
         return AlgebraPresentation(F, deg1, (anticomm,))
@@ -446,7 +441,7 @@ def case_presentation(field, label: str, row=None, l1=None, l2=None) -> AlgebraP
             quad = {(x, x): m13, (y, y): m12}
         else:
             quad = {(x, x): m12, (y, y): m13}
-        central = ({(z, x): one, (x, z): F.neg(one)},
-                   {(z, y): one, (y, z): F.neg(one)})
+        central = ({(z, x): one, (x, z): -one},
+                   {(z, y): one, (y, z): -one})
         return AlgebraPresentation(F, deg12, (quad, dict(anticomm)) + central)
     raise ValueError(f"unknown case label {label!r}")

@@ -5,6 +5,12 @@ Normal forms are signed exponent triples: every word rewrites uniquely to
 +- x1^a x2^b x3^c, so degree-d elements live in the C(d+2, 2)-dimensional
 span of the degree-d monomials.  No Groebner machinery is needed; the three
 relations already form a confluent rewriting system for this order.
+
+`GradedElement` arithmetic sums coefficients with the native operators and
+normalizes once per result through `fields.normalized`.  Field methods are
+called only where scalars cross the boundary: `coerce` on the coefficients
+`from_terms` and `scale` are handed, `parse_scalar` in the text grammar,
+and `to_str` in `render`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fields import check_same_field, parse_scalar
+from .fields import check_same_field, normalized, parse_scalar
 
 
 class Monomial(NamedTuple):
@@ -84,18 +90,15 @@ class GradedElement:
 
     @classmethod
     def from_terms(cls, field, degree: int, items) -> "GradedElement":
+        """The sum of the (monomial, coefficient) items; coefficients are
+        anything `field.coerce` accepts."""
         terms = {}
         for m, c in items:
             m = Monomial(*m)
             if m.degree != degree:
                 raise ValueError(f"monomial {m} is not of degree {degree}")
-            c = field.coerce(c)
-            acc = field.add(terms.get(m, field.zero), c)
-            if field.is_zero(acc):
-                terms.pop(m, None)
-            else:
-                terms[m] = acc
-        return cls(field, degree, terms)
+            terms[m] = terms.get(m, 0) + field.coerce(c)
+        return cls(field, degree, normalized(field, terms))
 
     @classmethod
     def monomial(cls, field, m, coeff=1) -> "GradedElement":
@@ -109,35 +112,27 @@ class GradedElement:
         check_same_field(self.field, other.field)
         if self.degree != other.degree:
             raise ValueError("degrees differ")
-        items = list(self.terms.items()) + list(other.terms.items())
-        return GradedElement.from_terms(self.field, self.degree, items)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return GradedElement(self.field, self.degree, normalized(self.field, out))
 
     def sub(self, other: "GradedElement") -> "GradedElement":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "GradedElement":
-        F = self.field
-        c = F.coerce(c)
-        if F.is_zero(c):
-            return GradedElement.zero(F, self.degree)
-        return GradedElement(F, self.degree, {m: F.mul(c, x) for m, x in self.terms.items()})
+        c = self.field.coerce(c)
+        return GradedElement(self.field, self.degree,
+                             normalized(self.field, {m: c * x for m, x in self.terms.items()}))
 
     def mul(self, other: "GradedElement") -> "GradedElement":
         check_same_field(self.field, other.field)
-        F = self.field
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, m = mul_monomials(m1, m2)
-                c = F.mul(c1, c2)
-                if sign < 0:
-                    c = F.neg(c)
-                acc = F.add(out.get(m, F.zero), c)
-                if F.is_zero(acc):
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        return GradedElement(F, self.degree + other.degree, out)
+                out[m] = out.get(m, 0) + sign * c1 * c2
+        return GradedElement(self.field, self.degree + other.degree, normalized(self.field, out))
 
     def vector(self):
         """Coefficients over degree_basis(self.degree)."""
@@ -157,16 +152,11 @@ class GradedElement:
         """Deterministic text form, e.g. "2*x1^2 x3 - 1/3*x2"."""
         if not self.terms:
             return "0"
-        F = self.field
-        parts = []
-        for m in degree_basis(self.degree):
-            if m not in self.terms:
-                continue
-            c = self.terms[m]
-            parts.append((c, _render_monomial(m)))
         out = []
-        for i, (c, mono) in enumerate(parts):
-            s = F.to_str(c)
+        # the order of degree_basis: lexicographically descending
+        for i, m in enumerate(sorted(self.terms, reverse=True)):
+            s = self.field.to_str(self.terms[m])
+            mono = _render_monomial(m)
             neg = s.startswith("-")
             if neg:
                 s = s[1:]
@@ -257,8 +247,7 @@ def _parse_term(field, chunk: str):
         if name not in ("x1", "x2", "x3"):
             raise ValueError(f"unknown generator {name!r}")
         exps[int(name[1]) - 1] += e
-    c = coeff if sign > 0 else field.neg(coeff)
-    return c, Monomial(*exps)
+    return sign * coeff, Monomial(*exps)
 
 
 def generators(field):
@@ -286,7 +275,6 @@ def permute_element(u: GradedElement, perm) -> GradedElement:
     The substitution is an algebra map; resorting each permuted word into
     normal form contributes the inversion-parity sign.
     """
-    F = u.field
     items = []
     for m, c in u.terms.items():
         word = [perm[0]] * m.a + [perm[1]] * m.b + [perm[2]] * m.c
@@ -298,5 +286,5 @@ def permute_element(u: GradedElement, perm) -> GradedElement:
         exps = [0, 0, 0]
         for g in word:
             exps[g] += 1
-        items.append((Monomial(*exps), c if sign > 0 else F.neg(c)))
-    return GradedElement.from_terms(F, u.degree, items)
+        items.append((Monomial(*exps), sign * c))
+    return GradedElement.from_terms(u.field, u.degree, items)

@@ -107,7 +107,7 @@ def criterion_02(field=QQ) -> CriterionResult:
                            f"dims {report.dims} for {M}")
         t_class = report.class_of(dict(c.generator_reps)["x"])
         square = report.class_product(t_class, t_class)
-        pairing_nonzero = not field.is_zero(c.parameters["pairing"])
+        pairing_nonzero = bool(c.parameters["pairing"])
         if (not square.is_zero) != pairing_nonzero:
             return _result(2, "rank-2 dimension law", started, False,
                            f"square/pairing mismatch for {M}")
@@ -267,8 +267,7 @@ def criterion_09(field=QQ) -> CriterionResult:
     t = res.algebra
     if t.dims[:6] != [1, 2, 3, 5, 8, 13]:
         return _result(9, name, started, False, f"Hilbert {t.dims[:6]}")
-    F = field
-    xy_vec = [F.add(a, b) for a, b in zip(t.word_vector((0,)), t.word_vector((1,)))]
+    xy_vec = t.normal_form({(0,): 1, (1,): 1})
     if res.betti[1] != [1, 1]:
         return _result(9, name, started, False, f"F1 degrees {res.betti[1]}")
     for n in range(2, 7):
@@ -290,20 +289,12 @@ def criterion_09(field=QQ) -> CriterionResult:
 
 
 def _proportional(field, v, w):
+    """v is a nonzero multiple of w; both hold normalized scalars."""
     if v is None or len(v) != len(w):
         return False
-    ratio = None
-    for a, b in zip(v, w):
-        za, zb = field.is_zero(a), field.is_zero(b)
-        if za != zb:
-            return False
-        if not za:
-            r = field.div(a, b)
-            if ratio is None:
-                ratio = r
-            elif not field.is_zero(field.sub(r, ratio)):
-                return False
-    return ratio is not None
+    pairs = [(a, b) for a, b in zip(v, w) if a or b]
+    return (bool(pairs) and all(a and b for a, b in pairs)
+            and len({field.div(a, b) for a, b in pairs}) == 1)
 
 
 def criterion_10(field=QQ) -> CriterionResult:

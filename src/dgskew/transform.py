@@ -21,16 +21,15 @@ from .linalg import Matrix
 
 def validate_monomial(C: Matrix) -> None:
     """Require exactly one nonzero entry per row and per column."""
-    F = C.field
     if (C.nrows, C.ncols) != (3, 3):
         raise ValueError("transform matrix must be 3x3")
     bad = []
     for i in range(3):
-        nz = [j for j in range(3) if not F.is_zero(C[i, j])]
+        nz = [j for j in range(3) if C[i, j]]
         if len(nz) != 1:
             bad.append(f"row {i + 1} has {len(nz)} nonzero entries")
     for j in range(3):
-        nz = [i for i in range(3) if not F.is_zero(C[i, j])]
+        nz = [i for i in range(3) if C[i, j]]
         if len(nz) != 1:
             bad.append(f"column {j + 1} has {len(nz)} nonzero entries")
     if bad:
@@ -38,9 +37,7 @@ def validate_monomial(C: Matrix) -> None:
 
 
 def entrywise_square(C: Matrix) -> Matrix:
-    F = C.field
-    return Matrix(F, C.nrows, C.ncols,
-                  tuple(tuple(F.mul(x, x) for x in row) for row in C.entries))
+    return Matrix.from_rows(C.field, [[x * x for x in row] for row in C.entries])
 
 
 def permutation_matrix(field, perm) -> Matrix:

@@ -31,6 +31,38 @@ def reduce_word(word):
     return sign, tuple(exps)
 
 
+def element_product(u, v):
+    """u * v as {exponent triple: nonzero coefficient}, term by term over
+    free words: each pair of monomials is spelled out as a word, the
+    concatenation is sorted into normal form by `reduce_word`, and the
+    coefficients are combined with the field's scalar methods."""
+    F = u.field
+    out = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            sign, exps = reduce_word(_spelled(m1) + _spelled(m2))
+            c = F.mul(c1, c2)
+            out[exps] = F.add(out.get(exps, F.zero), c if sign > 0 else F.neg(c))
+    return {m: c for m, c in out.items() if not F.is_zero(c)}
+
+
+def _spelled(m):
+    """The normal-form word x1^a x2^b x3^c of an exponent triple."""
+    return [g for g, e in enumerate(m) for _ in range(e)]
+
+
+def linear_combination(F, pairs):
+    """sum of c * u over the (scalar, element) pairs, as {exponent triple:
+    nonzero coefficient}, with the field's scalar methods."""
+    out = {}
+    for c, u in pairs:
+        c = F.coerce(c)
+        for m, x in u.terms.items():
+            m = tuple(m)
+            out[m] = F.add(out.get(m, F.zero), F.mul(c, x))
+    return {m: c for m, c in out.items() if not F.is_zero(c)}
+
+
 def all_words(degree, letters=3):
     return product(range(letters), repeat=degree)
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from dgskew.classify import (classify, crosscheck, cubic_cocycle_rank,
                              normalize_rank_one, predicted_dims,
                              squares_ideal_analysis)
-from dgskew.fields import QQ
+from dgskew.fields import QQ, field_from_name
 from dgskew.linalg import Matrix
 from dgskew.sampling import random_full_rank, random_rank_one, random_rank_two
 
@@ -211,3 +213,80 @@ def test_classification_json_round_trip():
     assert payload == again
     assert '"case": "R1c"' in payload
     assert '"gorenstein": "NonGorenstein"' in payload
+
+
+# one matrix per case label; the rational ones see denominators, and the
+# R1b one has a zero first row, so its normalization permutes variables
+CASE_MATRICES = {
+    "R0": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    "R3": [["1/2", "-2/3", "3"], ["2", "1/5", "-1"], ["-3/7", "2", "1"]],
+    "R2_pairing_nonzero": [["1/2", "-2/3", "3"], ["2", "1/5", "-1"],
+                           ["-67/21", "-11/21", "53/21"]],
+    "R2_pairing_zero": [[0, 0, 0], [3, 0, 0], [0, 0, "2/5"]],
+    "R1a": [["1/2", "-1", "5/4"], ["1/3", "-2/3", "5/6"], ["-3/2", "3", "-15/4"]],
+    "R1b": [[0, 0, 0], ["10/3", "-1/6", "4/3"], ["-5", "1/4", "-2"]],
+    "R1c": [[1, 1, 0], [1, 1, 0], [1, 1, 0]],
+    "R1d": [[4, 1, 2], [8, 2, 4], [0, 0, 0]],
+    "R1e": [[4, 3, 1], [0, 0, 0], [8, 6, 2]],
+    "R1f": [[0, 1, 1], [0, 0, 0], [0, 0, 0]],
+}
+
+# sha256 of the indented, key-sorted JSON of classify(M) and of
+# crosscheck(M, 6), as recorded before the case formulae moved from the
+# Field methods to native operators
+CLASSIFY_DIGESTS = {
+    ("R0", "Q"): ("6c70d260c16ef72a5a785b273f174c6fb8c6520e2173dc2012180cb3ffde4db6",
+        "ef0512af4c82a99e711c7906e776cd3bbcf79b7c716f780e15ddb741c60712f1"),
+    ("R3", "Q"): ("9388ab94bdf87d0afa75a46fcc8f0bdd9d91f0ae44cdd27bcbc90b08543c2a99",
+        "7373f6f7ec555bab49ae38426999f15077cf01f45416f168b8a840fc8cb2d0d8"),
+    ("R2_pairing_nonzero", "Q"): ("f3da2a68e1681b1c677079b3fd96d0a5e25ae771ec0a3573f9fe0663f4eedbed",
+        "cd07688638c6493737e4cbb23b67c6388ae0ab9e0943c6a751f372a6c37bdf2d"),
+    ("R2_pairing_zero", "Q"): ("3cb1287d25afd1dbfdd3aaa4c31c193c0864da2e988719caa3708d16a12b9610",
+        "4ff2f693197955466f1702a6d3e00d697f924613e0d65f2712108bfa8b71eb23"),
+    ("R1a", "Q"): ("8363a2cea1bc21668c258d323636d93a88177bd43dc25aa9989d42e0610be258",
+        "e886c9ec2912e8e3cf1f3852e27bc280cdbcd39d97d3f41e35fef25b7d8f445b"),
+    ("R1b", "Q"): ("7300fb46f18ebc0230ca201aa49a9339735d9419643b6ee09c7bfbba64154824",
+        "59fceb19f06d1b241dbbf74752e7bed1b0d0fa983e38d542e70066ec5d73f003"),
+    ("R1c", "Q"): ("8998e7eb722e341c924e27a0503eef5891888eac59288232f07a6a963353c4ca",
+        "dbd7825fd09e97027adb3f8dc61cbc03a41291669cb14efb228e41ce8831b440"),
+    ("R1d", "Q"): ("a7df69f566dd101db46dc1e8bf317d0bc7293cbc6f9904bac630e372b2f1853a",
+        "1f8104e51136b095141554a9b66ad0abac7deb045301f50611375bf69d0f995b"),
+    ("R1e", "Q"): ("bcf0882518bdbc06569301db172f05a481bde396f4732c1b601ea2fc58db9d55",
+        "3a306476f6331654bb7d2921b8e03ea4117fbeeb7a44a58eeae7474df4692696"),
+    ("R1f", "Q"): ("f84e845164a6ee3aa235d445b5de960b27ed4876fa896512afe65e938994d421",
+        "c1f00ac03e924b799134d0b7cdd4ef3166f252cee2e7b7e03331e308f02e079f"),
+    ("R0", "Fp:2147483659"): ("e0f347a6fd1d1ffbbbad9824d6905837cd90e8a8cc281a2d5695c54bbd6326fb",
+        "d4984f8240307e01324a3b42969975e65394d411758a45f369bf0213a9e48383"),
+    ("R3", "Fp:2147483659"): ("4a80f45b013aca2843bea2b314c05c4cfca54ddb62c0ce8d3d4f054b553c09e2",
+        "e0f9b3165ac4bbb2c56223588927b1f1a2833c73b2f0dddb23d429936d893705"),
+    ("R2_pairing_nonzero", "Fp:2147483659"): ("767ded84d4040bc01c028396e164af8749ea7d425b788b60d9c6fa59e5f89939",
+        "2dd4b16ed5cac5d386356b73c2dbf1c2acf7e02ab35ef046967a9686dafa43d2"),
+    ("R2_pairing_zero", "Fp:2147483659"): ("4eae89e1f5621417438ab5f9b1bf95e1d0fffcb1d948b2616bce320795c2d003",
+        "8cfedfecacdba40f5120231fc3ca976fb41589a0c551c16e20ae81d4b3b38ec0"),
+    ("R1a", "Fp:2147483659"): ("cb2c8faf6cd543dc453f1383dab1c19fbd54384c9634a06a47c6e5fafa8c2a22",
+        "a9bde9735e58e5c933ad62d26fec9300092b3a59b8a2c48788527369884f6bf8"),
+    ("R1b", "Fp:2147483659"): ("863406626509280f75297a19438227f572781f53eb21cc53843b599b60bd3a92",
+        "4a93ba1fc2fd5024fee5ad9690f9002ce421054239abb826d268bfff8c67f4f4"),
+    ("R1c", "Fp:2147483659"): ("29f473f7575bb7981ad7489bed5d576363be6cf59ad131281f23df4ce8843f54",
+        "7e1f8c29b10e27278dcd99aad6cd18f5cab5e2eac607ace08b94d9b6e2e04c78"),
+    ("R1d", "Fp:2147483659"): ("da6e6766b775ecfceca4a5a3d798642bcd06851fe594bf47396e8bba4447055e",
+        "d9a58adc9d97c3acc4ce0dd8ef4f981f706263cdf05ea7dac5c60a12763493b9"),
+    ("R1e", "Fp:2147483659"): ("923959b52a4f6c80e2eae66df373db154fb7db07c4c6af501d405d180b281db2",
+        "18abbdf238a061b843f50fd9f72e929e7c051b46bcf4be2346f59784b2daff9a"),
+    ("R1f", "Fp:2147483659"): ("02db4ea1d96d4d1ebe073a49b23dd32ab3912fe438143ad9a5167b2a1cdb1e8e",
+        "8a96d9bd49b3c9fe33c1f902cdca6f2ec22e10174d2a95dafcfbbcfd0d5fbc4e"),
+}
+
+
+@pytest.mark.parametrize("label,field_name", sorted(CLASSIFY_DIGESTS))
+def test_classification_bytes_are_pinned(label, field_name):
+    M = Matrix.from_rows(field_from_name(field_name), CASE_MATRICES[label])
+    c = classify(M)
+    assert c.case_label == label
+
+    def digest(obj):
+        text = json.dumps(obj, indent=2, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert (digest(c.to_json()), digest(crosscheck(M, 6).to_json())) == \
+        CLASSIFY_DIGESTS[(label, field_name)]

@@ -265,3 +265,13 @@ def test_basis_words_are_prefix_closed_and_lex_minimal():
     for d in range(2, 5):
         for w in t.basis[d]:
             assert (1, 1) not in [w[i:i + 2] for i in range(len(w) - 1)]
+
+
+def test_relation_coefficients_are_brought_into_the_field():
+    F = PrimeField(7)
+    gens = (Generator("x", 1), Generator("y", 1))
+    given = AlgebraPresentation(F, gens, ({(0, 0): Fraction(1, 2), (1, 1): 1, (0, 1): 14},))
+    assert given.relations == ({(0, 0): 4, (1, 1): 1},)  # 1/2 = 4 and 14 = 0 mod 7
+    assert given.render() == "gen x:1, y:1; rel 4*x^2 + y^2"
+    literal = parse_presentation(F, "gen x:1, y:1; rel 4*x^2 + y^2")
+    assert truncate(given, 4).dims == truncate(literal, 4).dims

@@ -12,7 +12,7 @@ from dgskew.fields import QQ, PrimeField
 from dgskew.skew import (GradedElement, Monomial, degree_basis, degree_dim,
                          generators, mul_monomials, parse_element,
                          permute_element)
-from oracles import all_words, reduce_word
+from oracles import all_words, element_product, linear_combination, reduce_word
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=8)
 
@@ -185,3 +185,26 @@ def test_element_grammar_parses_and_round_trips_or_rejects(text):
         except ValueError:
             continue
         assert parse_element(F, e.render(), degree=e.degree) == e, text
+
+
+
+@given(st.data(), coefficients, st.sampled_from(FIELDS))
+@settings(max_examples=200)
+def test_element_arithmetic_matches_the_free_word_oracle(data, c, F):
+    d, terms = data.draw(elements())
+    e, other_terms = data.draw(elements())
+    u = GradedElement.from_terms(F, d, terms)
+    v = GradedElement.from_terms(F, e, other_terms)
+    assert u.mul(v).terms == element_product(u, v)
+    # (x1 + x2)^2 = x1^2 + x2^2: squares of odd elements cancel
+    assert u.mul(u).terms == element_product(u, u)
+    assert u.scale(c).terms == linear_combination(F, [(c, u)])
+    assert u.scale(0).is_zero()
+    # w - u for a drawn w of the same degree, so u + it cancels down to w
+    w_terms = data.draw(st.lists(st.tuples(st.sampled_from(degree_basis(d)), coefficients),
+                                 max_size=6))
+    w_minus_u = GradedElement.from_terms(F, d, [(m, -x) for m, x in terms] + w_terms)
+    for other in (u, w_minus_u, u.scale(c), u.scale(-1)):
+        assert u.add(other).terms == linear_combination(F, [(1, u), (1, other)])
+        assert u.sub(other).terms == linear_combination(F, [(1, u), (-1, other)])
+    assert u.sub(u).is_zero() and u.add(u.scale(-1)).is_zero()
