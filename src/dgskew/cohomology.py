@@ -53,7 +53,7 @@ class CohomologyReport:
             return None
         F = self.spec.field
         idx = basis_index(deg)
-        residue = self._boundaries[deg].reduce_sparse({idx[m]: c for m, c in z.terms.items()})
+        residue = self._boundaries[deg].reduce({idx[m]: c for m, c in z.terms.items()})
         coeffs = self._reps[deg].express(residue)
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")
@@ -118,7 +118,7 @@ def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
         reps = RowSpan(F, width)
         if z_rank > b_rank:
             for v in echelon.kernel_sparse():
-                reps.add(boundaries.reduce_sparse(v))
+                reps.add(boundaries.reduce(v))
                 if reps.dim == z_rank - b_rank:
                     break
         basis = degree_basis(deg)

@@ -13,6 +13,9 @@ outside, `inv` and `div` where the code divides, and `to_str` on output.
 Both field classes keep all nine methods, the arithmetic ones included:
 the independent test oracles compute with them, and the benchmark's
 field-call counter wraps them.
+
+The two text grammars, of skew-algebra elements and of presentations, write
+and split their signed sums with the shared `render_sum` and `split_sum`.
 """
 
 from __future__ import annotations
@@ -166,6 +169,41 @@ def parse_scalar(field, text: str):
         return field.coerce(text)
     except ZeroDivisionError as e:
         raise ValueError(f"coefficient {text!r} has a zero denominator in {field.name}") from e
+
+
+def render_sum(field, terms) -> str:
+    """The text of a sum of (scalar, term text) pairs, in the order given,
+    as the text grammars write it: "2*x - y + 3".  A coefficient 1 and a
+    term "1" (the unit) are left out of a product; no terms give "0"."""
+    out = []
+    for c, term in terms:
+        s = field.to_str(c)
+        neg = s.startswith("-")
+        if neg:
+            s = s[1:]
+        body = s if term == "1" else term if s == "1" else f"{s}*{term}"
+        if out:
+            out.append(("- " if neg else "+ ") + body)
+        else:
+            out.append(("-" if neg else "") + body)
+    return " ".join(out) if out else "0"
+
+
+def split_sum(text: str):
+    """The terms of a sum written as `render_sum` writes it, as (sign, term)
+    pairs in order: sign is 1 or -1, and term the stripped text after the
+    signs (possibly empty, which the grammars reject)."""
+    out = []
+    for chunk in text.replace("- ", "+ -").replace(" -", " +-").split("+"):
+        term = chunk.strip()
+        if not term:
+            continue
+        sign = 1
+        while term.startswith("-"):
+            sign = -sign
+            term = term[1:].strip()
+        out.append((sign, term))
+    return out
 
 
 def _modulus(field):

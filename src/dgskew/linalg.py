@@ -18,11 +18,13 @@ coordinate.  Echelon rows, kernel bases, residues and coefficient vectors
 are therefore canonical: they depend on the span and the input, never on
 the order of elimination.
 
-`Matrix` is a dense immutable value; `rref`, `rank`, `kernel_basis`,
-`solve` and `inverse` all run its rows through a `RowSpan`, and `mul` and
-`apply` visit only nonzero entries.  Maps that are built column by column
-stay sparse instead: `columns_to_rows` turns their columns into the rows a
-`RowSpan` eliminates, and `apply_columns` applies them to a sparse vector.
+Every vector here is a sparse dict; `Matrix` is the one dense type, an
+immutable value such as the defining matrix M.  `rref`, `rank`,
+`kernel_basis`, `solve` and `inverse` all run its rows through a `RowSpan`
+and densify what it hands back, and `mul` and `apply` visit only nonzero
+entries.  Maps that are built column by column stay sparse:
+`columns_to_rows` turns their columns into the rows a `RowSpan` eliminates,
+and `apply_columns` applies them to a sparse vector.
 Scalars come to normal form through `fields.normalized`; the only Field
 methods called here are `coerce`, on the entries `Matrix.from_rows` and
 `Matrix.solve` take from outside, and `to_str`, on output.
@@ -177,9 +179,10 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot_columns)."""
+        F, n = self.field, self.ncols
         span = self._echelon()
-        rows = span.basis_rows()
-        rows += [(self.field.zero,) * self.ncols] * (self.nrows - len(rows))
+        rows = [tuple(dense(F, n, row)) for row in span.rows_sparse()]
+        rows += [(F.zero,) * n] * (self.nrows - len(rows))
         return rows, tuple(span.pivots)
 
     def rank(self) -> int:
@@ -251,10 +254,10 @@ class RowSpan:
     on ints: a vector is brought to one common denominator when it comes
     in, and `Fraction`s are built only for the scalars handed back.
 
-    Vectors go in as dense sequences or as sparse ``{index: nonzero}``
-    dicts.  The ``*_sparse`` methods return such dicts, holding normalized
-    scalars (`Fraction` over Q, ints in [1, p) over F_p); the others return
-    dense lists.
+    Vectors are sparse ``{index: nonzero}`` dicts; the dense rows of a
+    `Matrix` load as well.  Every vector handed back is a fresh such dict
+    holding normalized scalars (`Fraction` over Q, ints in [1, p) over
+    F_p); `express` hands back a list of coefficients, one per row.
     """
 
     def __init__(self, field, width: int, pivot_from_right: bool = False):
@@ -272,7 +275,7 @@ class RowSpan:
 
     @property
     def pivots(self):
-        """Pivot columns, ascending: the pivots of `basis_rows`, in order."""
+        """Pivot columns, ascending: the pivots of `rows_sparse`, in order."""
         if self._pivots is None:
             self._pivots = sorted(self._rows)
         return self._pivots
@@ -381,15 +384,11 @@ class RowSpan:
                     basis[f][q] = p - x
         return [basis[f] for f in free]
 
-    def reduce_sparse(self, v):
-        """Residue of the vector v modulo the span, as a fresh sparse dict."""
-        den, w = self._load(v)
+    def reduce(self, vec):
+        """Residue of vec modulo the span, as a fresh sparse dict."""
+        den, w = self._load(vec)
         w, s = self._reduce(w)
         return self._scalars(w, den * s)
-
-    def reduce(self, vec):
-        """Residue of vec modulo the span (a fresh list)."""
-        return dense(self.field, self.width, self.reduce_sparse(vec))
 
     def contains(self, vec) -> bool:
         return not self._reduce(self._load(vec)[1])[0]
@@ -418,7 +417,7 @@ class RowSpan:
     def express(self, vec):
         """Coefficients of vec over the stored rows, or None if outside.
 
-        Row order follows `basis_rows` (sorted by pivot).  Every row is zero
+        Row order follows `rows_sparse` (sorted by pivot).  Every row is zero
         at the other rows' pivots, so the coefficient of a row is the entry
         of vec at its pivot.
         """
@@ -435,9 +434,6 @@ class RowSpan:
         one = self.field.one
         return [{q: one, **self._scalars(self._rows[q], self._den.get(q, 1))}
                 for q in self.pivots]
-
-    def basis_rows(self):
-        return [tuple(dense(self.field, self.width, row)) for row in self.rows_sparse()]
 
 
 def extend_independent(span: RowSpan, candidates):

@@ -11,6 +11,10 @@ the relation span is generated by u * r with u running over the degree
 d - |r| quotient basis, because occurrences of a relation anywhere left of
 the last letter already vanish in the lower-degree quotients.
 
+An element of degree d is a sparse vector ``{k: nonzero}`` on the basis
+words of degree d (k indexes `basis[d]`); every vector and map here is kept
+sparse.
+
 Coset representatives are the lexicographically smallest candidate words
 outside the relation span (candidates extend lower-degree basis words by
 one generator, so representatives are prefix-closed), fixed per degree for
@@ -23,8 +27,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import DegreeOverflowError
-from .fields import normalized, parse_scalar
-from .linalg import RowSpan, apply_columns, dense
+from .fields import normalized, parse_scalar, render_sum, split_sum
+from .linalg import RowSpan, apply_columns
 
 
 @dataclass(frozen=True)
@@ -84,26 +88,7 @@ class AlgebraPresentation:
         return "; ".join(parts)
 
     def render_poly(self, rel) -> str:
-        F = self.field
-        items = sorted(rel.items())
-        out = []
-        for i, (w, c) in enumerate(items):
-            s = F.to_str(c)
-            neg = s.startswith("-")
-            if neg:
-                s = s[1:]
-            word = self.render_word(w)
-            if word == "1":
-                body = s
-            elif s == "1":
-                body = word
-            else:
-                body = f"{s}*{word}"
-            if i == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append(("- " if neg else "+ ") + body)
-        return " ".join(out)
+        return render_sum(self.field, ((c, self.render_word(w)) for w, c in sorted(rel.items())))
 
     def render_word(self, word) -> str:
         if not word:
@@ -150,15 +135,7 @@ def parse_presentation(field, text: str) -> AlgebraPresentation:
 def _parse_poly(field, text: str, gens) -> dict:
     index = {g.name: i for i, g in enumerate(gens)}
     out: dict = {}
-    for chunk in text.replace("- ", "+ -").replace(" -", " +-").split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        while chunk.startswith(("-", "+")):
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:].strip()
+    for sign, chunk in split_sum(text):
         coeff = field.one
         factors = [f.strip() for f in chunk.split("*")]
         if factors and not factors[0].isidentifier() and "^" not in factors[0]:
@@ -262,17 +239,11 @@ class TruncatedAlgebra:
             src = d - g.degree
             cols = []
             for b in self.basis[src]:
-                residue = rel_span.reduce_sparse({pos[b + (gi,)]: one})
+                residue = rel_span.reduce({pos[b + (gi,)]: one})
                 if not residue.keys() <= sel_pos.keys():
                     raise AssertionError("reduction left a non-basis candidate")
                 cols.append({sel_pos[i]: a for i, a in residue.items()})
             self._append[(src, gi)] = cols
-
-    def word_vector(self, word):
-        """Normal form of an arbitrary word: coordinates in its degree basis."""
-        word = tuple(word)
-        return dense(self.field, self.dim(self.presentation.word_degree(word)),
-                     self.word_mul_matrix(0, word)[0])
 
     def word_mul_matrix(self, src_degree: int, word):
         """Sparse columns ``{row: nonzero}`` of v |-> v * word from A_src to
@@ -298,14 +269,13 @@ class TruncatedAlgebra:
             self._word_mul_cache[key] = cols
         return cols
 
-    def mul_columns(self, vec, degree: int, q: int, left: bool):
+    def mul_columns(self, coeffs, degree: int, q: int, left: bool):
         """Sparse columns ``{row: nonzero}`` of u |-> c*u (left) or u |-> u*c
-        on A_q, one per basis word u, for the element c = vec of A_degree.
+        on A_q, one per basis word u, for the element c = coeffs of A_degree.
 
         The columns are cached and shared between callers: read them only."""
-        key = (tuple(vec), degree, q, left)
+        key = (tuple(sorted(coeffs.items())), degree, q, left)
         if key not in self._mul_columns_cache:
-            coeffs = {k: x for k, x in enumerate(vec) if x}
             if left:
                 tables = [self.word_mul_matrix(degree, u) for u in self.basis[q]]
             else:
@@ -316,23 +286,17 @@ class TruncatedAlgebra:
                                             for table in tables]
         return self._mul_columns_cache[key]
 
-    def mul_sparse(self, u, p: int, v, q: int):
-        """u * v for sparse vectors u of A_p and v of A_q, as a sparse vector
-        of A_(p+q): the sum over the words w of v of v[w] * (u * w)."""
+    def mul(self, u, p: int, v, q: int):
+        """u * v for u in A_p and v in A_q, as a vector of A_(p+q): the sum
+        over the words w of v of v[w] * (u * w)."""
         if p + q > self.bound:
             raise DegreeOverflowError(f"product degree {p + q} beyond bound {self.bound}")
         words = self.basis[q]
         images = {j: apply_columns(self.field, self.word_mul_matrix(p, words[j]), u) for j in v}
         return apply_columns(self.field, images, v)
 
-    def mul(self, u, p: int, v, q: int):
-        """Product of element-vectors: (u in degree p) * (v in degree q)."""
-        prod = self.mul_sparse({i: a for i, a in enumerate(u) if a}, p,
-                               {j: c for j, c in enumerate(v) if c}, q)
-        return dense(self.field, self.dim(p + q), prod)
-
     def normal_form(self, poly, degree: int | None = None):
-        """Coordinates of a word combination {word: coeff} in its degree basis."""
+        """The vector of a word combination {word: coeff} over its degree basis."""
         degs = {self.presentation.word_degree(w) for w in poly}
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
@@ -343,16 +307,14 @@ class TruncatedAlgebra:
             raise DegreeOverflowError(f"degree {d} beyond bound {self.bound}")
         coeffs = {tuple(w): c for w, c in poly.items() if c}
         images = {w: self.word_mul_matrix(0, w)[0] for w in coeffs}
-        return dense(self.field, self.dim(d), apply_columns(self.field, images, coeffs))
+        return apply_columns(self.field, images, coeffs)
 
     def element_render(self, vec, degree: int) -> str:
         F = self.field
         parts = []
-        for w, c in zip(self.basis[degree], vec):
-            if not c:
-                continue
+        for k, c in sorted(vec.items()):
             s = F.to_str(c)
-            word = self.presentation.render_word(w)
+            word = self.presentation.render_word(self.basis[degree][k])
             parts.append(word if s == "1" else (f"{s}*{word}" if word != "1" else s))
         return " + ".join(parts) if parts else "0"
 
@@ -370,9 +332,9 @@ class TruncatedAlgebra:
             if not rs:
                 continue
             r = rng.choice(rs)
-            u = [F.coerce(rng.randint(-2, 2)) for _ in range(self.dims[p])]
-            v = [F.coerce(rng.randint(-2, 2)) for _ in range(self.dims[q])]
-            w = [F.coerce(rng.randint(-2, 2)) for _ in range(self.dims[r])]
+            u = normalized(F, [rng.randint(-2, 2) for _ in range(self.dims[p])])
+            v = normalized(F, [rng.randint(-2, 2) for _ in range(self.dims[q])])
+            w = normalized(F, [rng.randint(-2, 2) for _ in range(self.dims[r])])
             left = self.mul(self.mul(u, p, v, q), p + q, w, r)
             right = self.mul(u, p, self.mul(v, q, w, r), q + r)
             if left != right:
@@ -426,21 +388,16 @@ def case_presentation(field, label: str, row=None, l1=None, l2=None) -> AlgebraP
     m11, m12, m13 = (F.coerce(v) for v in row)
     l1 = F.coerce(l1)
     l2 = F.coerce(l2)
+    quad = {(x, x): m13, (y, y): m12} if label == "R1e" else {(x, x): m12, (y, y): m13}
     if label == "R1a":
         c = F.div(m12 * l1 * l1 + m13 * l2 * l2 - m11, 2 * l1 * l2)
-        rel = {(x, x): m12, (y, y): m13, (x, y): -c, (y, x): -c}
+        rel = {**quad, (x, y): -c, (y, x): -c}
         return AlgebraPresentation(F, deg1, (rel,))
     if label == "R1b":
         return AlgebraPresentation(F, deg1, (anticomm,))
     if label == "R1c":
-        return AlgebraPresentation(F, deg1, ({(x, x): m12, (y, y): m13},))
+        return AlgebraPresentation(F, deg1, (quad,))
     if label in ("R1d", "R1e", "R1f"):
-        if label == "R1d":
-            quad = {(x, x): m12, (y, y): m13}
-        elif label == "R1e":
-            quad = {(x, x): m13, (y, y): m12}
-        else:
-            quad = {(x, x): m12, (y, y): m13}
         central = ({(z, x): one, (x, z): -one},
                    {(z, y): one, (y, z): -one})
         return AlgebraPresentation(F, deg12, (quad, dict(anticomm)) + central)

@@ -8,10 +8,13 @@ echelonized kernel basis (lexicographically earliest complement).  Every
 differential entry then has positive degree, which is the defining property
 of a minimal resolution.
 
-Every map of free modules (d_i, its dual, a generator acting on the left)
-is a list of sparse columns ``{row: nonzero}``, one per basis word of the
-source, read off the algebra's cached word products; each d_i is built once
-per internal degree and kept on the report for the complex check.
+Every vector is a sparse dict ``{index: nonzero}``: a differential entry
+on its degree's algebra basis, a kernel element on a free module, a
+functional on Hom(F_i, A).  Every map of free modules (d_i, its dual, a
+generator acting on the left) is a list of sparse columns ``{row: nonzero}``,
+one per basis word of the source, read off the algebra's cached word
+products; each d_i is built once per internal degree and kept on the report
+for the complex check.
 
 All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
@@ -35,10 +38,11 @@ from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
 
 
 class AlgElt(NamedTuple):
-    """A homogeneous element of the truncated algebra: degree + coordinates."""
+    """A homogeneous element of the truncated algebra: its degree and its
+    sparse vector on that degree's basis."""
 
     degree: int
-    vec: tuple
+    vec: dict
 
 
 @dataclass
@@ -60,12 +64,12 @@ def _module_dim(t: TruncatedAlgebra, gens, j: int) -> int:
 
 
 def _segments(t: TruncatedAlgebra, degrees, vec):
-    """A sparse vector on a free module as dense coordinates on each of its
+    """A sparse vector on a free module as a sparse vector on each of its
     blocks A_q, q in `degrees`."""
     out, offset = [], 0
     for q in degrees:
         n = _block_dim(t, q)
-        out.append([vec.get(k, t.field.zero) for k in range(offset, offset + n)])
+        out.append({k - offset: x for k, x in vec.items() if offset <= k < offset + n})
         offset += n
     return out
 
@@ -102,7 +106,7 @@ def _left_mul_module(t: TruncatedAlgebra, gens, gi: int, j: int):
     """Left multiplication by generator gi on the free module with generators
     in degrees `gens`, from internal degree j to j + |g|."""
     e = t.presentation.generators[gi].degree
-    g = AlgElt(e, tuple(t.word_vector((gi,))))
+    g = AlgElt(e, t.normal_form({(gi,): t.field.one}))
     return _module_columns(t, [j - h for h in gens], [j + e - h for h in gens],
                            lambda s, r: g if s == r else None, left=True)
 
@@ -203,7 +207,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
             report.stopped_at = i
             break
 
-        entries = [[AlgElt(j - h, tuple(seg)) if any(seg) else None
+        entries = [[AlgElt(j - h, seg) if seg else None
                     for h, seg in zip(prev.gen_degrees,
                                       _segments(t, [j - h for h in prev.gen_degrees], v))]
                    for j, v in gen_vecs]
@@ -413,29 +417,27 @@ def _functional_blocks(report: ResolutionReport, i: int, m: int, phi):
 def _render_functional(report, i, m, phi) -> str:
     t = report.algebra
     parts = [f"e{i}.{k}* . ({t.element_render(blk, m + g)})"
-             for k, (g, blk) in enumerate(_functional_blocks(report, i, m, phi)) if any(blk)]
+             for k, (g, blk) in enumerate(_functional_blocks(report, i, m, phi)) if blk]
     return " + ".join(parts) if parts else "0"
 
 
 def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
     """Independent re-check: the functional kills the entire stored kernel of
     d_i (not only the chosen generators) wherever the product stays inside
-    the truncation.  The products go through `TruncatedAlgebra.mul_sparse`,
-    not through the module maps the resolution was built from."""
+    the truncation.  The products go through `TruncatedAlgebra.mul`, not
+    through the module maps the resolution was built from."""
     t = report.algebra
     F = t.field
     i, m = w.hom_degree, w.internal_degree
-    blocks = [(g, {k: x for k, x in enumerate(phi_g) if x})
-              for g, phi_g in _functional_blocks(report, i, m, w.functional)]
+    blocks = _functional_blocks(report, i, m, w.functional)
     for (ii, j), kernel in report.kernels.items():
         if ii != i or m + j > report.int_bound or m + j < 0:
             continue
         for kappa in kernel:
             prods = []
-            for (g, phi_g), seg in zip(blocks, _segments(t, [j - g for g, _ in blocks], kappa)):
-                u = {k: x for k, x in enumerate(seg) if x}
+            for (g, phi_g), u in zip(blocks, _segments(t, [j - g for g, _ in blocks], kappa)):
                 if u and phi_g:
-                    prods.append(t.mul_sparse(u, j - g, phi_g, m + g))
+                    prods.append(t.mul(u, j - g, phi_g, m + g))
             # the sum of the block products: the columns prods applied to all ones
             if apply_columns(F, prods, dict.fromkeys(range(len(prods)), F.one)):
                 raise AssertionError(

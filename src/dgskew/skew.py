@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fields import check_same_field, normalized, parse_scalar
+from .fields import check_same_field, normalized, parse_scalar, render_sum, split_sum
 
 
 class Monomial(NamedTuple):
@@ -150,27 +150,9 @@ class GradedElement:
 
     def render(self) -> str:
         """Deterministic text form, e.g. "2*x1^2 x3 - 1/3*x2"."""
-        if not self.terms:
-            return "0"
-        out = []
         # the order of degree_basis: lexicographically descending
-        for i, m in enumerate(sorted(self.terms, reverse=True)):
-            s = self.field.to_str(self.terms[m])
-            mono = _render_monomial(m)
-            neg = s.startswith("-")
-            if neg:
-                s = s[1:]
-            if mono == "1":
-                body = s
-            elif s == "1":
-                body = mono
-            else:
-                body = f"{s}*{mono}"
-            if i == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append(("- " if neg else "+ ") + body)
-        return " ".join(out)
+        return render_sum(self.field, ((self.terms[m], _render_monomial(m))
+                                       for m in sorted(self.terms, reverse=True)))
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -195,35 +177,25 @@ def parse_element(field, text: str, degree: int | None = None) -> GradedElement:
         if degree is None:
             raise ValueError("degree required to parse 0")
         return GradedElement.zero(field, degree)
-    # normalize separators: ensure +/- acting as term separators are padded
-    terms = []
-    for chunk in text.replace("- ", "+ -").replace(" -", " +-").split("+"):
-        chunk = chunk.strip()
-        if chunk:
-            terms.append(chunk)
+    terms = split_sum(text)
     if not terms:
         raise ValueError(f"no terms in {text!r}")
     items = []
     deg = None
-    for chunk in terms:
+    for sign, chunk in terms:
         coeff, mono = _parse_term(field, chunk)
         if deg is None:
             deg = mono.degree
         elif mono.degree != deg:
             raise ValueError(f"inhomogeneous input: {text!r}")
-        items.append((mono, coeff))
+        items.append((mono, sign * coeff))
     if degree is not None and deg is not None and deg != degree:
         raise ValueError(f"parsed degree {deg}, expected {degree}")
     return GradedElement.from_terms(field, deg if degree is None else degree, items)
 
 
 def _parse_term(field, chunk: str):
-    sign = 1
-    chunk = chunk.strip()
-    while chunk.startswith("-") or chunk.startswith("+"):
-        if chunk[0] == "-":
-            sign = -sign
-        chunk = chunk[1:].strip()
+    """(coefficient, monomial) of one unsigned term."""
     coeff = field.one
     if "*" in chunk:
         head, chunk = chunk.split("*", 1)
@@ -247,7 +219,7 @@ def _parse_term(field, chunk: str):
         if name not in ("x1", "x2", "x3"):
             raise ValueError(f"unknown generator {name!r}")
         exps[int(name[1]) - 1] += e
-    return sign * coeff, Monomial(*exps)
+    return coeff, Monomial(*exps)
 
 
 def generators(field):

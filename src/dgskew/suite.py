@@ -231,14 +231,14 @@ def criterion_08(field=QQ) -> CriterionResult:
     name = "one-sided degenerate quadratic"
     _, res = _betti_and_entries("gen x:1, y:1; rel y^2", field, 6, 10)
     t = res.algebra
-    y_vec = tuple(t.word_vector((1,)))
+    y_vec = t.normal_form({(1,): field.one})
     if res.betti[1] != [1, 1]:
         return _result(8, name, started, False, f"F1 degrees {res.betti[1]}")
     for n in range(2, 7):
         if res.betti[n] != [n]:
             return _result(8, name, started, False, f"F{n} degrees {res.betti[n]}")
         entries = [e for e in res.steps[n].entries[0] if e is not None]
-        if len(entries) != 1 or entries[0].degree != 1 or tuple(entries[0].vec) != y_vec:
+        if len(entries) != 1 or entries[0].degree != 1 or entries[0].vec != y_vec:
             return _result(8, name, started, False, f"d_{n} is not multiplication by y")
     if res.steps[2].entries[0][0] is not None:
         return _result(8, name, started, False, "d_2 hits the x-generator slot")
@@ -289,12 +289,9 @@ def criterion_09(field=QQ) -> CriterionResult:
 
 
 def _proportional(field, v, w):
-    """v is a nonzero multiple of w; both hold normalized scalars."""
-    if v is None or len(v) != len(w):
-        return False
-    pairs = [(a, b) for a, b in zip(v, w) if a or b]
-    return (bool(pairs) and all(a and b for a, b in pairs)
-            and len({field.div(a, b) for a, b in pairs}) == 1)
+    """The sparse vector v is a nonzero multiple of the sparse vector w."""
+    return (v is not None and bool(w) and v.keys() == w.keys()
+            and len({field.div(v[k], w[k]) for k in w}) == 1)
 
 
 def criterion_10(field=QQ) -> CriterionResult:
