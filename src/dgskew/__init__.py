@@ -2,18 +2,18 @@
 skew polynomial algebra, rank-based classification of the cohomology rings,
 and truncated-resolution Gorenstein certificates."""
 
-from .classify import (Classification, classify, crosscheck, cubic_cocycle_rank,
-                       normalize_rank_one, predicted_dims, squares_ideal_analysis)
+from .classify import (Classification, case_presentation, classify, crosscheck,
+                       cubic_cocycle_rank, normalize_rank_one, predicted_dims,
+                       predicted_vs_certified, squares_ideal_analysis)
 from .cohomology import CohomologyClass, CohomologyReport, cohomology
 from .dg import DGSpec, d, d_generator, d_matrix, verify_dg
 from .errors import BoundInsufficientError, DegreeOverflowError
 from .fields import CANDIDATE_PRIMES, QQ, FieldMismatchError, PrimeField, field_from_name
 from .linalg import Matrix, RowSpan
 from .presentations import (AlgebraPresentation, Generator, TruncatedAlgebra,
-                            case_presentation, parse_presentation, truncate)
+                            parse_presentation, truncate)
 from .resolution import (ExtTable, GorensteinVerdict, ResolutionReport,
-                         ext_against_algebra, gorenstein_certificate,
-                         minimal_resolution, predicted_vs_certified)
+                         ext_against_algebra, gorenstein_certificate, minimal_resolution)
 from .skew import (GradedElement, Monomial, degree_basis, generators,
                    mul_monomials, parse_element)
 from .transform import apply_transform, invariance_check

@@ -1,7 +1,9 @@
-"""Rank-based case analysis of the defining matrix.
+"""Rank-based case analysis of the defining matrix: the one owner of the
+case chart.
 
 From M the classifier computes the rank, canonical parameters, a predicted
-presentation of the cohomology ring, and a predicted Gorenstein verdict:
+presentation of the cohomology ring with a cocycle representative for each
+generator (`case_presentation`), and a predicted Gorenstein verdict:
 
   rank 0        R0   cohomology is the whole underlying algebra
   rank 3        R3   cohomology collapses to scalars
@@ -16,18 +18,22 @@ R1a with 4 m12 m13 l1^2 l2^2 = (A - m11)^2; Gorenstein otherwise.  These are
 precisely the instances whose two-generator quadratic relation degenerates
 to a perfect square, and there the displayed presentation strictly
 over-counts the computed cohomology from degree 3 on; crosscheck() measures
-that divergence instead of hiding it.
+that divergence instead of hiding it, and predicted_vs_certified() sets
+the predicted verdict against a resolution certificate of the predicted
+presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .cohomology import cohomology
 from .dg import DGSpec
 from .fields import normalized
 from .linalg import Matrix, RowSpan
-from .presentations import AlgebraPresentation, case_presentation, truncate
+from .presentations import AlgebraPresentation, Generator, truncate
+from .resolution import GorensteinVerdict, gorenstein_certificate
 from .skew import (GradedElement, Monomial, basis_index, degree_basis, degree_dim,
                    element_from_linear, element_from_squares, generators,
                    permute_element)
@@ -119,82 +125,110 @@ def normalize_rank_one(M: Matrix) -> RankOneForm:
 def classify(M: Matrix) -> Classification:
     F = M.field
     rank = M.rank()
-
-    if rank == 0:
-        pres = case_presentation(F, "R0")
-        reps = list(zip("xyz", generators(F)))
-        return Classification(F, M, 0, "R0", {}, pres, GORENSTEIN, reps)
-
-    if rank == 3:
-        pres = case_presentation(F, "R3")
-        return Classification(F, M, 3, "R3", {}, pres, GORENSTEIN, [])
+    label, params, verdict = f"R{rank}", {}, GORENSTEIN
 
     if rank == 2:
         s = M.kernel_basis()[0]
         t = M.transpose().kernel_basis()[0]
         pairing = normalized(F, {0: sum(si * ti * ti for si, ti in zip(s, t))}).get(0, F.zero)
         label = "R2_pairing_nonzero" if pairing else "R2_pairing_zero"
-        pres = case_presentation(F, label)
-        reps = [("x", element_from_linear(F, t))]
-        if label == "R2_pairing_zero":
-            reps.append(("y", element_from_squares(F, s)))
         params = {"s": s, "t": t, "pairing": pairing}
-        return Classification(F, M, 2, label, params, pres, GORENSTEIN, reps)
+    elif rank == 1:
+        form = normalize_rank_one(M)
+        m11, m12, m13 = form.row
+        l1, l2 = form.l1, form.l2
+        shift = m12 * l1 * l1 + m13 * l2 * l2 - m11  # A - m11
+        # the nonzero ones among the quantities the case chart tests
+        nonzero = normalized(F, {"shift": shift, "l1l2": l1 * l2, "m12m13": m12 * m13,
+                                 "square": 4 * m12 * m13 * (l1 * l2) ** 2 - shift * shift})
+        if "shift" in nonzero:
+            label = "R1a" if "l1l2" in nonzero else "R1b"
+        elif "l1l2" in nonzero:
+            label = "R1c"
+        else:
+            label = "R1d" if l1 else "R1e" if l2 else "R1f"
+        if label == "R1c" and "m12m13" not in nonzero:
+            verdict = NON_GORENSTEIN
+        if label == "R1a" and "square" not in nonzero:
+            verdict = NON_GORENSTEIN
+        params = {"row": form.row, "l1": l1, "l2": l2,
+                  "permutation": tuple(p + 1 for p in form.permutation)}
 
-    form = normalize_rank_one(M)
-    m11, m12, m13 = form.row
-    l1, l2 = form.l1, form.l2
-    shift = m12 * l1 * l1 + m13 * l2 * l2 - m11  # A - m11
-    # the nonzero ones among the quantities the case chart tests
-    nonzero = normalized(F, {"shift": shift, "l1l2": l1 * l2, "m12m13": m12 * m13,
-                             "square": 4 * m12 * m13 * (l1 * l2) ** 2 - shift * shift})
-    if "shift" in nonzero:
-        label = "R1a" if "l1l2" in nonzero else "R1b"
-    elif "l1l2" in nonzero:
-        label = "R1c"
+    pres, reps = case_presentation(F, label, params)
+    return Classification(F, M, rank, label, params, pres, verdict, reps)
+
+
+def case_presentation(field, label: str, params: dict):
+    """The predicted cohomology presentation of a case, with a cocycle
+    representative of each generator: (presentation, [(name, rep)]), from
+    the case's `Classification.parameters`.
+
+    The full three-generator algebra for rank 0, no generators for rank 3;
+    for rank 2, k[x] or k[x, y]/(x^2) with y central of degree 2, built
+    from the kernel vectors s of M and t of M^T; for rank 1, two degree-1
+    generators x, y with one quadratic relation in the normalized row and
+    l1, l2, and a central degree-2 z = x1^2 when one of the degree-1
+    directions collapses.  The rank-1 representatives are written in the
+    normalized variables and mapped back through the permutation.
+
+    For the R1a case the mixed coefficient is
+    (m12*l1^2 + m13*l2^2 - m11) / (2*l1*l2): with it the relation's cochain
+    representative is exactly the coboundary of x1, which the degree-2
+    boundary space pins down.
+    """
+    F = field
+    one = F.one
+    x, y, z = 0, 1, 2
+    anticomm = {(x, y): one, (y, x): one}
+
+    if label == "R0":
+        gens = list(zip("xyz", generators(F)))
+        rels = (anticomm, {(y, z): one, (z, y): one}, {(z, x): one, (x, z): one})
+    elif label == "R3":
+        gens, rels = [], ()
+    elif label == "R2_pairing_nonzero":
+        gens, rels = [("x", element_from_linear(F, params["t"]))], ()
+    elif label == "R2_pairing_zero":
+        gens = [("x", element_from_linear(F, params["t"])),
+                ("y", element_from_squares(F, params["s"]))]
+        rels = ({(x, x): one}, {(x, y): one, (y, x): -one})
+    elif label in RANK_ONE_LABELS:
+        m11, m12, m13 = (F.coerce(v) for v in params["row"])
+        l1 = F.coerce(params["l1"])
+        l2 = F.coerce(params["l2"])
+        xi = element_from_linear(F, (l1, -1, 0))
+        eta = element_from_linear(F, (l2, 0, -1))
+        x2 = element_from_linear(F, (0, 1, 0))
+        x3 = element_from_linear(F, (0, 0, 1))
+        quad = {(x, x): m13, (y, y): m12} if label == "R1e" else {(x, x): m12, (y, y): m13}
+        gens = [("x", xi), ("y", eta)]
+        if label == "R1a":
+            c = F.div(m12 * l1 * l1 + m13 * l2 * l2 - m11, 2 * l1 * l2)
+            rels = ({**quad, (x, y): -c, (y, x): -c},)
+        elif label == "R1b":
+            rels = (anticomm,)
+        elif label == "R1c":
+            rels = (quad,)
+        else:
+            first, second = {"R1d": (xi, x3), "R1e": (eta, x2), "R1f": (x2, x3)}[label]
+            gens = [("x", first), ("y", second),
+                    ("z", GradedElement.monomial(F, Monomial(2, 0, 0)))]
+            rels = (quad, anticomm,
+                    {(z, x): one, (x, z): -one},
+                    {(z, y): one, (y, z): -one})
+        perm = [p - 1 for p in params["permutation"]]
+        gens = [(name, permute_element(rep, perm)) for name, rep in gens]
     else:
-        label = "R1d" if l1 else "R1e" if l2 else "R1f"
-
-    verdict = GORENSTEIN
-    if label == "R1c" and "m12m13" not in nonzero:
-        verdict = NON_GORENSTEIN
-    if label == "R1a" and "square" not in nonzero:
-        verdict = NON_GORENSTEIN
-
-    pres = case_presentation(F, label, row=form.row, l1=l1, l2=l2)
-    reps = [(g.name, permute_element(rep, form.permutation))
-            for g, rep in zip(pres.generators, _rank_one_reps(F, label, l1, l2))]
-    params = {"row": form.row, "l1": l1, "l2": l2,
-              "permutation": tuple(p + 1 for p in form.permutation)}
-    return Classification(F, M, 1, label, params, pres, verdict, reps)
-
-
-def _rank_one_reps(F, label: str, l1, l2):
-    """Cocycle representatives for the case generators, in the normalized
-    (permuted) variables, ordered like the presentation generators."""
-    xi = element_from_linear(F, (l1, -1, 0))       # l1 x1 - x2
-    eta = element_from_linear(F, (l2, 0, -1))      # l2 x1 - x3
-    x2 = element_from_linear(F, (0, 1, 0))
-    x3 = element_from_linear(F, (0, 0, 1))
-    sq1 = GradedElement.monomial(F, Monomial(2, 0, 0))
-    if label in ("R1a", "R1b", "R1c"):
-        return [xi, eta]
-    if label == "R1d":
-        return [xi, x3, sq1]
-    if label == "R1e":
-        return [eta, x2, sq1]
-    return [x2, x3, sq1]  # R1f
+        raise ValueError(f"unknown case label {label!r}")
+    pres = AlgebraPresentation(F, tuple(Generator(name, rep.degree) for name, rep in gens), rels)
+    return pres, gens
 
 
 def case_dim_formula(c: Classification, max_degree: int):
-    """Closed-form cohomology dimensions implied by the case analysis."""
-    if c.case_label == "R0":
-        return [degree_dim(d) for d in range(max_degree + 1)]
-    if c.case_label == "R3":
-        return [1] + [0] * max_degree
-    if c.rank == 2:
-        return [1] * (max_degree + 1)
-    return [d + 1 for d in range(max_degree + 1)]
+    """Closed-form cohomology dimensions implied by the case analysis: the
+    Hilbert function of a polynomial ring in k = 3 - rank variables."""
+    k = 3 - c.rank
+    return [comb(n + k - 1, k - 1) if k else int(n == 0) for n in range(max_degree + 1)]
 
 
 def predicted_dims(c: Classification, max_degree: int):
@@ -289,14 +323,12 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
                                 "powers of the degree-2 class stay nonzero"))
 
     if c.rank == 1:
-        names = dict(c.generator_reps)
+        reps = [rep for _, rep in c.generator_reps]
         h1_span = RowSpan(F, degree_dim(1))
-        h1_reps = [rep for name, rep in c.generator_reps if rep.degree == 1]
-        indep = all(h1_span.add(rep.vector()) for rep in h1_reps)
+        indep = all(h1_span.add(rep.vector()) for rep in reps if rep.degree == 1)
         probes.append(Probe("h1_generators_independent", indep, ""))
         for i, rel in enumerate(c.predicted_presentation.relations):
-            elem = _evaluate_relation(F, rel, [names[g.name] for g in
-                                               c.predicted_presentation.generators])
+            elem = _evaluate_relation(F, rel, reps)
             cls = report.class_of(elem)
             ok = cls is not None and cls.is_zero
             probes.append(Probe(f"relation_{i}_vanishes", ok,
@@ -350,7 +382,6 @@ def cubic_cocycle_rank(M: Matrix) -> int:
 class SquaresIdealReport:
     quotient_dims: list
     free_variable: str
-    dependency: tuple  # third generator as a combination of the two pivots
     ok: bool
 
     def to_json(self):
@@ -368,18 +399,8 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     if M.rank() != 2:
         raise ValueError("squares_ideal_analysis requires a rank-2 matrix")
 
-    rows, pivots = M.rref()
+    _, pivots = M.rref()
     free = next(j for j in range(3) if j not in pivots)
-
-    # dependency of the non-pivot row on the two independent ones
-    pivot_rows = []
-    seen = RowSpan(F, 3)
-    for i in range(3):
-        if seen.add(M.row(i)):
-            pivot_rows.append(i)
-    dep_index = next(i for i in range(3) if i not in pivot_rows)
-    base = Matrix.from_rows(F, [M.row(j) for j in pivot_rows]).transpose()
-    dep_coeffs = base.solve(M.row(dep_index))
 
     # the degree-n monomials in u1, u2, u3 are the exponent triples of
     # degree_basis(n); the ideal in degree n is spanned by m * r_i for m of
@@ -399,4 +420,31 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
         if q != 1:
             ok = False
 
-    return SquaresIdealReport(dims, f"u{free + 1}", tuple(dep_coeffs or ()), ok)
+    return SquaresIdealReport(dims, f"u{free + 1}", ok)
+
+
+@dataclass
+class CertificateComparison:
+    classification: Classification
+    certificate: GorensteinVerdict
+    consistent: bool
+    detail: str
+
+    def to_json(self) -> dict:
+        return {"classification": self.classification.to_json(),
+                "certificate": self.certificate.to_json(),
+                "consistent": self.consistent, "detail": self.detail}
+
+
+def predicted_vs_certified(M, hom_bound: int = 6,
+                           int_bound: int = 10) -> CertificateComparison:
+    """Classifier verdict for the defining `Matrix` M versus the certificate
+    on the predicted presentation: NonGorenstein must be refuted, Gorenstein must stay
+    consistent up to the cutoff.  Mismatches are reported, not raised."""
+    c = classify(M)
+    cert = gorenstein_certificate(c.predicted_presentation, hom_bound, int_bound)
+    predicted_bad = c.predicted_gorenstein == NON_GORENSTEIN
+    consistent = predicted_bad == cert.is_refuted
+    detail = (f"classifier={c.predicted_gorenstein}, certificate={cert.verdict}"
+              + ("" if consistent else " (FALSIFICATION)"))
+    return CertificateComparison(c, cert, consistent, detail)

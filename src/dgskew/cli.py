@@ -15,13 +15,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import classify, crosscheck
+from .classify import classify, crosscheck, predicted_vs_certified
 from .cohomology import cohomology
 from .dg import DGSpec, verify_dg
 from .errors import BoundInsufficientError
 from .fields import field_from_name, parse_scalar
 from .linalg import Matrix
-from .resolution import predicted_vs_certified
 from .suite import CRITERIA, run_suite
 from .transform import invariance_check
 
@@ -150,7 +149,10 @@ def _cmd_classify(cfg: JobConfig) -> int:
 
 def _cmd_crosscheck(cfg: JobConfig) -> int:
     M = cfg.require_matrix()
-    report = crosscheck(M, cfg.max_degree)
+    try:
+        report = crosscheck(M, cfg.max_degree)
+    except ValueError as e:  # e.g. a --max-degree below the relation degree
+        raise UsageError(str(e)) from e
     lines = [f"case {report.classification.case_label}, dims {report.computed_dims}"]
     for p in report.probes:
         lines.append(f"  [{'ok' if p.ok else 'FALSIFIED'}] {p.name} {p.detail}")

@@ -12,22 +12,21 @@ subtracts ints, so no `Fraction` arithmetic runs inside it; `Fraction`s are
 built only for the scalars the span hands back.  The inner loops apply the
 native operators directly, so every step is exact.
 
-A span has exactly one reduced echelon form for a given pivot rule, and
-pivots sit at the first (or, with ``pivot_from_right``, the last) nonzero
-coordinate.  Echelon rows, kernel bases, residues and coefficient vectors
-are therefore canonical: they depend on the span and the input, never on
-the order of elimination.
+Pivots sit at the first nonzero coordinate, so a span has exactly one
+reduced echelon form.  Echelon rows, kernel bases, residues and coefficient
+vectors are therefore canonical: they depend on the span and the input,
+never on the order of elimination.
 
 Every vector here is a sparse dict; `Matrix` is the one dense type, an
 immutable value such as the defining matrix M.  `rref`, `rank`,
-`kernel_basis`, `solve` and `inverse` all run its rows through a `RowSpan`
-and densify what it hands back, and `mul` and `apply` visit only nonzero
+`kernel_basis` and `inverse` all run its rows through a `RowSpan` and
+densify what it hands back, and `mul` and `apply` visit only nonzero
 entries.  Maps that are built column by column stay sparse:
 `columns_to_rows` turns their columns into the rows a `RowSpan` eliminates,
 and `apply_columns` applies them to a sparse vector.
 Scalars come to normal form through `fields.normalized`; the only Field
-methods called here are `coerce`, on the entries `Matrix.from_rows` and
-`Matrix.solve` take from outside, and `to_str`, on output.
+methods called here are `coerce`, on the entries `Matrix.from_rows` takes
+from outside, and `to_str`, on output.
 """
 
 from __future__ import annotations
@@ -196,26 +195,6 @@ class Matrix:
         """
         return [tuple(dense(self.field, self.ncols, v)) for v in self._echelon().kernel_sparse()]
 
-    def solve(self, b):
-        """One solution of Ax = b, or None when inconsistent.
-
-        Consistency is decided exactly by the rank of the augmented matrix;
-        free coordinates of the particular solution are set to zero.
-        """
-        F = self.field
-        if len(b) != self.nrows:
-            raise ValueError("dimension mismatch")
-        bb = [F.coerce(x) for x in b]
-        aug = Matrix(F, self.nrows, self.ncols + 1,
-                     tuple(tuple(r) + (x,) for r, x in zip(self.entries, bb)))
-        rows, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [F.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][self.ncols]
-        return tuple(x)
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("not square")
@@ -242,9 +221,8 @@ class RowSpan:
 
     Each row is zero at every other row's pivot and 1 at its own, so the
     rows form the reduced echelon basis of the span and `reduce` residues
-    are canonical.  Pivots sit at the first nonzero coordinate, or with
-    ``pivot_from_right`` at the *last* one (used where the complement of a
-    span must consist of the lexicographically smallest coordinates).
+    are canonical.  Pivots sit at the first nonzero coordinate; a caller
+    that wants them at the last one indexes its coordinates in reverse.
 
     A row is kept as its pivot q plus a tail ``{column: nonzero}``.  Over
     F_p the tail holds ints in [1, p).  Over Q the row is kept
@@ -260,10 +238,9 @@ class RowSpan:
     F_p); `express` hands back a list of coefficients, one per row.
     """
 
-    def __init__(self, field, width: int, pivot_from_right: bool = False):
+    def __init__(self, field, width: int):
         self.field = field
         self.width = width
-        self.from_right = pivot_from_right
         self._p = _modulus(field)  # None over Q
         self._rows = {}       # pivot -> tail
         self._den = {}        # pivot -> denominator c of its row (Q only)
@@ -324,7 +301,7 @@ class RowSpan:
         if not w:
             return False
         p = self._p
-        q = max(w) if self.from_right else min(w)
+        q = min(w)
         a = w.pop(q)
         rows = self._rows
         # the rows that meet the new pivot, which back-elimination clears
@@ -402,15 +379,12 @@ class RowSpan:
 
         The span and its echelon rows do not depend on the order of
         insertion, so the vectors go in with the latest leading coordinate
-        first (the earliest, with ``pivot_from_right``).  A new pivot then
-        seldom lies in the tail of an older row, and the rows already
-        stored rarely need back-elimination.  Each vector is loaded once.
+        first.  A new pivot then seldom lies in the tail of an older row, and
+        the rows already stored rarely need back-elimination.  Each vector
+        is loaded once.
         """
         vecs = [w for _, w in map(self._load, vectors) if w]
-        if self.from_right:
-            vecs.sort(key=max)
-        else:
-            vecs.sort(key=min, reverse=True)
+        vecs.sort(key=min, reverse=True)
         for w in vecs:
             self._insert(w)
 

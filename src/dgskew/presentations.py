@@ -167,6 +167,8 @@ class TruncatedAlgebra:
     all products landing in internal degree <= bound."""
 
     def __init__(self, presentation: AlgebraPresentation, bound: int):
+        if bound < 0:
+            raise ValueError(f"bound {bound} is negative")
         if presentation.relations:
             maxrel = max(presentation.word_degree(next(iter(r))) for r in presentation.relations)
             if bound < maxrel:
@@ -197,15 +199,17 @@ class TruncatedAlgebra:
         """Basis and append maps of degree d.
 
         The candidates are the words b + (g,) for b a basis word of degree
-        d - |g|, sorted.  With pivots at the right, the non-pivot columns of
-        the relation span are the greedy, lexicographically earliest
-        complement of it, so they are the basis; the residue of a candidate
-        modulo the span is its normal form.
+        d - |g|, sorted, and indexed latest-first.  Each row of the relation
+        span then pivots on its latest candidate, so the non-pivot
+        candidates are the greedy, lexicographically earliest complement of
+        the span: the basis.  The residue of a candidate modulo the span is
+        its normal form.
         """
         gens = self.presentation.generators
         candidates = sorted(b + (gi,) for gi, g in enumerate(gens) if g.degree <= d
                             for b in self.basis[d - g.degree])
-        pos = {w: i for i, w in enumerate(candidates)}
+        n = len(candidates)
+        pos = {w: n - 1 - i for i, w in enumerate(candidates)}
 
         # u * r for every relation r and basis word u of degree d - |r|: the
         # prefix of each word of r folds in through the word tables, the last
@@ -224,13 +228,12 @@ class TruncatedAlgebra:
                         p = pos[heads[i] + (last,)]
                         vec[p] = vec.get(p, 0) + c * a
             rel_vecs.extend(vecs)
-        rel_span = RowSpan(self.field, len(candidates), pivot_from_right=True)
+        rel_span = RowSpan(self.field, n)
         rel_span.extend(rel_vecs)
 
         pivots = set(rel_span.pivots)
-        selected = [i for i in range(len(candidates)) if i not in pivots]
-        sel_pos = {i: k for k, i in enumerate(selected)}
-        self.basis.append([candidates[i] for i in selected])
+        self.basis.append([w for w in candidates if pos[w] not in pivots])
+        sel_pos = {pos[w]: k for k, w in enumerate(self.basis[d])}
 
         one = self.field.one
         for gi, g in enumerate(gens):
@@ -345,60 +348,3 @@ class TruncatedAlgebra:
 def truncate(presentation: AlgebraPresentation, bound: int) -> TruncatedAlgebra:
     """Bases and multiplication tables valid through internal degree `bound`."""
     return TruncatedAlgebra(presentation, bound)
-
-
-# -- the candidate cohomology presentations, one per classifier case --
-
-
-def case_presentation(field, label: str, row=None, l1=None, l2=None) -> AlgebraPresentation:
-    """The predicted cohomology presentation for a classifier case.
-
-    Two degree-1 generators x, y for the rank-1 cases with l1*l2-dependent
-    relations; a central degree-2 generator z when one of the degree-1
-    directions collapses; k[x] or k[x, y]/(x^2) for rank 2; the full
-    three-generator algebra for rank 0; no generators for rank 3.
-
-    For the R1a case the mixed coefficient is
-    (m12*l1^2 + m13*l2^2 - m11) / (2*l1*l2): with it the relation's cochain
-    representative is exactly the coboundary of x1, which the degree-2
-    boundary space pins down.
-    """
-    F = field
-    one = F.one
-    x, y, z = 0, 1, 2
-    deg1 = (Generator("x", 1), Generator("y", 1))
-    deg12 = (Generator("x", 1), Generator("y", 1), Generator("z", 2))
-    anticomm = {(x, y): one, (y, x): one}
-
-    if label == "R0":
-        gens = (Generator("x", 1), Generator("y", 1), Generator("z", 1))
-        rels = ({(0, 1): one, (1, 0): one},
-                {(1, 2): one, (2, 1): one},
-                {(2, 0): one, (0, 2): one})
-        return AlgebraPresentation(F, gens, rels)
-    if label == "R3":
-        return AlgebraPresentation(F, (), ())
-    if label == "R2_pairing_nonzero":
-        return AlgebraPresentation(F, (Generator("x", 1),), ())
-    if label == "R2_pairing_zero":
-        gens = (Generator("x", 1), Generator("y", 2))
-        rels = ({(x, x): one}, {(x, y): one, (y, x): -one})
-        return AlgebraPresentation(F, gens, rels)
-
-    m11, m12, m13 = (F.coerce(v) for v in row)
-    l1 = F.coerce(l1)
-    l2 = F.coerce(l2)
-    quad = {(x, x): m13, (y, y): m12} if label == "R1e" else {(x, x): m12, (y, y): m13}
-    if label == "R1a":
-        c = F.div(m12 * l1 * l1 + m13 * l2 * l2 - m11, 2 * l1 * l2)
-        rel = {**quad, (x, y): -c, (y, x): -c}
-        return AlgebraPresentation(F, deg1, (rel,))
-    if label == "R1b":
-        return AlgebraPresentation(F, deg1, (anticomm,))
-    if label == "R1c":
-        return AlgebraPresentation(F, deg1, (quad,))
-    if label in ("R1d", "R1e", "R1f"):
-        central = ({(z, x): one, (x, z): -one},
-                   {(z, y): one, (y, z): -one})
-        return AlgebraPresentation(F, deg12, (quad, dict(anticomm)) + central)
-    raise ValueError(f"unknown case label {label!r}")

@@ -31,7 +31,6 @@ from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
 
-from .classify import Classification, classify
 from .errors import BoundInsufficientError
 from .linalg import RowSpan, apply_columns, columns_to_rows, extend_independent
 from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
@@ -462,30 +461,3 @@ def _verify_independent(report: ResolutionReport, witnesses):
         if span.dim != base + len(group):
             raise AssertionError(
                 f"witnesses at ({i},{m}) are not independent modulo coboundaries")
-
-
-@dataclass
-class CertificateComparison:
-    classification: Classification
-    certificate: GorensteinVerdict
-    consistent: bool
-    detail: str
-
-    def to_json(self) -> dict:
-        return {"classification": self.classification.to_json(),
-                "certificate": self.certificate.to_json(),
-                "consistent": self.consistent, "detail": self.detail}
-
-
-def predicted_vs_certified(M, hom_bound: int = 6,
-                           int_bound: int = 10) -> CertificateComparison:
-    """Classifier verdict for the defining `Matrix` M versus the certificate
-    on the predicted presentation: NonGorenstein must be refuted, Gorenstein must stay
-    consistent up to the cutoff.  Mismatches are reported, not raised."""
-    c = classify(M)
-    cert = gorenstein_certificate(c.predicted_presentation, hom_bound, int_bound)
-    predicted_bad = c.predicted_gorenstein == "NonGorenstein"
-    consistent = predicted_bad == cert.is_refuted
-    detail = (f"classifier={c.predicted_gorenstein}, certificate={cert.verdict}"
-              + ("" if consistent else " (FALSIFICATION)"))
-    return CertificateComparison(c, cert, consistent, detail)

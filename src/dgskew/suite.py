@@ -12,14 +12,14 @@ import random
 import time
 from dataclasses import dataclass
 
-from .classify import (classify, crosscheck, cubic_cocycle_rank,
-                       predicted_dims, squares_ideal_analysis)
+from .classify import (classify, crosscheck, cubic_cocycle_rank, predicted_dims,
+                       predicted_vs_certified, squares_ideal_analysis)
 from .cohomology import cohomology
 from .dg import DGSpec, verify_dg
 from .fields import CANDIDATE_PRIMES, QQ, PrimeField
 from .linalg import Matrix
 from .presentations import parse_presentation, truncate
-from .resolution import gorenstein_certificate, minimal_resolution, predicted_vs_certified
+from .resolution import ext_against_algebra, gorenstein_certificate, minimal_resolution
 from .sampling import (random_full_rank, random_matrix, random_monomial_matrix,
                        random_rank_one, random_rank_two)
 from .transform import invariance_check
@@ -242,7 +242,6 @@ def criterion_08(field=QQ) -> CriterionResult:
             return _result(8, name, started, False, f"d_{n} is not multiplication by y")
     if res.steps[2].entries[0][0] is not None:
         return _result(8, name, started, False, "d_2 hits the x-generator slot")
-    from .resolution import ext_against_algebra
     table = ext_against_algebra(res)
     ext0 = [m for (i, m) in table.dims if i == 0]
     if ext0:

@@ -190,17 +190,6 @@ def dense_kernel(F, rows, ncols):
     return basis
 
 
-def dense_solve(F, rows, ncols, b):
-    """The solution of Ax = b with free coordinates 0, or None."""
-    ech, pivots = dense_rref(F, [tuple(r) + (F.coerce(x),) for r, x in zip(rows, b)], ncols + 1)
-    if ncols in pivots:
-        return None
-    x = [F.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = ech[r][ncols]
-    return tuple(x)
-
-
 def dense_inverse(F, rows):
     """Rows of the inverse of a square matrix, or None when it is singular."""
     n = len(rows)

@@ -125,6 +125,10 @@ def test_suite_subset(capsys):
     (["paper-suite", "--criteria", "13"], None),
     (["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"], None),
     (["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"], None),
+    (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]", "--int-bound", "-1"], None),
+    (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,0]]", "--int-bound", "-1"], None),
+    (["crosscheck", "--matrix", "[[4,1,2],[8,2,4],[0,0,0]]", "--max-degree", "2"], None),
+    (["crosscheck", "--matrix", "[[1,0,0],[0,0,1],[0,0,0]]", "--max-degree", "2"], None),
     (["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"], None),
     (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": "x"}'),
     (["cohomology", "--matrix", FLAGSHIP], "[1, 2]"),
@@ -133,7 +137,9 @@ def test_suite_subset(capsys):
     (["classify", "--matrix", '[["0.5",0,0],[0,1,0],[0,0,1]]'], None),
     (["classify", "--matrix", '[[true,0,0],[0,1,0],[0,0,1]]'], None),
     (["classify", "--matrix", '[[[true,2],0,0],[0,1,0],[0,0,1]]'], None),
-], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "unwritable-out",
+], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
+        "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
+        "crosscheck-degree-2-r2-pairing-zero", "unwritable-out",
         "config-string-degree", "config-not-an-object", "config-fractional-degree",
         "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
         "matrix-json-true-in-pair"])

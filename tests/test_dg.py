@@ -115,17 +115,15 @@ def test_square_zero_composed_matrices():
 
 def test_full_rank_squares_are_coboundaries():
     # with an invertible defining matrix each x_i^2 = d(linear form); the
-    # linear form solves M^T a = e_i, and for e_1 the solution is the first
-    # adjugate column over the determinant
+    # linear form solves M^T a = e_i, column i of (M^T)^-1, and for e_1 the
+    # solution is the first adjugate column over the determinant
     rng = random.Random(15)
     for _ in range(10):
         M = random_full_rank(QQ, rng)
         spec = DGSpec(QQ, M)
+        inverse = M.transpose().inverse()
         for i in range(3):
-            rhs = [0, 0, 0]
-            rhs[i] = 1
-            a = M.transpose().solve(rhs)
-            assert a is not None
+            a = inverse.col(i)
             lin = GradedElement.from_terms(QQ, 1, [(Monomial(1, 0, 0), a[0]),
                                                    (Monomial(0, 1, 0), a[1]),
                                                    (Monomial(0, 0, 1), a[2])])
@@ -137,17 +135,19 @@ def test_full_rank_squares_are_coboundaries():
             QQ.add(QQ.mul(m[0][0], QQ.sub(QQ.mul(m[1][1], m[2][2]), QQ.mul(m[1][2], m[2][1]))),
                    QQ.mul(m[0][2], QQ.sub(QQ.mul(m[1][0], m[2][1]), QQ.mul(m[1][1], m[2][0])))),
             QQ.mul(m[0][1], QQ.sub(QQ.mul(m[1][0], m[2][2]), QQ.mul(m[1][2], m[2][0]))))
-        a = M.transpose().solve([1, 0, 0])
+        a = inverse.col(0)
         assert a[0] == QQ.div(QQ.sub(QQ.mul(m[1][1], m[2][2]), QQ.mul(m[1][2], m[2][1])), det)
         assert a[1] == QQ.div(QQ.sub(QQ.mul(m[0][2], m[2][1]), QQ.mul(m[0][1], m[2][2])), det)
         assert a[2] == QQ.div(QQ.sub(QQ.mul(m[0][1], m[1][2]), QQ.mul(m[0][2], m[1][1])), det)
 
 
 def test_rank_two_kernel_vector_is_not_a_coboundary_target():
-    # M^T a = s has no solution when s spans the kernel of a rank-2 matrix
+    # M^T a = s has no solution when s spans the kernel of a rank-2 matrix:
+    # appending s to M^T raises the rank
     M = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     s = M.kernel_basis()[0]
-    assert M.transpose().solve(s) is None
+    augmented = Matrix.from_rows(QQ, [row + (x,) for row, x in zip(M.transpose().entries, s)])
+    assert augmented.rank() == M.rank() + 1
 
 
 # non-integral entries (no denominator divisible by 7), of rank 3, 2 and 1

@@ -1,0 +1,37 @@
+"""The generic algebra layers know nothing of the case chart: presentations
+and resolutions work over any presented algebra, and the classifier owns
+the case labels, the case presentations and their representatives."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dgskew"
+CASE_MODULES = {"classify", "cohomology", "dg", "skew"}
+CASE_LABEL = re.compile(r"R[0-3]\b|R1[a-f]|R2_")
+
+
+def _package_imports(tree):
+    """The dgskew modules that a module's import statements name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if not module.startswith("dgskew"):
+                    continue
+                module = module.removeprefix("dgskew").lstrip(".")
+            # "from . import x" names the module x itself
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("dgskew.")}
+    return names
+
+
+@pytest.mark.parametrize("module", ["presentations", "resolution"])
+def test_generic_layers_stay_off_the_case_chart(module):
+    source = (SRC / f"{module}.py").read_text()
+    assert _package_imports(ast.parse(source)) & CASE_MODULES == set()
+    assert [line for line in source.splitlines() if CASE_LABEL.search(line)] == []

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgskew.classify import case_presentation
 from dgskew.errors import DegreeOverflowError
 from dgskew.fields import QQ, PrimeField
-from dgskew.presentations import (AlgebraPresentation, Generator,
-                                  case_presentation, parse_presentation, truncate)
+from dgskew.presentations import AlgebraPresentation, Generator, parse_presentation, truncate
 from oracles import (count_words_avoiding, free_normal_forms, free_words,
                      quotient_dims_full_span)
 
@@ -24,8 +24,14 @@ def pres(text):
     return parse_presentation(QQ, text)
 
 
+def rank_one(F, label, row, l1, l2):
+    """The predicted presentation of a rank-1 case, variables unpermuted."""
+    params = {"row": row, "l1": l1, "l2": l2, "permutation": (1, 2, 3)}
+    return case_presentation(F, label, params)[0]
+
+
 def test_three_anticommuting_generators():
-    t = truncate(case_presentation(QQ, "R0"), 5)
+    t = truncate(case_presentation(QQ, "R0", {})[0], 5)
     assert t.dims == [1, 3, 6, 10, 15, 21]
 
 
@@ -46,17 +52,21 @@ def test_quantum_plane_like_quotients():
 
 
 def test_polynomial_mod_square():
-    t = truncate(case_presentation(QQ, "R2_pairing_zero"), 7)
+    # kernel vectors of [[1,0,0],[0,0,1],[0,0,0]] and of its transpose
+    p, _ = case_presentation(QQ, "R2_pairing_zero", {"s": (0, 1, 0), "t": (0, 0, 1)})
+    t = truncate(p, 7)
     assert t.dims == [1] * 8
 
 
 def test_scalars_only():
-    t = truncate(case_presentation(QQ, "R3"), 5)
+    t = truncate(case_presentation(QQ, "R3", {})[0], 5)
     assert t.dims == [1, 0, 0, 0, 0, 0]
 
 
 def test_single_free_generator():
-    t = truncate(case_presentation(QQ, "R2_pairing_nonzero"), 5)
+    # kernel vectors of [[1,0,0],[0,1,0],[0,0,0]] and of its transpose
+    p, _ = case_presentation(QQ, "R2_pairing_nonzero", {"s": (0, 0, 1), "t": (0, 0, 1)})
+    t = truncate(p, 5)
     assert t.dims == [1] * 6
 
 
@@ -65,8 +75,7 @@ def test_rank_one_case_presentations_all_grow_linearly():
              ("R1c", (2, 1, 1), 1, 1), ("R1d", (4, 1, 2), 2, 0),
              ("R1e", (4, 3, 1), 0, 2), ("R1f", (0, 1, 1), 0, 0))
     for label, row, l1, l2 in cases:
-        p = case_presentation(QQ, label, row=row, l1=l1, l2=l2)
-        assert truncate(p, 6).dims == [1, 2, 3, 4, 5, 6, 7], label
+        assert truncate(rank_one(QQ, label, row, l1, l2), 6).dims == [1, 2, 3, 4, 5, 6, 7], label
 
 
 def test_dims_match_full_span_oracle():
@@ -75,8 +84,8 @@ def test_dims_match_full_span_oracle():
         pres("gen x:1, y:1; rel x^2 + x*y + y*x + y^2"),
         pres("gen x:1, y:1; rel x*y + y*x"),
         pres("gen x:1, y:2; rel x^2; rel x*y - y*x"),
-        case_presentation(QQ, "R0"),
-        case_presentation(QQ, "R1d", row=(4, 1, 2), l1=2, l2=0),
+        case_presentation(QQ, "R0", {})[0],
+        rank_one(QQ, "R1d", (4, 1, 2), 2, 0),
     ]
     for p in samples:
         bound = 5 if len(p.generators) < 3 else 4
@@ -92,7 +101,7 @@ ORACLE_TEXTS = {"one-sided": "gen x:1, y:1; rel y^2",
 @pytest.mark.parametrize("name", ["one-sided", "two-sided", "linear", "R1d"])
 def test_word_tables_match_the_free_word_oracle(F, name):
     if name == "R1d":  # a degree-2 generator
-        p = case_presentation(F, "R1d", row=(4, 1, 2), l1=2, l2=0)
+        p = rank_one(F, "R1d", (4, 1, 2), 2, 0)
     else:
         p = parse_presentation(F, ORACLE_TEXTS[name])
     bound = 6
@@ -137,8 +146,15 @@ def test_normal_form_examples():
     yxy = t.normal_form({(1, 0, 1): QQ.one})
     assert yxy and all(not QQ.is_zero(c) for c in yxy.values())
     # R1c with m12 = 1, m13 = 0: the square of the first generator dies
-    t1 = truncate(case_presentation(QQ, "R1c", row=(1, 1, 0), l1=1, l2=1), 4)
+    t1 = truncate(rank_one(QQ, "R1c", (1, 1, 0), 1, 1), 4)
     assert t1.normal_form({(0, 0): QQ.one}) == {}
+
+
+def test_negative_bound_is_rejected():
+    # also without relations, where no relation degree bounds it from below
+    for text in ("gen x:1, y:1; rel y^2", "gen x:1", ""):
+        with pytest.raises(ValueError, match="negative"):
+            truncate(pres(text), -1)
 
 
 def test_normal_form_degree_overflow():
@@ -150,7 +166,7 @@ def test_normal_form_degree_overflow():
 def test_multiplication_is_associative_on_samples():
     rng = random.Random(31)
     for p in (pres("gen x:1, y:1; rel x^2 + x*y + y*x + y^2"),
-              case_presentation(QQ, "R1f", row=(0, 1, 1), l1=0, l2=0)):
+              rank_one(QQ, "R1f", (0, 1, 1), 0, 0)):
         assert truncate(p, 6).check_associativity(rng, samples=25)
 
 

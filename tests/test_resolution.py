@@ -3,13 +3,13 @@ import json
 
 import pytest
 
-from dgskew.classify import classify
+from dgskew.classify import case_presentation, classify, predicted_vs_certified
 from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField, field_from_name
 from dgskew.linalg import Matrix, RowSpan
-from dgskew.presentations import case_presentation, parse_presentation, truncate
+from dgskew.presentations import parse_presentation, truncate
 from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
-                               minimal_resolution, predicted_vs_certified,
+                               minimal_resolution,
                                _assert_complex, _block_dim, _dual_columns, _map_columns,
                                _module_dim,
                                _verify_cocycle, _verify_independent)
@@ -117,7 +117,8 @@ def test_right_side_via_opposite_algebra():
 
 
 def test_three_generator_case_certificate_consistent():
-    p = case_presentation(QQ, "R1f", row=(0, 1, 1), l1=0, l2=0)
+    p, _ = case_presentation(QQ, "R1f", {"row": (0, 1, 1), "l1": 0, "l2": 0,
+                                         "permutation": (1, 2, 3)})
     cert = gorenstein_certificate(p, hom_bound=5, int_bound=10)
     assert cert.verdict == "ConsistentUpToCutoff"
 
