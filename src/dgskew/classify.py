@@ -30,7 +30,7 @@ from math import comb
 
 from .cohomology import cohomology
 from .dg import DGSpec
-from .fields import normalized
+from .fields import QQ, normalized
 from .linalg import Matrix, RowSpan
 from .presentations import AlgebraPresentation, Generator, truncate
 from .resolution import GorensteinVerdict, gorenstein_certificate
@@ -69,15 +69,15 @@ class Classification:
     generator_reps: list  # [(name, GradedElement)] in the original variables
 
     def to_json(self) -> dict:
+        # the permutation holds indices and F_p scalars are ints, both JSON
+        # numbers; Q scalars, integral ones included, are text
         F = self.field
-        params = {}
-        for k, v in self.parameters.items():
-            if isinstance(v, (tuple, list)):
-                params[k] = [F.to_str(x) if not isinstance(x, int) else x for x in v]
-            elif isinstance(v, int):
-                params[k] = v
-            else:
-                params[k] = F.to_str(v)
+
+        def out(k, x):
+            return F.to_str(x) if F == QQ and k != "permutation" else x
+
+        params = {k: [out(k, x) for x in v] if isinstance(v, (tuple, list)) else out(k, v)
+                  for k, v in self.parameters.items()}
         return {
             "field": F.name,
             "matrix": self.matrix.to_json(),
@@ -306,8 +306,8 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
         pairing_nonzero = bool(c.parameters["pairing"])
         probes.append(Probe("square_vs_pairing", (not square.is_zero) == pairing_nonzero,
                             f"pairing nonzero={pairing_nonzero}, square nonzero={not square.is_zero}"))
-        probes.append(Probe("cubic_constraint_rank", cubic_cocycle_rank(M) == 5,
-                            f"rank={cubic_cocycle_rank(M)}"))
+        cubic = cubic_cocycle_rank(M)
+        probes.append(Probe("cubic_constraint_rank", cubic == 5, f"rank={cubic}"))
         ideal = squares_ideal_analysis(M, bound=max_degree)
         probes.append(Probe("squares_ideal", ideal.ok, f"dims={ideal.quotient_dims}"))
         if c.case_label == "R2_pairing_zero":
@@ -337,8 +337,8 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
                             f"computed={report.dims[2]} presentation={hilbert[2]}"))
 
     if c.rank == 3:
-        probes.append(Probe("cubic_constraint_rank", cubic_cocycle_rank(M) == 6,
-                            f"rank={cubic_cocycle_rank(M)}"))
+        cubic = cubic_cocycle_rank(M)
+        probes.append(Probe("cubic_constraint_rank", cubic == 6, f"rank={cubic}"))
 
     return CrosscheckReport(c, max_degree, report.dims, probes)
 

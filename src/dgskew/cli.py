@@ -117,6 +117,8 @@ def _build_config(args) -> JobConfig:
         raise UsageError("--max-degree must be >= 2")
     if cfg.hom_bound < 1:
         raise UsageError("--hom-bound must be >= 1")
+    if cfg.int_bound < 0:
+        raise UsageError("--int-bound must be >= 0")
     return cfg
 
 
@@ -151,8 +153,8 @@ def _cmd_crosscheck(cfg: JobConfig) -> int:
     M = cfg.require_matrix()
     try:
         report = crosscheck(M, cfg.max_degree)
-    except ValueError as e:  # e.g. a --max-degree below the relation degree
-        raise UsageError(str(e)) from e
+    except ValueError as e:  # a --max-degree below the relation degree
+        raise UsageError(f"--max-degree {cfg.max_degree} is too small: {e}") from e
     lines = [f"case {report.classification.case_label}, dims {report.computed_dims}"]
     for p in report.probes:
         lines.append(f"  [{'ok' if p.ok else 'FALSIFIED'}] {p.name} {p.detail}")
@@ -164,8 +166,8 @@ def _cmd_gorenstein(cfg: JobConfig) -> int:
     M = cfg.require_matrix()
     try:
         comparison = predicted_vs_certified(M, cfg.hom_bound, cfg.int_bound)
-    except ValueError as e:  # e.g. an --int-bound below the relation degree
-        raise UsageError(str(e)) from e
+    except ValueError as e:  # an --int-bound below the relation degree
+        raise UsageError(f"--int-bound {cfg.int_bound} is too small: {e}") from e
     summary = [comparison.detail, comparison.certificate.table.render()]
     if comparison.certificate.witness:
         for w in comparison.certificate.witness:

@@ -2,8 +2,10 @@
 
 A computation fixes one *session field* up front; matrices and graded
 elements carry a reference to it and refuse to mix with another field.
-Rational scalars are `fractions.Fraction`, prime-field scalars are ints
-in ``[0, p)``.  There is no floating point anywhere.
+A rational scalar is an int when it is integral and a `fractions.Fraction`
+with denominator > 1 otherwise, so each value has one form and integer
+data computes on int arithmetic; prime-field scalars are ints in
+``[0, p)``.  There is no floating point anywhere.
 
 The engine combines scalars with the native operators, on sparse
 ``{key: scalar}`` dicts, and brings each result to normal form once through
@@ -34,30 +36,37 @@ class FieldMismatchError(TypeError):
     """Raised when values from two different session fields are combined."""
 
 
+def _rational(x):
+    """The canonical form of the rational x: an int when integral, else a
+    `Fraction` (whose denominator is then > 1)."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 class Rationals:
-    """The field Q.  Scalars are `Fraction` instances."""
+    """The field Q.  A scalar is an int when integral, else a `Fraction`
+    with denominator > 1."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, x) -> Fraction:
+    def coerce(self, x):
         if isinstance(x, Fraction):
-            return x
+            return _rational(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
-            return Fraction(x.strip())
+            return _rational(Fraction(x.strip()))
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
@@ -65,11 +74,11 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return Fraction(1) / a
+        return _rational(Fraction(1) / a)
 
     def div(self, a, b):
-        # plain ints are valid rationals; keep the quotient exact
-        return Fraction(a) / b
+        # Fraction(a), not a: the quotient of two ints stays exact
+        return _rational(Fraction(a) / b)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -213,13 +222,15 @@ def _modulus(field):
 
 def normalized(field, vec):
     """The nonzero entries of vec, a dense sequence or a sparse dict with
-    any keys, as a fresh dict of normalized field scalars: `Fraction`s over
-    Q, ints in [1, p) over F_p.  Over Q vec may hold ints, over F_p
-    unreduced ints."""
+    any keys, as a fresh dict of normalized field scalars: over Q ints and
+    `Fraction`s with denominator > 1, over F_p ints in [1, p).  Over Q vec
+    may hold integral `Fraction`s, over F_p unreduced ints."""
     p = _modulus(field)
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
     if p is None:
-        return {j: x if type(x) is Fraction else Fraction(x) for j, x in items if x}
+        # `_rational`, inlined: this is the engine's hottest loop
+        return {j: x.numerator if type(x) is Fraction and x.denominator == 1 else x
+                for j, x in items if x}
     return {j: y for j, x in items if (y := x % p)}
 
 

@@ -8,9 +8,10 @@ the matrices this engine meets are mostly ~97% zeros.  Over F_p the rows
 hold ints reduced mod p.  Over Q they are fraction-free (Bareiss 1968): each
 row is a primitive integer row over one positive denominator, vectors are
 cleared of denominators when they come in, and elimination multiplies and
-subtracts ints, so no `Fraction` arithmetic runs inside it; `Fraction`s are
-built only for the scalars the span hands back.  The inner loops apply the
-native operators directly, so every step is exact.
+subtracts ints, so no `Fraction` arithmetic runs inside it.  The scalars
+the span hands back are in the canonical form of `fields`: an int when
+integral, a `Fraction` only when a denominator is left.  The inner loops
+apply the native operators directly, so every step is exact.
 
 Pivots sit at the first nonzero coordinate, so a span has exactly one
 reduced echelon form.  Echelon rows, kernel bases, residues and coefficient
@@ -24,8 +25,9 @@ densify what it hands back, and `mul` and `apply` visit only nonzero
 entries.  Maps that are built column by column stay sparse:
 `columns_to_rows` turns their columns into the rows a `RowSpan` eliminates,
 and `apply_columns` applies them to a sparse vector.
-Scalars come to normal form through `fields.normalized`; the only Field
-methods called here are `coerce`, on the entries `Matrix.from_rows` takes
+Scalars come to normal form through `fields.normalized` (one at a time,
+in `Matrix.mul` and `apply`, through its scalar step `_rational`); the only
+Field methods called here are `coerce`, on the entries `Matrix.from_rows` takes
 from outside, and `to_str`, on output.
 """
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import _modulus, check_same_field, normalized
+from .fields import _modulus, _rational, check_same_field, normalized
 
 
 def _integral(vec):
@@ -57,6 +59,11 @@ def _integral(vec):
     for j in w:
         w[j] *= den // dens.get(j, 1)
     return den, w
+
+
+def _ratio(x, den):
+    """The rational x / den in canonical form, for ints x and den > 0."""
+    return x // den if x % den == 0 else Fraction(x, den)
 
 
 def dense(field, width, vec):
@@ -150,7 +157,7 @@ class Matrix:
                 if a:
                     for k, b in brow:
                         acc[k] += a * b
-            out.append(tuple(acc) if p is None else tuple(x % p for x in acc))
+            out.append(tuple(map(_rational, acc)) if p is None else tuple(x % p for x in acc))
         return Matrix(F, self.nrows, other.ncols, tuple(out))
 
     def apply(self, vec):
@@ -167,7 +174,7 @@ class Matrix:
                 a = r[j]
                 if a:
                     acc += a * b
-            out.append(acc if p is None else acc % p)
+            out.append(_rational(acc) if p is None else acc % p)
         return tuple(out)
 
     def _echelon(self) -> "RowSpan":
@@ -230,12 +237,14 @@ class RowSpan:
     that shares no common factor with them, standing for the row
     e_q + tail / c.  That form is unique, and all elimination over Q runs
     on ints: a vector is brought to one common denominator when it comes
-    in, and `Fraction`s are built only for the scalars handed back.
+    in, and a `Fraction` is built only for a scalar handed back whose
+    denominator does not cancel.
 
     Vectors are sparse ``{index: nonzero}`` dicts; the dense rows of a
     `Matrix` load as well.  Every vector handed back is a fresh such dict
-    holding normalized scalars (`Fraction` over Q, ints in [1, p) over
-    F_p); `express` hands back a list of coefficients, one per row.
+    holding normalized scalars (over Q an int when integral, else a
+    `Fraction`; over F_p ints in [1, p)); `express` hands back a list of
+    coefficients, one per row.
     """
 
     def __init__(self, field, width: int):
@@ -289,11 +298,11 @@ class RowSpan:
         return w, s
 
     def _scalars(self, w, den):
-        """The loaded vector w / den with normalized field scalars (a fresh
-        dict over Q; w itself over F_p, where den is 1)."""
-        if self._p is None:
-            return {j: Fraction(x, den) for j, x in w.items()}
-        return w
+        """The loaded vector w / den with normalized field scalars: w itself
+        when den is 1 (always over F_p), else a fresh dict."""
+        if den == 1:
+            return w
+        return {j: _ratio(x, den) for j, x in w.items()}
 
     def _insert(self, w) -> bool:
         """Insert the loaded vector w, which the span may keep and change."""
@@ -354,7 +363,7 @@ class RowSpan:
             for q, tail in self._rows.items():
                 c = self._den[q]
                 for f, x in tail.items():
-                    basis[f][q] = Fraction(-x, c)
+                    basis[f][q] = _ratio(-x, c)
         else:
             for q, tail in self._rows.items():
                 for f, x in tail.items():
@@ -399,13 +408,14 @@ class RowSpan:
         coeffs = [w.get(q, 0) for q in self.pivots]
         if self._reduce(w)[0]:
             return None
-        if self._p is None:
-            return [Fraction(x, den) for x in coeffs]
-        return coeffs
+        if den == 1:
+            return coeffs
+        return [_ratio(x, den) for x in coeffs]
 
     def rows_sparse(self):
         """The reduced echelon rows, sorted by pivot, as fresh sparse dicts."""
         one = self.field.one
+        # `_scalars` may hand back the stored tail itself; ** copies it
         return [{q: one, **self._scalars(self._rows[q], self._den.get(q, 1))}
                 for q in self.pivots]
 

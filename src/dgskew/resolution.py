@@ -175,6 +175,8 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
     if hom_bound < 1:
         raise ValueError("hom_bound must be >= 1")
     D = t.bound if int_bound is None else int_bound
+    if D < 0:
+        raise ValueError(f"int_bound {D} is negative")
     if D > t.bound:
         raise ValueError("int_bound exceeds the algebra truncation")
     F = t.field

@@ -214,6 +214,17 @@ def test_classification_json_round_trip():
     assert '"gorenstein": "NonGorenstein"' in payload
 
 
+def test_integral_q_parameters_print_as_text():
+    # Q scalars are text even when integral; the permutation's indices and
+    # F_p scalars are JSON numbers
+    rows = [[0, 1, 1], [0, 1, 1], [0, 1, 1]]
+    params = classify(mat(rows)).to_json()["parameters"]
+    assert (params["l1"], params["l2"]) == ("1", "1")
+    assert params["row"] == ["0", "1", "1"] and params["permutation"] == [1, 2, 3]
+    params = classify(Matrix.from_rows(field_from_name("Fp:7"), rows)).to_json()["parameters"]
+    assert (params["l1"], params["l2"], params["row"]) == (1, 1, [0, 1, 1])
+
+
 # one matrix per case label; the rational ones see denominators, and the
 # R1b one has a zero first row, so its normalization permutes variables
 CASE_MATRICES = {

@@ -120,30 +120,34 @@ def test_suite_subset(capsys):
     assert "criterion  5" in out and "PASS" in out
 
 
-@pytest.mark.parametrize("argv,config", [
-    (["paper-suite", "--criteria", "a"], None),
-    (["paper-suite", "--criteria", "13"], None),
-    (["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"], None),
-    (["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"], None),
-    (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]", "--int-bound", "-1"], None),
-    (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,0]]", "--int-bound", "-1"], None),
-    (["crosscheck", "--matrix", "[[4,1,2],[8,2,4],[0,0,0]]", "--max-degree", "2"], None),
-    (["crosscheck", "--matrix", "[[1,0,0],[0,0,1],[0,0,0]]", "--max-degree", "2"], None),
-    (["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"], None),
-    (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": "x"}'),
-    (["cohomology", "--matrix", FLAGSHIP], "[1, 2]"),
-    (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": 4.5}'),
-    (["classify", "--matrix", '[["1e5000",0,0],[0,1,0],[0,0,1]]'], None),
-    (["classify", "--matrix", '[["0.5",0,0],[0,1,0],[0,0,1]]'], None),
-    (["classify", "--matrix", '[[true,0,0],[0,1,0],[0,0,1]]'], None),
-    (["classify", "--matrix", '[[[true,2],0,0],[0,1,0],[0,0,1]]'], None),
+@pytest.mark.parametrize("argv,config,option", [
+    (["paper-suite", "--criteria", "a"], None, None),
+    (["paper-suite", "--criteria", "13"], None, None),
+    (["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"], None, "--hom-bound"),
+    (["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"], None, "--int-bound"),
+    (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]", "--int-bound", "-1"], None,
+     "--int-bound"),
+    (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,0]]", "--int-bound", "-1"], None,
+     "--int-bound"),
+    (["crosscheck", "--matrix", "[[4,1,2],[8,2,4],[0,0,0]]", "--max-degree", "2"], None,
+     "--max-degree"),
+    (["crosscheck", "--matrix", "[[1,0,0],[0,0,1],[0,0,0]]", "--max-degree", "2"], None,
+     "--max-degree"),
+    (["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"], None, None),
+    (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": "x"}', None),
+    (["cohomology", "--matrix", FLAGSHIP], "[1, 2]", None),
+    (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": 4.5}', None),
+    (["classify", "--matrix", '[["1e5000",0,0],[0,1,0],[0,0,1]]'], None, None),
+    (["classify", "--matrix", '[["0.5",0,0],[0,1,0],[0,0,1]]'], None, None),
+    (["classify", "--matrix", '[[true,0,0],[0,1,0],[0,0,1]]'], None, None),
+    (["classify", "--matrix", '[[[true,2],0,0],[0,1,0],[0,0,1]]'], None, None),
 ], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
         "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
         "crosscheck-degree-2-r2-pairing-zero", "unwritable-out",
         "config-string-degree", "config-not-an-object", "config-fractional-degree",
         "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
         "matrix-json-true-in-pair"])
-def test_bad_input_is_a_one_line_usage_error(argv, config, tmp_path, capsys):
+def test_bad_input_is_a_one_line_usage_error(argv, config, option, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "job.json"
         cfg.write_text(config)
@@ -151,3 +155,5 @@ def test_bad_input_is_a_one_line_usage_error(argv, config, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a bad bound is named by the option the user set
+    assert option is None or option in err, err

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import (dense_inverse, dense_kernel, dense_rref, span_echelon, span_kernel,
                      span_reduce)
 
-from dgskew.fields import CANDIDATE_PRIMES, QQ, PrimeField
+from dgskew.fields import CANDIDATE_PRIMES, QQ, PrimeField, normalized
 from dgskew.linalg import Matrix, RowSpan, dense, extend_independent
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
@@ -132,12 +132,18 @@ def as_text(F, rows):
     return [[F.to_str(x) for x in row] for row in rows]
 
 
+def canonical(x):
+    """x is a Q scalar in canonical form: an int, or a `Fraction` whose
+    denominator is > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def assert_exact(F, vectors):
-    """Over Q every scalar handed back is a `Fraction`, never an int."""
+    """Over Q every scalar handed back is in canonical form."""
     if F == QQ:
         for v in vectors:
             values = v.values() if isinstance(v, dict) else v
-            assert all(type(x) is Fraction for x in values), v
+            assert all(canonical(x) for x in values), v
 
 
 @pytest.mark.parametrize("F,matrices", CASES, ids=CASE_IDS)
@@ -227,3 +233,49 @@ def test_rowspan_matches_reference(F, matrices, data):
             assert as_text(F, [got]) == as_text(F, [coeffs])
             assert_exact(F, [got])
         assert_exact(F, [reduced, sparse])
+
+
+# -- the canonical form of Q scalars ---------------------------------------
+
+# ints and quotients, integral ones such as 4/2 among them
+q_scalars = st.one_of(st.integers(-12, 12),
+                      st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4)))
+q_vectors = st.lists(q_scalars, min_size=4, max_size=4)
+
+
+def sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def assert_canonical(got, want):
+    """got, a sparse dict or a list, holds the exact values of want, each
+    in canonical form."""
+    assert got == want
+    values = got.values() if isinstance(got, dict) else got
+    assert all(canonical(x) for x in values), got
+
+
+@given(st.lists(q_vectors, min_size=1, max_size=5), q_vectors, q_scalars, q_scalars)
+@settings(max_examples=150, deadline=None)
+def test_q_scalars_come_back_canonical(vectors, probe, a, b):
+    assert_canonical(normalized(QQ, probe), sparse(probe))
+    assert_canonical(normalized(QQ, dict(enumerate(probe))), sparse(probe))
+    assert_canonical([QQ.coerce(a), QQ.coerce(str(Fraction(a)))], [a, a])
+    if b:
+        assert_canonical([QQ.inv(b), QQ.div(a, b)], [1 / Fraction(b), Fraction(a) / b])
+    span = RowSpan(QQ, 4)
+    span.extend(vectors)
+    echelon = span_echelon(QQ, vectors, 4)
+    for got, (_, want) in zip(span.rows_sparse(), echelon, strict=True):
+        assert_canonical(got, sparse(want))
+    for got, want in zip(span.kernel_sparse(), span_kernel(QQ, echelon, 4), strict=True):
+        assert_canonical(got, sparse(want))
+    member = [x + y for x, y in zip(vectors[0], vectors[-1])]
+    for vec in (member, probe):
+        residue, coeffs = span_reduce(QQ, echelon, vec)
+        assert_canonical(span.reduce(vec), sparse(residue))
+        got = span.express(vec)
+        if any(residue):
+            assert got is None
+        else:
+            assert_canonical(got, coeffs)

@@ -147,6 +147,14 @@ def test_bound_insufficient_is_reported_with_location():
     assert err.value.degree == 4
 
 
+def test_int_bound_outside_the_truncation_is_rejected():
+    t = truncate(parse_presentation(QQ, ONE_SIDED), 6)
+    with pytest.raises(ValueError, match="negative"):
+        minimal_resolution(t, 3, -1)
+    with pytest.raises(ValueError, match="exceeds"):
+        minimal_resolution(t, 3, 7)
+
+
 def test_windows_shrink_with_the_generator_degrees():
     res = resolve("gen x:1, y:1; rel y^2", hom_bound=4)
     assert [res.window(i) for i in range(4)] == [9, 8, 7, 6]
