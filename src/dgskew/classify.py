@@ -96,19 +96,19 @@ def normalize_rank_one(M: Matrix) -> RankOneForm:
     Deterministic: the first nonzero entry of u moves to position one via a
     transposition (a 0/1 monomial-matrix conjugation, rank and cohomology
     invariant).  Returns row = u[0] * v, the first row of the permuted
-    matrix, and l_i = u[i] / u[0].
+    matrix, and l_i = u[i] / u[0].  Raises ValueError unless M has rank 1,
+    read off the factorization itself: M is nonzero and equals u v^T.
     """
     F = M.field
-    if M.rank() != 1:
+    # row i of M is u[i] times v, its first nonzero row
+    v = next((r for r in M.entries if any(r)), None)
+    if v is None:
         raise ValueError("matrix does not have rank 1")
-
-    def factor(mat):
-        # row i of mat is u[i] times v, its first nonzero row
-        v = next(r for r in mat.entries if any(r))
-        j = next(j for j, x in enumerate(v) if x)
-        return tuple(F.div(mat[i, j], v[j]) for i in range(3))
-
-    u = factor(M)
+    j = next(j for j, x in enumerate(v) if x)
+    u = tuple(F.div(row[j], v[j]) for row in M.entries)
+    if any(normalized(F, [x - ui * vk for x, vk in zip(row, v)])
+           for row, ui in zip(M.entries, u)):
+        raise ValueError("matrix does not have rank 1")
     perm = (0, 1, 2)
     mat = M
     if not u[0]:
@@ -117,18 +117,19 @@ def normalize_rank_one(M: Matrix) -> RankOneForm:
         p[0], p[i] = p[i], p[0]
         perm = tuple(p)
         mat = Matrix.from_rows(F, [[M[perm[r], perm[c]] for c in range(3)] for r in range(3)])
-        u = factor(mat)
+        u = tuple(u[k] for k in perm)  # the permuted matrix factors with u o perm
     return RankOneForm(row=mat.row(0), l1=F.div(u[1], u[0]), l2=F.div(u[2], u[0]),
                        permutation=perm, matrix=mat)
 
 
 def classify(M: Matrix) -> Classification:
     F = M.field
-    rank = M.rank()
+    kernel = M.kernel_basis()
+    rank = 3 - len(kernel)
     label, params, verdict = f"R{rank}", {}, GORENSTEIN
 
     if rank == 2:
-        s = M.kernel_basis()[0]
+        s = kernel[0]
         t = M.transpose().kernel_basis()[0]
         pairing = normalized(F, {0: sum(si * ti * ti for si, ti in zip(s, t))}).get(0, F.zero)
         label = "R2_pairing_nonzero" if pairing else "R2_pairing_zero"
@@ -396,10 +397,9 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     third dependent, quotient Hilbert function all ones.
     """
     F = M.field
-    if M.rank() != 2:
-        raise ValueError("squares_ideal_analysis requires a rank-2 matrix")
-
     _, pivots = M.rref()
+    if len(pivots) != 2:
+        raise ValueError("squares_ideal_analysis requires a rank-2 matrix")
     free = next(j for j in range(3) if j not in pivots)
 
     # the degree-n monomials in u1, u2, u3 are the exponent triples of

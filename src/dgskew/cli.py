@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: cohomology, classify, crosscheck, gorenstein, transform,
-paper-suite.  Structured output is JSON (rationals as "p/q" strings, fixed
-orderings, byte-identical across runs); a text summary goes to stdout.
+Each subcommand is declared once, in `SUBCOMMANDS`: its name, help text,
+handler and the options its handler reads; every subcommand also takes
+--field, --config and --out.  Structured output is JSON (rationals as
+"p/q" strings, fixed orderings, byte-identical across runs); a text summary
+goes to stdout.
 Exit status: 0 success/pass, 1 falsification, 2 usage error.
 """
 
@@ -14,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .classify import classify, crosscheck, predicted_vs_certified
 from .cohomology import cohomology
@@ -43,6 +46,7 @@ class JobConfig:
     int_bound: int = 10
     transform: Matrix | None = None
     out: str | None = None
+    criteria: set | None = None  # paper-suite's --criteria; None runs them all
 
     def require_matrix(self) -> Matrix:
         if self.matrix is None:
@@ -119,6 +123,7 @@ def _build_config(args) -> JobConfig:
         raise UsageError("--hom-bound must be >= 1")
     if cfg.int_bound < 0:
         raise UsageError("--int-bound must be >= 0")
+    cfg.criteria = _parse_criteria(getattr(args, "criteria", None))
     return cfg
 
 
@@ -133,23 +138,21 @@ def _emit(cfg: JobConfig, payload: dict, summary: str):
     print(summary)
 
 
-def _cmd_cohomology(cfg: JobConfig) -> int:
+def _cmd_cohomology(cfg: JobConfig) -> tuple:
     M = cfg.require_matrix()
     report = cohomology(DGSpec(cfg.field, M), cfg.max_degree)
-    _emit(cfg, report.to_json(), f"dims: {report.dims}")
-    return 0
+    return report.to_json(), f"dims: {report.dims}", 0
 
 
-def _cmd_classify(cfg: JobConfig) -> int:
+def _cmd_classify(cfg: JobConfig) -> tuple:
     M = cfg.require_matrix()
     c = classify(M)
-    _emit(cfg, c.to_json(),
-          f"rank {c.rank}, case {c.case_label}, verdict {c.predicted_gorenstein}\n"
-          f"presentation: {c.predicted_presentation.render()}")
-    return 0
+    summary = (f"rank {c.rank}, case {c.case_label}, verdict {c.predicted_gorenstein}\n"
+               f"presentation: {c.predicted_presentation.render()}")
+    return c.to_json(), summary, 0
 
 
-def _cmd_crosscheck(cfg: JobConfig) -> int:
+def _cmd_crosscheck(cfg: JobConfig) -> tuple:
     M = cfg.require_matrix()
     try:
         report = crosscheck(M, cfg.max_degree)
@@ -158,11 +161,10 @@ def _cmd_crosscheck(cfg: JobConfig) -> int:
     lines = [f"case {report.classification.case_label}, dims {report.computed_dims}"]
     for p in report.probes:
         lines.append(f"  [{'ok' if p.ok else 'FALSIFIED'}] {p.name} {p.detail}")
-    _emit(cfg, report.to_json(), "\n".join(lines))
-    return 0 if report.ok else 1
+    return report.to_json(), "\n".join(lines), 0 if report.ok else 1
 
 
-def _cmd_gorenstein(cfg: JobConfig) -> int:
+def _cmd_gorenstein(cfg: JobConfig) -> tuple:
     M = cfg.require_matrix()
     try:
         comparison = predicted_vs_certified(M, cfg.hom_bound, cfg.int_bound)
@@ -172,11 +174,10 @@ def _cmd_gorenstein(cfg: JobConfig) -> int:
     if comparison.certificate.witness:
         for w in comparison.certificate.witness:
             summary.append(f"witness (hom {w.hom_degree}, internal {w.internal_degree}): {w.rendered}")
-    _emit(cfg, comparison.to_json(), "\n".join(summary))
-    return 0 if comparison.consistent else 1
+    return comparison.to_json(), "\n".join(summary), 0 if comparison.consistent else 1
 
 
-def _cmd_transform(cfg: JobConfig) -> int:
+def _cmd_transform(cfg: JobConfig) -> tuple:
     M = cfg.require_matrix()
     if cfg.transform is None:
         raise UsageError("--transform (a 3x3 monomial matrix as JSON) is required")
@@ -187,23 +188,19 @@ def _cmd_transform(cfg: JobConfig) -> int:
     lines = [f"transformed: {report.transformed}",
              f"dims: {report.dims_before} vs {report.dims_after}"]
     lines += [f"FALSIFIED: {f}" for f in report.falsifications]
-    _emit(cfg, report.to_json(), "\n".join(lines))
-    return 0 if report.ok else 1
+    return report.to_json(), "\n".join(lines), 0 if report.ok else 1
 
 
-def _cmd_verify(cfg: JobConfig) -> int:
+def _cmd_verify(cfg: JobConfig) -> tuple:
     M = cfg.require_matrix()
     report = verify_dg(DGSpec(cfg.field, M), cfg.max_degree)
-    payload = {"ok": report.ok, "failures": report.failures}
-    _emit(cfg, payload, "all differential checks pass" if report.ok
-          else "\n".join(report.failures))
-    return 0 if report.ok else 1
+    summary = "all differential checks pass" if report.ok else "\n".join(report.failures)
+    return {"ok": report.ok, "failures": report.failures}, summary, 0 if report.ok else 1
 
 
-def _cmd_suite(cfg: JobConfig, numbers) -> int:
-    report = run_suite(cfg.field, numbers=numbers)
-    _emit(cfg, report.to_json(), report.render())
-    return 0 if report.all_passed else 1
+def _cmd_suite(cfg: JobConfig) -> tuple:
+    report = run_suite(cfg.field, numbers=cfg.criteria)
+    return report.to_json(), report.render(), 0 if report.all_passed else 1
 
 
 def _parse_criteria(text):
@@ -214,62 +211,78 @@ def _parse_criteria(text):
     return {int(p) for p in pieces} or None
 
 
+# every option a subcommand may take, by its dest (the flag is --dest with
+# dashes), in --help order
+OPTIONS = {
+    "matrix": {"help": "3x3 JSON array; entries int or 'p/q'"},
+    "field": {"help": f"Q (default) or Fp:<prime>; env {FIELD_ENV_VAR} sets the default"},
+    "max_degree": {"type": int},
+    "hom_bound": {"type": int},
+    "int_bound": {"type": int},
+    "config": {"help": "JSON file with default options"},
+    "out": {"help": "write the JSON report here"},
+    "transform": {"help": "3x3 monomial matrix as JSON"},
+    "criteria": {"help": "comma-separated criterion numbers, e.g. 1,5,7"},
+}
+
+SHARED_OPTIONS = ("field", "config", "out")
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    name: str
+    help: str
+    handler: Callable  # handler(cfg) -> (JSON payload, text summary, exit status)
+    options: tuple  # read by the handler, beyond SHARED_OPTIONS
+
+
+SUBCOMMANDS = (
+    Subcommand("cohomology", "degreewise dims and bases", _cmd_cohomology,
+               ("matrix", "max_degree")),
+    Subcommand("classify", "case, presentation, verdict", _cmd_classify, ("matrix",)),
+    Subcommand("crosscheck", "full prediction verification", _cmd_crosscheck,
+               ("matrix", "max_degree")),
+    Subcommand("gorenstein", "certificate pipeline", _cmd_gorenstein,
+               ("matrix", "hom_bound", "int_bound")),
+    Subcommand("verify-dg", "differential validity checks", _cmd_verify,
+               ("matrix", "max_degree")),
+    Subcommand("transform", "apply the monomial action and check invariance",
+               _cmd_transform, ("matrix", "max_degree", "transform")),
+    Subcommand("paper-suite", "run every acceptance criterion", _cmd_suite, ("criteria",)),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line on stderr, like every other usage error
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dgskew",
         description="Exact cohomology, classification and Gorenstein "
                     "certificates for matrix differentials on the "
                     "three-variable skew polynomial algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, matrix=True):
-        if matrix:
-            p.add_argument("--matrix", help="3x3 JSON array; entries int or 'p/q'")
-        p.add_argument("--field", help="Q (default) or Fp:<prime>; "
-                                       f"env {FIELD_ENV_VAR} sets the default")
-        p.add_argument("--max-degree", dest="max_degree", type=int)
-        p.add_argument("--hom-bound", dest="hom_bound", type=int)
-        p.add_argument("--int-bound", dest="int_bound", type=int)
-        p.add_argument("--config", help="JSON file with default options")
-        p.add_argument("--out", help="write the JSON report here")
-
-    common(sub.add_parser("cohomology", help="degreewise dims and bases"))
-    common(sub.add_parser("classify", help="case, presentation, verdict"))
-    common(sub.add_parser("crosscheck", help="full prediction verification"))
-    common(sub.add_parser("gorenstein", help="certificate pipeline"))
-    common(sub.add_parser("verify-dg", help="differential validity checks"))
-    t = sub.add_parser("transform", help="apply the monomial action and check invariance")
-    common(t)
-    t.add_argument("--transform", help="3x3 monomial matrix as JSON")
-    s = sub.add_parser("paper-suite", help="run every acceptance criterion")
-    common(s, matrix=False)
-    s.add_argument("--criteria", help="comma-separated criterion numbers, e.g. 1,5,7")
+    for command in SUBCOMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        p.set_defaults(handler=command.handler)
+        for name, kwargs in OPTIONS.items():
+            if name in command.options or name in SHARED_OPTIONS:
+                p.add_argument("--" + name.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         cfg = _build_config(args)
-        if args.command == "cohomology":
-            return _cmd_cohomology(cfg)
-        if args.command == "classify":
-            return _cmd_classify(cfg)
-        if args.command == "crosscheck":
-            return _cmd_crosscheck(cfg)
-        if args.command == "gorenstein":
-            return _cmd_gorenstein(cfg)
-        if args.command == "verify-dg":
-            return _cmd_verify(cfg)
-        if args.command == "transform":
-            return _cmd_transform(cfg)
-        if args.command == "paper-suite":
-            return _cmd_suite(cfg, _parse_criteria(args.criteria))
-        raise UsageError(f"unknown command {args.command!r}")
+        payload, summary, status = args.handler(cfg)
+        _emit(cfg, payload, summary)
+        return status
+    except SystemExit as e:  # --help
+        return e.code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -252,7 +252,6 @@ class ExtTable:
     int_bound: int
     dims: dict                      # (i, m) -> dim, only nonzero entries
     windows: list                   # window per homological degree
-    ranges: list                    # (min_m, max_m) examined per i
 
     def total_within_windows(self) -> int:
         return sum(self.dims.values())
@@ -305,17 +304,15 @@ def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     """Graded dims of ker/im in the dualized complex, per internal degree
     within each homological degree's validity window."""
     dims = {}
-    windows, ranges = [], []
+    windows = []
     rank = cache(lambda i, m: _coboundaries(report, i, m).dim)  # of d_i^* at m
     for i in range(report.hom_bound):
         win = report.window(i)
         windows.append(win)
         cur = report.step_or_none(i)
         if cur is None:
-            ranges.append((0, -1))
             continue
         lo = -max(cur.gen_degrees)
-        ranges.append((lo, win))
         nxt = report.step_or_none(i + 1)
         for m in range(lo, win + 1):
             dom = _functional_dim(report, i, m)
@@ -326,7 +323,7 @@ def ext_against_algebra(report: ResolutionReport) -> ExtTable:
                 raise AssertionError("negative Ext dimension: broken complex")
             if d:
                 dims[(i, m)] = d
-    return ExtTable(report.hom_bound, report.int_bound, dims, windows, ranges)
+    return ExtTable(report.hom_bound, report.int_bound, dims, windows)
 
 
 @dataclass

@@ -58,8 +58,11 @@ def test_normalize_rank_one_permuted():
 
 
 def test_normalize_rejects_other_ranks():
-    with pytest.raises(ValueError):
-        normalize_rank_one(mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+    # rank 2, the zero matrix, and rank 2 with a nonzero first row
+    for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0] * 3] * 3,
+                 [[1, 2, 3], [2, 4, 6], [0, 0, 1]]):
+        with pytest.raises(ValueError):
+            normalize_rank_one(mat(rows))
 
 
 def test_rank_one_outer_product_feeds_r1f():

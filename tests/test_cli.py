@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from dgskew.cli import main
+from dgskew.cli import SHARED_OPTIONS, SUBCOMMANDS, build_parser, main
 
 FLAGSHIP = "[[1,1,0],[1,1,0],[1,1,0]]"
 
@@ -141,12 +142,17 @@ def test_suite_subset(capsys):
     (["classify", "--matrix", '[["0.5",0,0],[0,1,0],[0,0,1]]'], None, None),
     (["classify", "--matrix", '[[true,0,0],[0,1,0],[0,0,1]]'], None, None),
     (["classify", "--matrix", '[[[true,2],0,0],[0,1,0],[0,0,1]]'], None, None),
+    (["classify", "--matrix", FLAGSHIP, "--max-degree", "5"], None, "--max-degree"),
+    (["gorenstein", "--matrix", FLAGSHIP, "--max-degree", "5"], None, "--max-degree"),
+    (["paper-suite", "--int-bound", "3"], None, "--int-bound"),
+    (["cohomology", "--matrix", FLAGSHIP, "--hom-bound", "3"], None, "--hom-bound"),
 ], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
         "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
         "crosscheck-degree-2-r2-pairing-zero", "unwritable-out",
         "config-string-degree", "config-not-an-object", "config-fractional-degree",
         "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
-        "matrix-json-true-in-pair"])
+        "matrix-json-true-in-pair", "classify-max-degree", "gorenstein-max-degree",
+        "paper-suite-int-bound", "cohomology-hom-bound"])
 def test_bad_input_is_a_one_line_usage_error(argv, config, option, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "job.json"
@@ -157,3 +163,13 @@ def test_bad_input_is_a_one_line_usage_error(argv, config, option, tmp_path, cap
     assert err.startswith("error: ") and err.count("\n") == 1, err
     # a bad bound is named by the option the user set
     assert option is None or option in err, err
+
+
+def test_each_subcommand_registers_exactly_its_declared_options():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == [c.name for c in SUBCOMMANDS]
+    for command in SUBCOMMANDS:
+        parser = subparsers.choices[command.name]
+        registered = {a.dest for a in parser._actions if a.dest != "help"}
+        assert registered == set(command.options) | set(SHARED_OPTIONS), command.name
