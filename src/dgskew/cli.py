@@ -108,21 +108,24 @@ def _build_config(args) -> JobConfig:
         v = getattr(args, name, None)
         return raw.get(name, default) if v is None else v
 
+    def bounded(name, default, low):
+        """pick(), range-checked; the error names the flag or config key that was set."""
+        v = pick(name, default)
+        if v < low:
+            source = (f"config {name}" if getattr(args, name, None) is None
+                      else "--" + name.replace("_", "-"))
+            raise UsageError(f"{source} must be >= {low}")
+        return v
+
     matrix_data, transform_data = pick("matrix"), pick("transform")
     cfg = JobConfig(field,
                     None if matrix_data is None else _parse_matrix(field, matrix_data),
-                    max_degree=pick("max_degree", 8),
-                    hom_bound=pick("hom_bound", 6),
-                    int_bound=pick("int_bound", 10),
+                    max_degree=bounded("max_degree", 8, 2),
+                    hom_bound=bounded("hom_bound", 6, 1),
+                    int_bound=bounded("int_bound", 10, 0),
                     transform=(None if transform_data is None
                                else _parse_matrix(field, transform_data)),
                     out=args.out or raw.get("out"))
-    if cfg.max_degree < 2:
-        raise UsageError("--max-degree must be >= 2")
-    if cfg.hom_bound < 1:
-        raise UsageError("--hom-bound must be >= 1")
-    if cfg.int_bound < 0:
-        raise UsageError("--int-bound must be >= 0")
     cfg.criteria = _parse_criteria(getattr(args, "criteria", None))
     return cfg
 

@@ -1,20 +1,21 @@
 """Truncated minimal free resolutions of the trivial module, graded Ext
 against the algebra, and Gorenstein / non-Gorenstein certificates.
 
-The resolution is built degreewise: the kernel of each differential is
-computed per internal degree, and minimal generators of the kernel are a
-complement of (augmentation ideal) * kernel, chosen greedily from the
-echelonized kernel basis (lexicographically earliest complement).  Every
-differential entry then has positive degree, which is the defining property
-of a minimal resolution.
+The resolution is built one internal degree at a time, in a single pass
+per homological step: at degree j the kernel of d_{i-1} is known, and the
+new generators of F_i are the kernel vectors outside the image of the
+generators already chosen (all of lower degree), picked greedily in kernel
+basis order.  That image is exactly (augmentation ideal) * kernel in degree
+j, because by exactness below j every lower kernel vector is d_i of an
+element of F_i, and d_i is a module map.  Every differential entry then has
+positive degree, which is the defining property of a minimal resolution.
 
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
-functional on Hom(F_i, A).  Every map of free modules (d_i, its dual, a
-generator acting on the left) is a list of sparse columns ``{row: nonzero}``,
-one per basis word of the source, read off the algebra's cached word
-products; each d_i is built once per internal degree and kept on the report
-for the complex check.
+functional on Hom(F_i, A).  Every map of free modules (d_i and its dual) is
+a list of sparse columns ``{row: nonzero}``, one per basis word of the
+source, read off the algebra's cached word products; each d_i is built once
+per internal degree and kept on the report for the complex check.
 
 All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
@@ -101,15 +102,6 @@ def _map_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int):
                            lambda a, b: step.entries[a][b], left=False)
 
 
-def _left_mul_module(t: TruncatedAlgebra, gens, gi: int, j: int):
-    """Left multiplication by generator gi on the free module with generators
-    in degrees `gens`, from internal degree j to j + |g|."""
-    e = t.presentation.generators[gi].degree
-    g = AlgElt(e, t.normal_form({(gi,): t.field.one}))
-    return _module_columns(t, [j - h for h in gens], [j + e - h for h in gens],
-                           lambda s, r: g if s == r else None, left=True)
-
-
 @dataclass
 class ResolutionReport:
     """The free modules F_0..F_n, plus per (i, j) the sparse columns of d_i
@@ -171,7 +163,15 @@ class ResolutionReport:
 def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
                        int_bound: int | None = None) -> ResolutionReport:
     """Minimal free resolution of the trivial module through `hom_bound`
-    homological steps, exact per internal degree within the truncation."""
+    homological steps, exact per internal degree within the truncation.
+
+    Step i walks the internal degrees j once.  The columns of d_i at j on
+    the generators chosen so far span d_i((A+ . F_i)_j) = (A+ . ker d_{i-1})_j,
+    since ker d_{i-1} is the image of d_i in every lower degree.  The
+    kernel vectors of d_{i-1} at j outside that span become F_i's degree-j
+    generators; their vectors complete d_i at j, whose kernel is then
+    stored for step i + 1.
+    """
     if hom_bound < 1:
         raise ValueError("hom_bound must be >= 1")
     D = t.bound if int_bound is None else int_bound
@@ -188,44 +188,37 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
         report.kernels[(0, j)] = [{k: F.one} for k in range(len(t.basis[j]))]
 
     for i in range(1, hom_bound + 1):
-        prev = report.steps[i - 1]
-        gen_vecs, gen_degs = [], []
-        for j in range(min(prev.gen_degrees) + 1, D + 1):
-            kb = report.kernels.get((i - 1, j), [])
-            if not kb:
+        prev = report.steps[i - 1].gen_degrees
+        step = FreeStep([], [])
+        for j in range(min(prev) + 1, D + 1):
+            # d_i of the generators chosen so far spans (A+ . ker d_{i-1})_j
+            cols = _map_columns(t, step, prev, j)
+            kb = report.kernels.get((i - 1, j))
+            if kb:
+                span = RowSpan(F, _module_dim(t, prev, j))
+                span.extend(cols)
+                for v in extend_independent(span, kb):
+                    step.gen_degrees.append(j)
+                    step.entries.append(
+                        [AlgElt(j - h, seg) if seg else None
+                         for h, seg in zip(prev, _segments(t, [j - h for h in prev], v))])
+                    cols.append(dict(v))     # a copy: no map column aliases a kernel vector
+            if not step.gen_degrees:
                 continue
-            span = RowSpan(F, _module_dim(t, prev.gen_degrees, j))
-            for gi, g in enumerate(t.presentation.generators):
-                below = report.kernels.get((i - 1, j - g.degree))
-                if below:
-                    cols = _left_mul_module(t, prev.gen_degrees, gi, j - g.degree)
-                    span.extend(apply_columns(F, cols, v) for v in below)
-            for v in extend_independent(span, kb):
-                gen_vecs.append((j, v))
-                gen_degs.append(j)
+            report.maps[(i, j)] = cols
+            if j > step.gen_degrees[0]:
+                span = RowSpan(F, len(cols))
+                span.extend(columns_to_rows(cols, _module_dim(t, prev, j)))
+                report.kernels[(i, j)] = span.kernel_sparse()
 
-        if not gen_vecs:
+        if not step.gen_degrees:
             report.stopped_at = i
             break
-
-        entries = [[AlgElt(j - h, seg) if seg else None
-                    for h, seg in zip(prev.gen_degrees,
-                                      _segments(t, [j - h for h in prev.gen_degrees], v))]
-                   for j, v in gen_vecs]
-        if any(e is not None and e.degree == 0 for row in entries for e in row):
+        if any(e is not None and e.degree == 0 for row in step.entries for e in row):
             raise AssertionError("degree-0 differential entry breaks minimality")
-        step = FreeStep(gen_degs, entries)
         report.steps.append(step)
-
-        if i < hom_bound and min(gen_degs) + 1 > D:
-            raise BoundInsufficientError(i, min(gen_degs) + 1)
-
-        for j in range(min(gen_degs), D + 1):
-            cols = report.maps[(i, j)] = _map_columns(t, step, prev.gen_degrees, j)
-            if j > min(gen_degs):
-                span = RowSpan(F, len(cols))
-                span.extend(columns_to_rows(cols, _module_dim(t, prev.gen_degrees, j)))
-                report.kernels[(i, j)] = span.kernel_sparse()
+        if i < hom_bound and step.gen_degrees[0] + 1 > D:
+            raise BoundInsufficientError(i, step.gen_degrees[0] + 1)
 
     _assert_complex(report)
     return report

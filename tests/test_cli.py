@@ -146,13 +146,14 @@ def test_suite_subset(capsys):
     (["gorenstein", "--matrix", FLAGSHIP, "--max-degree", "5"], None, "--max-degree"),
     (["paper-suite", "--int-bound", "3"], None, "--int-bound"),
     (["cohomology", "--matrix", FLAGSHIP, "--hom-bound", "3"], None, "--hom-bound"),
+    (["classify", "--matrix", FLAGSHIP], '{"max_degree": 1}', "max_degree"),
 ], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
         "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
         "crosscheck-degree-2-r2-pairing-zero", "unwritable-out",
         "config-string-degree", "config-not-an-object", "config-fractional-degree",
         "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
         "matrix-json-true-in-pair", "classify-max-degree", "gorenstein-max-degree",
-        "paper-suite-int-bound", "cohomology-hom-bound"])
+        "paper-suite-int-bound", "cohomology-hom-bound", "classify-config-max-degree"])
 def test_bad_input_is_a_one_line_usage_error(argv, config, option, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "job.json"
@@ -161,8 +162,11 @@ def test_bad_input_is_a_one_line_usage_error(argv, config, option, tmp_path, cap
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    # a bad bound is named by the option the user set
+    # a bad bound is named by the option or the config key the user set,
+    # and a config key is never reported as a flag
     assert option is None or option in err, err
+    if option is not None and not option.startswith("--"):
+        assert "--" + option.replace("_", "-") not in err, err
 
 
 def test_each_subcommand_registers_exactly_its_declared_options():

@@ -11,12 +11,14 @@ from dgskew.presentations import parse_presentation, truncate
 from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
                                minimal_resolution,
                                _assert_complex, _block_dim, _dual_columns, _map_columns,
-                               _module_dim,
+                               _module_dim, _segments,
                                _verify_cocycle, _verify_independent)
 
 ONE_SIDED = "gen x:1, y:1; rel y^2"
 TWO_SIDED = "gen x:1, y:1; rel x^2 + x*y + y*x + y^2"
 SKEW_PLANE = "gen x:1, y:1; rel x*y + y*x"
+DUAL_NUMBERS = "gen x:1; rel x^2"
+EXTERIOR = "gen x:1, y:1; rel x^2; rel y^2; rel x*y + y*x"
 
 
 def resolve(text, hom_bound=6, int_bound=10):
@@ -262,6 +264,86 @@ def test_linear_relation_resolves_as_a_polynomial_ring():
     assert cert.verdict == "ConsistentUpToCutoff"
 
 
+def _decomposables(res, i, j):
+    """(A+ . ker d_{i-1})_j, the route the resolution no longer takes: each
+    algebra generator's normal form times each lower kernel vector, block by
+    block through TruncatedAlgebra.mul."""
+    t = res.algebra
+    prev = res.steps[i - 1].gen_degrees
+    span = RowSpan(t.field, _module_dim(t, prev, j))
+    for gi, g in enumerate(t.presentation.generators):
+        g_vec = t.normal_form({(gi,): t.field.one})
+        for kappa in res.kernels.get((i - 1, j - g.degree), []):
+            prod, offset = {}, 0
+            for h, seg in zip(prev, _segments(t, [j - g.degree - h for h in prev], kappa)):
+                if seg:
+                    prod.update((offset + k, x) for k, x in
+                                t.mul(g_vec, g.degree, seg, j - g.degree - h).items())
+                offset += _block_dim(t, j - h)
+            span.add(prod)
+    return span
+
+
+def _generator_vector(t, prev, j, row):
+    """A degree-j generator's image in (F_{i-1})_j, from its differential entries."""
+    vec, offset = {}, 0
+    for h, entry in zip(prev, row):
+        if entry is not None:
+            vec.update((offset + k, x) for k, x in entry.vec.items())
+        offset += _block_dim(t, j - h)
+    return vec
+
+
+@pytest.mark.parametrize("text, betti_i, socle, verdict", [
+    (DUAL_NUMBERS, lambda i: [i], [(0, 1, 1)], "ConsistentUpToCutoff"),
+    (EXTERIOR, lambda i: [i] * (i + 1), [(0, 2, 1)], "ConsistentUpToCutoff"),
+    ("gen x:1, y:1; rel x^2; rel y^2; rel x*y", lambda i: [i] * (i + 1), None, "NonGorenstein"),
+], ids=["dual-numbers", "exterior", "square-zero"])
+def test_finite_dimensional_algebras_resolve(text, betti_i, socle, verdict):
+    # A_j = 0 above the socle, so (F_i)_j can vanish while (F_{i+1})_j does
+    # not: d_i is still stored there, as an empty map, for the complex check
+    res = resolve(text)
+    assert res.betti == [betti_i(i) for i in range(7)]
+    for i, step in enumerate(res.steps[1:], start=1):
+        assert all((i, j) in res.maps for j in range(step.gen_degrees[0], res.int_bound + 1))
+    cert = gorenstein_certificate(parse_presentation(QQ, text))
+    assert cert.verdict == verdict
+    if socle is not None:
+        assert cert.table.classes() == socle
+
+
+R1F_PARAMS = {"row": (0, 1, 1), "l1": 0, "l2": 0, "permutation": (1, 2, 3)}
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "gen x:1, y:1; rel x - y", "R1f",
+                                  DUAL_NUMBERS, EXTERIOR])
+def test_generators_complement_the_decomposables(F, text):
+    # the degree-j generators of F_i are independent modulo (A+ . ker d_{i-1})_j
+    # and, with it, span ker d_{i-1} at j, in every degree inside the bound
+    pres = (case_presentation(F, "R1f", R1F_PARAMS)[0] if text == "R1f"
+            else parse_presentation(F, text))
+    if text == "R1f":
+        assert max(g.degree for g in pres.generators) == 2
+    res = minimal_resolution(truncate(pres, 8), 4, 8)
+    t = res.algebra
+    resolved = len(res.steps) + (res.stopped_at is not None)
+    for i in range(1, resolved):
+        prev = res.steps[i - 1].gen_degrees
+        step = res.steps[i] if i < len(res.steps) else None
+        for j in range(min(prev) + 1, res.int_bound + 1):
+            span = _decomposables(res, i, j)
+            base = span.dim
+            gens = [] if step is None else [
+                _generator_vector(t, prev, j, row)
+                for g, row in zip(step.gen_degrees, step.entries) if g == j]
+            span.extend(gens)
+            assert span.dim == base + len(gens), (i, j)
+            kernel = res.kernels.get((i - 1, j), [])
+            assert all(span.contains(v) for v in kernel), (i, j)
+            assert span.dim == len(kernel), (i, j)
+
+
 FLAGSHIPS = {"R1c": [[1, 1, 0], [1, 1, 0], [1, 1, 0]], "R1a": [[0, 1, 1], [0, 1, 1], [0, 1, 1]]}
 
 # sha256 of gorenstein_certificate(...).to_json(), recorded before the
@@ -288,3 +370,31 @@ def test_certificate_bytes_are_pinned(name, field_name):
         pres = parse_presentation(F, name)
     text = json.dumps(gorenstein_certificate(pres).to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[(name, field_name)]
+
+
+def _sparse_items(vec):
+    return [[k, str(x)] for k, x in sorted(vec.items())]
+
+
+# sha256 of the key-sorted JSON of the betti numbers and of every stored
+# kernel basis and map column of minimal_resolution(truncate(R1c flagship,
+# 12), 6, 12), recorded before the decomposables were read off d_i itself;
+# the certificate JSON does not show a change of generator or kernel basis
+RESOLUTION_DIGESTS = {
+    "Q": "34efc0fce269c340f3a2d8bea652179c05737adc1436c087e5a06dbd9bfbc935",
+    "Fp:2147483659": "34efc0fce269c340f3a2d8bea652179c05737adc1436c087e5a06dbd9bfbc935",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(RESOLUTION_DIGESTS))
+def test_resolution_internals_are_pinned(field_name):
+    F = field_from_name(field_name)
+    pres = classify(Matrix.from_rows(F, FLAGSHIPS["R1c"])).predicted_presentation
+    res = minimal_resolution(truncate(pres, 12), 6, 12)
+    payload = {"betti": res.betti,
+               "kernels": [[i, j, [_sparse_items(v) for v in vs]]
+                           for (i, j), vs in sorted(res.kernels.items())],
+               "maps": [[i, j, [_sparse_items(c) for c in cols]]
+                        for (i, j), cols in sorted(res.maps.items())]}
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RESOLUTION_DIGESTS[field_name]
