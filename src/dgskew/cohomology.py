@@ -1,9 +1,20 @@
 """Degreewise cohomology of the differential: dimensions, representative
 bases, class membership and products of classes.
 
+`cohomology()` eliminates each d_deg once, as the reduced row echelon form
+of its rows.  That settles the ranks up front: Z^deg is the kernel of d_deg
+and B^deg the image of d_(deg-1), whose rank is the rank of the previous
+echelon.  A degree's boundary span and representative basis are built from
+the stored echelon of d_deg and pivot columns of d_(deg-1) the first time
+something reads them (`class_of`, `class_product` and `bases` or `to_json`),
+and the stored elimination is then dropped.  The boundary span eliminates
+the columns of d_(deg-1) afresh, so its dimension is checked against the
+rank read off the rows: two independent eliminations must agree.
+
 Representatives are chosen deterministically: the reduced-echelon kernel
 basis of d is projected off the boundary space and re-echelonized, so two
-runs on the same input produce byte-identical reports.
+runs on the same input produce byte-identical reports, whatever order the
+degrees are built in.
 """
 
 from __future__ import annotations
@@ -35,9 +46,49 @@ class CohomologyReport:
     dims: list
     cocycle_ranks: list
     coboundary_ranks: list
-    bases: list  # per degree, list of GradedElement representatives
-    _boundaries: list = dataclass_field(default_factory=list, repr=False)
-    _reps: list = dataclass_field(default_factory=list, repr=False)
+    # per degree until it is built: (echelon of d_deg, pivot columns of d_(deg-1))
+    _pending: list = dataclass_field(repr=False, compare=False)
+    # per degree once it is built: (boundary span, representative span, basis)
+    _built: list = dataclass_field(repr=False, compare=False)
+
+    @property
+    def bases(self) -> list:
+        """Per degree, the list of GradedElement representatives; builds
+        every degree."""
+        return [self._degree(deg)[2] for deg in range(self.max_degree + 1)]
+
+    def _degree(self, deg: int):
+        """(boundary span, representative span, basis) of one degree, built
+        from its stored elimination on first use."""
+        built = self._built[deg]
+        if built is not None:
+            return built
+        F = self.spec.field
+        width = degree_dim(deg)
+        echelon, image = self._pending[deg]
+        z_rank, b_rank = self.cocycle_ranks[deg], self.coboundary_ranks[deg]
+        boundaries = RowSpan(F, width)
+        boundaries.extend(image)
+        if boundaries.dim != b_rank:
+            raise AssertionError(
+                f"degree {deg}: boundary span of dim {boundaries.dim}, rank of d_{deg - 1} {b_rank}")
+
+        # representatives: kernel vectors minus their boundary projection,
+        # kept in reduced echelon form for canonical output.  The residues of
+        # any spanning set of the kernel span the same space, of dimension
+        # z_rank - b_rank, so the scan stops once that is reached.
+        reps = RowSpan(F, width)
+        if z_rank > b_rank:
+            for v in echelon.kernel_sparse():
+                reps.add(boundaries.reduce(v))
+                if reps.dim == z_rank - b_rank:
+                    break
+        basis = degree_basis(deg)
+        basis_elems = [GradedElement(F, deg, {basis[j]: x for j, x in row.items()})
+                       for row in reps.rows_sparse()]
+        built = self._built[deg] = (boundaries, reps, basis_elems)
+        self._pending[deg] = None
+        return built
 
     def class_of(self, z: GradedElement) -> CohomologyClass | None:
         """The class of a cocycle; None when z is not a cocycle.
@@ -52,13 +103,14 @@ class CohomologyReport:
         if not d(self.spec, z).is_zero():
             return None
         F = self.spec.field
+        boundaries, reps, basis_elems = self._degree(deg)
         idx = basis_index(deg)
-        residue = self._boundaries[deg].reduce({idx[m]: c for m, c in z.terms.items()})
-        coeffs = self._reps[deg].express(residue)
+        residue = boundaries.reduce({idx[m]: c for m, c in z.terms.items()})
+        coeffs = reps.express(residue)
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")
         rep = {}
-        for c, basis_rep in zip(coeffs, self.bases[deg]):
+        for c, basis_rep in zip(coeffs, basis_elems):
             if c:
                 for m, x in basis_rep.terms.items():
                     rep[m] = rep.get(m, 0) + c * x
@@ -91,13 +143,19 @@ class CohomologyReport:
 
 
 def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
-    """Exact dims and echelonized representative bases for degrees <= bound."""
+    """Exact dims and echelonized representative bases for degrees <= bound.
+
+    Up front, one elimination of each d_deg gives `cocycle_ranks`,
+    `coboundary_ranks` (the rank of d_(deg-1): column rank equals row rank)
+    and `dims`.  Each degree's boundary span and `bases` entry are built on
+    first use; building one raises AssertionError unless the span's
+    dimension, from a second elimination of d_(deg-1), equals that rank.
+    """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     F = spec.field
-    dims, zr, br, bases = [], [], [], []
-    boundary_spans, rep_spans = [], []
-    prev_cols, prev_pivots = [], []  # d_{deg-1}: sparse columns, pivot columns
+    zr, br, pending = [], [], []
+    image, rank = [], 0  # d_(deg-1): pivot columns (a basis of its image), rank
 
     for deg in range(max_degree + 1):
         width = degree_dim(deg)
@@ -105,35 +163,10 @@ def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
         cols = d_columns(spec, deg)
         echelon = RowSpan(F, width)
         echelon.extend(columns_to_rows(cols, degree_dim(deg + 1)))
-        # the pivot columns of d_{deg-1} are a basis of its image
-        boundaries = RowSpan(F, width)
-        boundaries.extend(prev_cols[j] for j in prev_pivots)
-        z_rank = width - echelon.dim
-        b_rank = boundaries.dim
+        zr.append(width - echelon.dim)
+        br.append(rank)
+        pending.append((echelon, image))
+        image, rank = [cols[j] for j in echelon.pivots], echelon.dim
 
-        # representatives: kernel vectors minus their boundary projection,
-        # kept in reduced echelon form for canonical output.  The residues of
-        # any spanning set of the kernel span the same space, of dimension
-        # z_rank - b_rank, so the scan stops once that is reached.
-        reps = RowSpan(F, width)
-        if z_rank > b_rank:
-            for v in echelon.kernel_sparse():
-                reps.add(boundaries.reduce(v))
-                if reps.dim == z_rank - b_rank:
-                    break
-        basis = degree_basis(deg)
-        basis_elems = [GradedElement(F, deg, {basis[j]: x for j, x in row.items()})
-                       for row in reps.rows_sparse()]
-
-        dims.append(z_rank - b_rank)
-        zr.append(z_rank)
-        br.append(b_rank)
-        bases.append(basis_elems)
-        boundary_spans.append(boundaries)
-        rep_spans.append(reps)
-        prev_cols, prev_pivots = cols, echelon.pivots
-
-    report = CohomologyReport(spec, max_degree, dims, zr, br, bases)
-    report._boundaries = boundary_spans
-    report._reps = rep_spans
-    return report
+    return CohomologyReport(spec, max_degree, [z - b for z, b in zip(zr, br)], zr, br,
+                            pending, [None] * (max_degree + 1))

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .fields import check_same_field, normalized
-from .linalg import Matrix
+from .linalg import Matrix, apply_columns
 from .skew import (GradedElement, Monomial, basis_index, degree_basis,
                    degree_dim)
 
@@ -37,6 +38,15 @@ class DGSpec:
     def from_rows(cls, field, rows) -> "DGSpec":
         return cls(field, Matrix.from_rows(field, rows))
 
+    @cached_property
+    def _blocks(self):
+        """Per generator x_i, the nonzero terms M[i][j] x_j^2 of d(x_i), each
+        as (exponent shift of x_j^2 / x_i, M[i][j]).  Built on first use and
+        kept on the instance; not a field, so equality and hashing ignore it."""
+        return [[(tuple(2 * (k == j) - (k == i) for k in range(3)), x)
+                 for j, x in enumerate(row) if x]
+                for i, row in enumerate(self.matrix.entries)]
+
 
 def d_generator(spec: DGSpec, i: int) -> GradedElement:
     """d(x_i) = M[i][1] x1^2 + M[i][2] x2^2 + M[i][3] x3^2  (i in 1..3)."""
@@ -46,14 +56,6 @@ def d_generator(spec: DGSpec, i: int) -> GradedElement:
     return GradedElement.from_terms(
         spec.field, 2,
         [(Monomial(2, 0, 0), row[0]), (Monomial(0, 2, 0), row[1]), (Monomial(0, 0, 2), row[2])])
-
-
-def _blocks(spec: DGSpec):
-    """Per generator x_i, the nonzero terms M[i][j] x_j^2 of d(x_i), each as
-    (exponent shift of x_j^2 / x_i, M[i][j])."""
-    return [[(tuple(2 * (k == j) - (k == i) for k in range(3)), x)
-             for j, x in enumerate(row) if x]
-            for i, row in enumerate(spec.matrix.entries)]
 
 
 def _d_monomial(blocks, m: Monomial):
@@ -75,7 +77,7 @@ def _d_monomial(blocks, m: Monomial):
 def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     """The differential on a homogeneous element; degree rises by 1."""
     check_same_field(spec.field, u.field)
-    blocks = _blocks(spec)
+    blocks = spec._blocks
     out = {}
     get = out.get
     for m, coeff in u.terms.items():
@@ -90,7 +92,7 @@ def d_columns(spec: DGSpec, deg: int):
     monomial as {row index in degree deg+1: nonzero scalar}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
-    blocks = _blocks(spec)
+    blocks = spec._blocks
     idx = basis_index(deg + 1)
     return [normalized(spec.field, {idx[mono]: x for mono, x in _d_monomial(blocks, m)})
             for m in degree_basis(deg)]
@@ -135,12 +137,18 @@ def verify_dg(spec: DGSpec, max_degree: int = 8, samples: int = 100,
     F = spec.field
     report = DGCheckReport(max_degree=max_degree)
 
+    # d_{deg+1} after d_deg on each basis monomial, as sparse columns; the
+    # witnesses are built only to render a failure
+    outer = d_columns(spec, 0)
     for deg in range(max_degree):
-        for m in degree_basis(deg):
-            u = GradedElement.monomial(F, m)
-            ddu = d(spec, d(spec, u))
-            if not ddu.is_zero():
+        inner, outer = outer, d_columns(spec, deg + 1)
+        for m, col in zip(degree_basis(deg), inner):
+            ddu = apply_columns(F, outer, col)
+            if ddu:
                 report.square_zero_ok = False
+                basis = degree_basis(deg + 2)
+                u = GradedElement.monomial(F, m)
+                ddu = GradedElement(F, deg + 2, {basis[j]: x for j, x in ddu.items()})
                 report.failures.append(f"d(d({u.render()})) = {ddu.render()}")
 
     # d is defined on normal forms; it respects x_i x_j + x_j x_i = 0 iff

@@ -33,6 +33,7 @@ from outside, and `to_str`, on output.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -253,7 +254,7 @@ class RowSpan:
         self._p = _modulus(field)  # None over Q
         self._rows = {}       # pivot -> tail
         self._den = {}        # pivot -> denominator c of its row (Q only)
-        self._pivots = None   # sorted pivots, rebuilt after a row is added
+        self._pivots = []     # the pivots, kept sorted as rows are added
 
     @property
     def dim(self) -> int:
@@ -261,9 +262,9 @@ class RowSpan:
 
     @property
     def pivots(self):
-        """Pivot columns, ascending: the pivots of `rows_sparse`, in order."""
-        if self._pivots is None:
-            self._pivots = sorted(self._rows)
+        """Pivot columns, ascending: the pivots of `rows_sparse`, in order.
+
+        The span's own sorted list, not a copy: read-only to callers."""
         return self._pivots
 
     def _load(self, vec):
@@ -313,8 +314,11 @@ class RowSpan:
         q = min(w)
         a = w.pop(q)
         rows = self._rows
-        # the rows that meet the new pivot, which back-elimination clears
-        hit = [r for r, tail in rows.items() if q in tail]
+        order = self._pivots
+        # the rows that meet the new pivot, which back-elimination clears: a
+        # tail holds only columns past its pivot, so only rows pivoted
+        # before q can
+        hit = [r for r in order[:bisect_left(order, q)] if q in rows[r]]
         if p is not None:
             if a != 1:
                 inv = pow(a, -1, p)
@@ -349,7 +353,7 @@ class RowSpan:
                 den[r] = cr
             rows[q] = w
             den[q] = c
-        self._pivots = None
+        insort(order, q)
         return True
 
     def kernel_sparse(self):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import random
 from math import comb
@@ -7,11 +8,11 @@ import pytest
 
 import dgskew
 from dgskew.cohomology import DegreeOverflowError, cohomology
-from dgskew.dg import DGSpec
+from dgskew.dg import DGSpec, d
 from dgskew.fields import QQ, PrimeField
-from dgskew.linalg import Matrix
+from dgskew.linalg import Matrix, RowSpan
 from dgskew.sampling import random_rank_two
-from dgskew.skew import GradedElement, Monomial, degree_dim, parse_element
+from dgskew.skew import GradedElement, Monomial, degree_basis, degree_dim, parse_element
 
 
 def report_of(rows, bound=6):
@@ -212,3 +213,56 @@ def test_dims_follow_the_koszul_closed_form(F, top, rank):
     k = 3 - rank
     want = [comb(n + k - 1, k - 1) if k else int(n == 0) for n in range(top + 1)]
     assert cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), top).dims == want
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
+@pytest.mark.parametrize("rank", sorted(RANK_MATRICES))
+def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, rank):
+    made = []
+
+    class CountingRowSpan(RowSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    # the module, which the package's `cohomology` function shadows
+    monkeypatch.setattr(importlib.import_module("dgskew.cohomology"), "RowSpan", CountingRowSpan)
+    F = dgskew.field_from_name(field_name)
+    spec = DGSpec.from_rows(F, RANK_MATRICES[rank])
+    top = 7
+    fresh = cohomology(spec, top)
+    want = json.dumps(fresh.to_json(), indent=2, sort_keys=True)
+    made.clear()
+    report = cohomology(spec, top)
+    assert report.dims == fresh.dims
+    assert len(made) == top + 1
+
+    # per degree, the sum of the basis representatives plus a boundary
+    rng = random.Random(rank)
+    degrees = list(range(top + 1))
+    rng.shuffle(degrees)
+    for k in degrees:
+        z = GradedElement.zero(F, k) if k else GradedElement.monomial(F, Monomial(0, 0, 0))
+        for rep in fresh.bases[k]:
+            z = z.add(rep)
+        if k:
+            z = z.add(d(spec, GradedElement.from_terms(
+                F, k - 1, [(m, rng.randint(-3, 3)) for m in degree_basis(k - 1)])))
+        before = len(made)
+        got = report.class_of(z)
+        assert len(made) - before <= 2
+        assert got == fresh.class_of(z)
+        assert report.class_of(z) == got and len(made) - before <= 2
+    assert json.dumps(report.to_json(), indent=2, sort_keys=True) == want
+    assert len(made) == 3 * (top + 1)
+
+
+def test_boundary_span_is_checked_against_the_rank():
+    # the boundary span re-eliminates the stored pivot columns of d_(k-1);
+    # losing one makes it disagree with the rank read off the rows of d_(k-1)
+    spec = DGSpec.from_rows(QQ, RANK_MATRICES[1])
+    report = cohomology(spec, 4)
+    echelon, image = report._pending[3]
+    report._pending[3] = (echelon, image[:-1])
+    with pytest.raises(AssertionError, match="degree 3"):
+        report.class_of(d(spec, parse_element(QQ, "x1 x2")))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -178,3 +180,37 @@ def test_d_matches_the_leibniz_unfolding(F, name):
         for m, c in u.terms.items():
             expected = expected.add(leibniz_d(spec, m).scale(c))
         assert d(spec, u).terms == expected.terms
+
+
+def _d_monomial_unsigned_x2(blocks, m):
+    # `dg._d_monomial` with block x2 left unsigned: d(x1 x2) comes out as
+    # d(x1) x2 + x1 d(x2), which is not a derivation of the skew algebra
+    a, b, c = m
+    out = []
+    for i, odd, neg in ((0, a & 1, 0), (1, b & 1, 0), (2, c & 1, (a + b) & 1)):
+        if odd:
+            for (da, db, dc), x in blocks[i]:
+                out.append((Monomial(a + da, b + db, c + dc), -x if neg else x))
+    return out
+
+
+# sha256 of the JSON of `failures` for the corrupted differential below,
+# recorded before verify_dg composed sparse columns; the failure strings
+# render the same witnesses either way
+BROKEN_D_FAILURES = {
+    "Q": "530683e98b4a67596e0b85a7b3b1dbabe6d7571703faf532518476d7cf5336be",
+    "Fp:2147483659": "cedf1ba6d5c459c62e328103c3e1df794d88be033e0bfcef042ea6c5fecbe7d1",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(BROKEN_D_FAILURES))
+def test_verify_dg_catches_a_broken_differential(monkeypatch, field_name):
+    import dgskew
+    monkeypatch.setattr(dgskew.dg, "_d_monomial", _d_monomial_unsigned_x2)
+    F = dgskew.field_from_name(field_name)
+    spec = DGSpec.from_rows(F, [[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+    report = verify_dg(spec, max_degree=5, samples=10, rng=random.Random(0))
+    assert not report.square_zero_ok and not report.leibniz_ok
+    assert report.relations_ok
+    digest = hashlib.sha256(json.dumps(report.failures).encode()).hexdigest()
+    assert digest == BROKEN_D_FAILURES[field_name]

@@ -235,6 +235,56 @@ def test_rowspan_matches_reference(F, matrices, data):
         assert_exact(F, [reduced, sparse])
 
 
+def assert_span_matches_reference(F, span, vectors, probes):
+    """The rows, kernel and residues of span against the dense reference
+    elimination of vectors."""
+    width = span.width
+    echelon = span_echelon(F, vectors, width)
+    assert span.pivots == [q for q, _ in echelon]
+    assert (as_text(F, [dense(F, width, r) for r in span.rows_sparse()])
+            == as_text(F, [r for _, r in echelon]))
+    assert (as_text(F, [dense(F, width, v) for v in span.kernel_sparse()])
+            == as_text(F, span_kernel(F, echelon, width)))
+    for vec in probes:
+        residue, _ = span_reduce(F, echelon, vec)
+        assert as_text(F, [dense(F, width, span.reduce(vec))]) == as_text(F, [residue])
+
+
+def leading(vec):
+    return next(j for j, x in enumerate(vec) if x)
+
+
+@pytest.mark.parametrize("F,matrices", CASES, ids=CASE_IDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rowspan_back_eliminates_in_ascending_order(F, matrices, data):
+    # earliest leading coordinate first, the order `extend` avoids: each new
+    # pivot may lie in the tails of the rows already stored
+    vectors, probes = data.draw(matrices), data.draw(matrices)
+    width = len(vectors[0])
+    vectors = [[F.coerce(x) for x in v] for v in vectors]
+    vectors = sorted((v for v in vectors if any(v)), key=leading)
+    probes = [[F.coerce(x) for x in (p + [0] * width)[:width]] for p in probes]
+    span = RowSpan(F, width)
+    for v in vectors:
+        span.add(v)
+    assert_span_matches_reference(F, span, vectors, probes)
+
+
+@pytest.mark.parametrize("F", [QQ, FP], ids=str)
+def test_rowspan_back_elimination_clears_new_pivots(F):
+    # every row after the first has its pivot in the tails of all rows
+    # before it, so each insertion back-eliminates every stored row
+    vectors = [[F.coerce(x) for x in v]
+               for v in ([2, 1, 3, 1, 5], [0, 3, 1, -1, 2], [0, 0, 7, 2, -3], [0, 0, 0, 4, 1])]
+    span = RowSpan(F, 5)
+    for v in vectors:
+        assert span.add(v)
+    assert all(q not in tail for tail in span._rows.values() for q in span.pivots)
+    probes = [[F.coerce(x) for x in p] for p in ([1, 1, 1, 1, 1], [0, 2, -1, 3, 1])]
+    assert_span_matches_reference(F, span, vectors, probes)
+
+
 # -- the canonical form of Q scalars ---------------------------------------
 
 # ints and quotients, integral ones such as 4/2 among them
