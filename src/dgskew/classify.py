@@ -34,7 +34,7 @@ from .fields import QQ, normalized
 from .linalg import Matrix, RowSpan
 from .presentations import AlgebraPresentation, Generator, truncate
 from .resolution import GorensteinVerdict, gorenstein_certificate
-from .skew import (GradedElement, Monomial, basis_index, degree_basis, degree_dim,
+from .skew import (GradedElement, Monomial, basis_position, degree_basis, degree_dim,
                    element_from_linear, element_from_squares, generators,
                    permute_element)
 
@@ -408,10 +408,9 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     dims = []
     ok = True
     for n in range(bound + 1):
-        index = basis_index(n)
         vecs = []
         for m in degree_basis(n - 1):
-            up = [index[Monomial(*(e + (k == j) for k, e in enumerate(m)))] for j in range(3)]
+            up = [basis_position([e + (k == j) for k, e in enumerate(m)]) for j in range(3)]
             vecs += [{up[j]: x for j, x in enumerate(row) if x} for row in M.entries]
         span = RowSpan(F, degree_dim(n))
         span.extend(vecs)

@@ -25,7 +25,7 @@ from .dg import DGSpec, d, d_columns
 from .errors import DegreeOverflowError
 from .fields import check_same_field, normalized
 from .linalg import RowSpan, columns_to_rows
-from .skew import GradedElement, basis_index, degree_basis, degree_dim
+from .skew import GradedElement, basis_position, degree_dim
 
 
 @dataclass
@@ -83,9 +83,7 @@ class CohomologyReport:
                 reps.add(boundaries.reduce(v))
                 if reps.dim == z_rank - b_rank:
                     break
-        basis = degree_basis(deg)
-        basis_elems = [GradedElement(F, deg, {basis[j]: x for j, x in row.items()})
-                       for row in reps.rows_sparse()]
+        basis_elems = [GradedElement.from_sparse(F, deg, row) for row in reps.rows_sparse()]
         built = self._built[deg] = (boundaries, reps, basis_elems)
         self._pending[deg] = None
         return built
@@ -104,8 +102,7 @@ class CohomologyReport:
             return None
         F = self.spec.field
         boundaries, reps, basis_elems = self._degree(deg)
-        idx = basis_index(deg)
-        residue = boundaries.reduce({idx[m]: c for m, c in z.terms.items()})
+        residue = boundaries.reduce({basis_position(m): c for m, c in z.terms.items()})
         coeffs = reps.express(residue)
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")

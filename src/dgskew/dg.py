@@ -6,20 +6,21 @@ d(uv) = d(u) v + (-1)^|u| u d(v).  On a normal-form monomial this unfolds
 into three blocks, one per variable, using d(x^e) = 0 for even e and
 d(x^e) = d(x) x^(e-1) for odd e (even powers are central cocycles, which is
 what makes the blockwise formula well defined; verify_dg checks it).
-`d` and `d_columns` share that formula and combine scalars with the native
-operators, reducing mod p once at the end.
+`d` and `d_columns` share that formula on basis positions: each term's
+index in the next degree is T(b+c) + c of its exponents (see
+`skew.basis_position`), read straight off the monomial's own exponents and
+the matrix entries, with no monomial built per term.  Scalars combine with
+the native operators and are reduced mod p once at the end.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
 
 from .fields import check_same_field, normalized
 from .linalg import Matrix, apply_columns
-from .skew import (GradedElement, Monomial, basis_index, degree_basis,
-                   degree_dim)
+from .skew import GradedElement, Monomial, basis_monomials, degree_basis, degree_dim
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,6 @@ class DGSpec:
     def from_rows(cls, field, rows) -> "DGSpec":
         return cls(field, Matrix.from_rows(field, rows))
 
-    @cached_property
-    def _blocks(self):
-        """Per generator x_i, the nonzero terms M[i][j] x_j^2 of d(x_i), each
-        as (exponent shift of x_j^2 / x_i, M[i][j]).  Built on first use and
-        kept on the instance; not a field, so equality and hashing ignore it."""
-        return [[(tuple(2 * (k == j) - (k == i) for k in range(3)), x)
-                 for j, x in enumerate(row) if x]
-                for i, row in enumerate(self.matrix.entries)]
-
 
 def d_generator(spec: DGSpec, i: int) -> GradedElement:
     """d(x_i) = M[i][1] x1^2 + M[i][2] x2^2 + M[i][3] x3^2  (i in 1..3)."""
@@ -58,33 +50,56 @@ def d_generator(spec: DGSpec, i: int) -> GradedElement:
         [(Monomial(2, 0, 0), row[0]), (Monomial(0, 2, 0), row[1]), (Monomial(0, 0, 2), row[2])])
 
 
-def _d_monomial(blocks, m: Monomial):
-    """Terms of d(x1^a x2^b x3^c) as (monomial, +-M[i][j]) pairs, distinct
-    monomials with unreduced native scalars.
+def _odd_blocks(a: int, b: int, c: int):
+    """The blocks of d(x1^a x2^b x3^c) as (i, negated) pairs.
 
     Block i is d(x_i) times the monomial with one x_i less, signed by the
     parity of the generators before x_i; it is nonzero only when the
     exponent of x_i is odd (even powers are central cocycles)."""
+    out = []
+    if a & 1:
+        out.append((0, False))
+    if b & 1:
+        out.append((1, bool(a & 1)))
+    if c & 1:
+        out.append((2, bool((a + b) & 1)))
+    return out
+
+
+def _d_terms(rows, m):
+    """Terms of d(m) as (position in the next degree, +-M[i][j]) pairs, at
+    distinct positions, with unreduced native scalars; rows are M's rows."""
     a, b, c = m
     out = []
-    for i, odd, neg in ((0, a & 1, 0), (1, b & 1, a & 1), (2, c & 1, (a + b) & 1)):
-        if odd:
-            for (da, db, dc), x in blocks[i]:
-                out.append((Monomial(a + da, b + db, c + dc), -x if neg else x))
+    for i, neg in _odd_blocks(a, b, c):
+        # m / x_i has x2,x3-degree k and x3-exponent e; times x1^2, x2^2
+        # and x3^2 it sits at T(k) + e, T(k+2) + e and T(k+2) + e + 2
+        k = b + c - (i > 0)
+        t = k * (k + 1) // 2 + c - (i == 2)
+        u = t + 2 * k + 3
+        x, y, z = rows[i]
+        if neg:
+            x, y, z = -x, -y, -z
+        if x:
+            out.append((t, x))
+        if y:
+            out.append((u, y))
+        if z:
+            out.append((u + 2, z))
     return out
 
 
 def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     """The differential on a homogeneous element; degree rises by 1."""
     check_same_field(spec.field, u.field)
-    blocks = spec._blocks
+    rows = spec.matrix.entries
     out = {}
     get = out.get
     for m, coeff in u.terms.items():
-        for mono, x in _d_monomial(blocks, m):
-            y = get(mono)
-            out[mono] = coeff * x if y is None else y + coeff * x
-    return GradedElement(spec.field, u.degree + 1, normalized(spec.field, out))
+        for pos, x in _d_terms(rows, m):
+            y = get(pos)
+            out[pos] = coeff * x if y is None else y + coeff * x
+    return GradedElement.from_sparse(spec.field, u.degree + 1, out)
 
 
 def d_columns(spec: DGSpec, deg: int):
@@ -92,10 +107,9 @@ def d_columns(spec: DGSpec, deg: int):
     monomial as {row index in degree deg+1: nonzero scalar}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
-    blocks = spec._blocks
-    idx = basis_index(deg + 1)
-    return [normalized(spec.field, {idx[mono]: x for mono, x in _d_monomial(blocks, m)})
-            for m in degree_basis(deg)]
+    F = spec.field
+    rows = spec.matrix.entries
+    return [normalized(F, dict(_d_terms(rows, m))) for m in basis_monomials(deg)]
 
 
 def d_matrix(spec: DGSpec, deg: int) -> Matrix:
@@ -142,13 +156,12 @@ def verify_dg(spec: DGSpec, max_degree: int = 8, samples: int = 100,
     outer = d_columns(spec, 0)
     for deg in range(max_degree):
         inner, outer = outer, d_columns(spec, deg + 1)
-        for m, col in zip(degree_basis(deg), inner):
+        for m, col in zip(basis_monomials(deg), inner):
             ddu = apply_columns(F, outer, col)
             if ddu:
                 report.square_zero_ok = False
-                basis = degree_basis(deg + 2)
                 u = GradedElement.monomial(F, m)
-                ddu = GradedElement(F, deg + 2, {basis[j]: x for j, x in ddu.items()})
+                ddu = GradedElement.from_sparse(F, deg + 2, ddu)
                 report.failures.append(f"d(d({u.render()})) = {ddu.render()}")
 
     # d is defined on normal forms; it respects x_i x_j + x_j x_i = 0 iff

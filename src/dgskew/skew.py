@@ -6,16 +6,23 @@ Normal forms are signed exponent triples: every word rewrites uniquely to
 span of the degree-d monomials.  No Groebner machinery is needed; the three
 relations already form a confluent rewriting system for this order.
 
+In `degree_basis` order x1^a x2^b x3^c sits at position T(b+c) + c, with
+T(k) = k(k+1)/2, whatever its degree (`basis_position`).  Products and the
+differential work on these positions: they find each term's index by that
+closed form and take the result's monomials from `basis_monomials`, one
+tuple per degree built on first use, so no monomial is built per term.
+
 `GradedElement` arithmetic sums coefficients with the native operators and
 normalizes once per result through `fields.normalized`.  Field methods are
 called only where scalars cross the boundary: `coerce` on the coefficients
-`from_terms` and `scale` are handed, `parse_scalar` in the text grammar,
-and `to_str` in `render`.
+`from_terms`, `from_vector` and `scale` are handed, `parse_scalar` in the
+text grammar, and `to_str` in `render`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .fields import check_same_field, normalized, parse_scalar, render_sum, split_sum
@@ -37,39 +44,45 @@ X2 = Monomial(0, 1, 0)
 X3 = Monomial(0, 0, 1)
 
 
-def mul_monomials(m1: Monomial, m2: Monomial):
-    """Product of normal-form monomials: (sign, monomial).
+def mul_monomials(m1, m2):
+    """Product of normal-form monomials, given as any exponent triples:
+    (sign, monomial).
 
     Sorting the concatenated word x1^a1 x2^b1 x3^c1 * x1^a2 x2^b2 x3^c2 into
     normal form transposes distinct generators a2*(b1+c1) + b2*c1 times.
     """
-    sign = -1 if (m2.a * (m1.b + m1.c) + m2.b * m1.c) % 2 else 1
-    return sign, Monomial(m1.a + m2.a, m1.b + m2.b, m1.c + m2.c)
+    a1, b1, c1 = m1
+    a2, b2, c2 = m2
+    sign = -1 if (a2 * (b1 + c1) + b2 * c1) % 2 else 1
+    return sign, Monomial(a1 + a2, b1 + b2, c1 + c2)
 
 
 def degree_basis(d: int):
-    """All degree-d monomials, lexicographically descending on (a, b, c)."""
-    if d < 0:
-        return []
-    out = []
-    for a in range(d, -1, -1):
-        for b in range(d - a, -1, -1):
-            out.append(Monomial(a, b, d - a - b))
-    return out
+    """All degree-d monomials, lexicographically descending on (a, b, c), as
+    a fresh list."""
+    return list(basis_monomials(d))
 
 
 def degree_dim(d: int) -> int:
     return 0 if d < 0 else (d + 1) * (d + 2) // 2
 
 
-_BASIS_INDEX_CACHE: dict = {}
+def basis_position(m) -> int:
+    """Position of x1^a x2^b x3^c in degree_basis(a + b + c): T(b+c) + c.
+
+    The T(b+c) monomials with a larger exponent of x1 come first, then the
+    c monomials of exponent a with a larger exponent of x2."""
+    _, b, c = m
+    k = b + c
+    return k * (k + 1) // 2 + c
 
 
-def basis_index(d: int):
-    """Monomial -> position in degree_basis(d)."""
-    if d not in _BASIS_INDEX_CACHE:
-        _BASIS_INDEX_CACHE[d] = {m: i for i, m in enumerate(degree_basis(d))}
-    return _BASIS_INDEX_CACHE[d]
+@cache
+def basis_monomials(d: int) -> tuple:
+    """The monomials of degree_basis(d) as one tuple, built on first use and
+    shared by every caller.  The cache keeps C(d+2, 2) monomials for each
+    degree d that a product or differential has reached."""
+    return tuple(Monomial(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
 
 
 @dataclass
@@ -127,26 +140,47 @@ class GradedElement:
 
     def mul(self, other: "GradedElement") -> "GradedElement":
         check_same_field(self.field, other.field)
+        # the sign of mul_monomials and the position T(b+c) + c of the
+        # product, inlined on the exponents
+        right = [(a2, b2, c2, b2 + c2, x2) for (a2, b2, c2), x2 in other.terms.items()]
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, m = mul_monomials(m1, m2)
-                out[m] = out.get(m, 0) + sign * c1 * c2
-        return GradedElement(self.field, self.degree + other.degree, normalized(self.field, out))
+        get = out.get
+        for (_, b1, c1), x1 in self.terms.items():
+            k1 = b1 + c1
+            for a2, b2, c2, k2, x2 in right:
+                k = k1 + k2
+                pos = k * (k + 1) // 2 + c1 + c2
+                x = -x1 * x2 if (a2 * k1 + b2 * c1) & 1 else x1 * x2
+                y = get(pos)
+                out[pos] = x if y is None else y + x
+        return GradedElement.from_sparse(self.field, self.degree + other.degree, out)
 
     def vector(self):
         """Coefficients over degree_basis(self.degree)."""
-        F = self.field
-        idx = basis_index(self.degree)
-        v = [F.zero] * degree_dim(self.degree)
-        for m, c in self.terms.items():
-            v[idx[m]] = c
+        v = [self.field.zero] * degree_dim(self.degree)
+        for (_, b, c), x in self.terms.items():
+            k = b + c  # basis_position, inlined
+            v[k * (k + 1) // 2 + c] = x
         return tuple(v)
 
     @classmethod
     def from_vector(cls, field, degree: int, vec) -> "GradedElement":
-        basis = degree_basis(degree)
-        return cls.from_terms(field, degree, [(m, c) for m, c in zip(basis, vec)])
+        """The element with coefficients vec over degree_basis(degree); each
+        coefficient is anything `field.coerce` accepts."""
+        basis = basis_monomials(degree)
+        if len(vec) != len(basis):
+            raise ValueError(f"vector of length {len(vec)} in degree {degree}, "
+                             f"whose basis has {len(basis)} monomials")
+        coerce = field.coerce
+        return cls(field, degree, normalized(field, {m: coerce(c) for m, c in zip(basis, vec)}))
+
+    @classmethod
+    def from_sparse(cls, field, degree: int, vec: dict) -> "GradedElement":
+        """The element with coefficients {position in degree_basis(degree):
+        native scalar}; over Q the scalars may be integral `Fraction`s, over
+        F_p unreduced ints (see `fields.normalized`)."""
+        basis = basis_monomials(degree)
+        return cls(field, degree, {basis[j]: x for j, x in normalized(field, vec).items()})
 
     def render(self) -> str:
         """Deterministic text form, e.g. "2*x1^2 x3 - 1/3*x2"."""

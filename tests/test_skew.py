@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgskew.fields import QQ, PrimeField
-from dgskew.skew import (GradedElement, Monomial, degree_basis, degree_dim,
-                         generators, mul_monomials, parse_element,
+from dgskew.skew import (GradedElement, Monomial, basis_position, degree_basis,
+                         degree_dim, generators, mul_monomials, parse_element,
                          permute_element)
 from oracles import all_words, element_product, linear_combination, reduce_word
 
@@ -63,6 +63,66 @@ def test_degree_basis_order_and_size():
     assert len(degree_basis(3)) == 10
     for d in range(13):
         assert len(degree_basis(d)) == degree_dim(d) == (d + 1) * (d + 2) // 2
+
+
+def test_basis_position_is_the_index_in_degree_basis():
+    # T(b+c) + c against the index in an independent enumeration: all
+    # exponent triples of degree n, lexicographically descending
+    for n in range(41):
+        triples = sorted(((a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)),
+                         reverse=True)
+        assert degree_basis(n) == triples
+        assert [basis_position(m) for m in triples] == list(range(len(triples)))
+
+
+def test_mul_monomials_takes_plain_triples():
+    assert mul_monomials((0, 1, 0), (1, 0, 0)) == (-1, Monomial(1, 1, 0))
+    assert mul_monomials([0, 1, 1], (1, 0, 0)) == (1, Monomial(1, 1, 1))
+    for p in range(4):
+        for q in range(4):
+            for m1 in degree_basis(p):
+                for m2 in degree_basis(q):
+                    sign, prod = mul_monomials(tuple(m1), list(m2))
+                    assert type(prod) is Monomial
+                    assert (sign, prod) == mul_monomials(m1, m2)
+                    s1, s2 = reduce_word(_spelled(m1))[0], reduce_word(_spelled(m2))[0]
+                    assert (s1 * s2 * sign, tuple(prod)) == reduce_word(_spelled(m1) + _spelled(m2))
+
+
+def _spelled(m):
+    return [g for g, e in enumerate(m) for _ in range(e)]
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_products_of_dense_elements_match_word_sorting(F):
+    # GradedElement.mul against the free-word oracle, which spells each pair
+    # of monomials out, sorts the concatenated word letter by letter with
+    # the sign counted by inversions and combines scalars with F's methods;
+    # dense elements up to degree 9 make many terms land on each position
+    rng = random.Random(13)
+    for _ in range(40):
+        p, q = rng.randint(0, 9), rng.randint(0, 9)
+        u, v = (GradedElement.from_vector(
+                    F, n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree_dim(n))])
+                for n in (p, q))
+        w = u.mul(v)
+        assert w.degree == p + q
+        assert w.terms == element_product(u, v)
+        assert all(type(m) is Monomial for m in w.terms)
+
+
+@pytest.mark.parametrize("degree, vec", [(2, [1, 2]), (1, [1, 2, 3, 4, 5])])
+def test_from_vector_rejects_a_vector_of_the_wrong_length(degree, vec):
+    # zip used to cut the long vector short and pad the short one with zeros
+    with pytest.raises(ValueError, match="length"):
+        GradedElement.from_vector(QQ, degree, vec)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_from_vector_coerces_each_coefficient(F):
+    u = GradedElement.from_vector(F, 1, [1, "1/2", Fraction(0)])
+    assert u == GradedElement.from_terms(F, 1, [((1, 0, 0), 1), ((0, 1, 0), "1/2")])
+    assert u.vector() == (F.one, F.coerce("1/2"), F.zero)
 
 
 def test_every_word_reduces_into_the_basis():
