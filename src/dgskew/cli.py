@@ -68,6 +68,8 @@ def _parse_matrix(field, data) -> Matrix:
         if isinstance(x, list):  # rational as an integer pair [p, q]
             if len(x) != 2 or not all(type(v) is int for v in x):
                 raise UsageError(f"bad rational pair {x!r}")
+            if field.coerce(x[1]) == 0:
+                raise ValueError(f"coefficient {x!r} has a zero denominator in {field.name}")
             return Fraction(x[0], x[1])
         if isinstance(x, str):  # the grammar's scalar, with an optional sign
             negative = x.startswith("-")

@@ -10,6 +10,15 @@ j, because by exactness below j every lower kernel vector is d_i of an
 element of F_i, and d_i is a module map.  Every differential entry then has
 positive degree, which is the defining property of a minimal resolution.
 
+Each (i, j) step eliminates d_i once, on the lower generators: the row
+echelon of those columns gives their rank and the kernel of d_i at j (the
+new columns are independent modulo the old image, so every kernel vector
+is zero on them).  The old image lies in ker d_{i-1} at j, so generators
+are born only where that rank is short of dim ker d_{i-1}; only there is the
+column span built, and the number of generators it picks must equal the
+shortfall, a check of exactness at (i-1, j) by a second, independent
+elimination.
+
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
 functional on Hom(F_i, A).  Every map of free modules (d_i and its dual) is
@@ -167,10 +176,12 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
 
     Step i walks the internal degrees j once.  The columns of d_i at j on
     the generators chosen so far span d_i((A+ . F_i)_j) = (A+ . ker d_{i-1})_j,
-    since ker d_{i-1} is the image of d_i in every lower degree.  The
-    kernel vectors of d_{i-1} at j outside that span become F_i's degree-j
-    generators; their vectors complete d_i at j, whose kernel is then
-    stored for step i + 1.
+    since ker d_{i-1} is the image of d_i in every lower degree.  One row
+    echelon of those columns gives their rank and the kernel of d_i at j,
+    stored for step i + 1.  When the rank is below dim ker d_{i-1} at j,
+    the kernel vectors outside the column span of the same columns become
+    F_i's degree-j generators and complete d_i at j; an AssertionError
+    naming (i, j) is raised unless they number exactly the shortfall.
     """
     if hom_bound < 1:
         raise ValueError("hom_bound must be >= 1")
@@ -193,11 +204,21 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
         for j in range(min(prev) + 1, D + 1):
             # d_i of the generators chosen so far spans (A+ . ker d_{i-1})_j
             cols = _map_columns(t, step, prev, j)
-            kb = report.kernels.get((i - 1, j))
-            if kb:
-                span = RowSpan(F, _module_dim(t, prev, j))
+            n = _module_dim(t, prev, j)
+            echelon = RowSpan(F, len(cols))
+            echelon.extend(columns_to_rows(cols, n))
+            kb = report.kernels.get((i - 1, j), [])
+            if echelon.dim < len(kb):
+                # by exactness below j the old image lies in ker d_{i-1} at
+                # j, so a generator is born here only when its rank falls short
+                span = RowSpan(F, n)
                 span.extend(cols)
-                for v in extend_independent(span, kb):
+                picked = extend_independent(span, kb)
+                if len(picked) != len(kb) - echelon.dim:
+                    raise AssertionError(
+                        f"step ({i}, {j}): {len(picked)} new generators, but ker d_{i-1} "
+                        f"has dimension {len(kb)} and the lower generators span {echelon.dim}")
+                for v in picked:
                     step.gen_degrees.append(j)
                     step.entries.append(
                         [AlgElt(j - h, seg) if seg else None
@@ -207,9 +228,9 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
                 continue
             report.maps[(i, j)] = cols
             if j > step.gen_degrees[0]:
-                span = RowSpan(F, len(cols))
-                span.extend(columns_to_rows(cols, _module_dim(t, prev, j)))
-                report.kernels[(i, j)] = span.kernel_sparse()
+                # the new columns are independent modulo the old ones, so the
+                # kernel of the completed d_i at j is that of the old columns
+                report.kernels[(i, j)] = echelon.kernel_sparse()
 
         if not step.gen_degrees:
             report.stopped_at = i

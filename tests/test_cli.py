@@ -89,6 +89,25 @@ def test_rational_entries_as_pairs_and_strings(capsys):
     assert main(["classify", "--matrix", "[[0.5,0,0],[0,1,0],[0,0,1]]"]) == 2
 
 
+@pytest.mark.parametrize("field,pair,string", [
+    ("Q", "[1,0]", '"1/0"'),
+    ("Fp:7", "[1,7]", '"1/7"'),
+], ids=["Q", "F7"])
+def test_zero_denominator_pair_reads_like_the_string_form(field, pair, string, capsys):
+    # a pair [p, q] whose q is zero in the field is named as the string p/q
+    # is, on one line, and no Python repr of the failed scalar leaks out
+    messages = []
+    for entry in (pair, string):
+        assert main(["classify", "--field", field,
+                     "--matrix", f"[[{entry},0,0],[0,1,0],[0,0,1]]"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad matrix entry: coefficient ") and err.count("\n") == 1
+        messages.append(err)
+    name = "Q" if field == "Q" else "F7"
+    for err in messages:
+        assert err.endswith(f" has a zero denominator in {name}\n"), err
+
+
 def test_missing_matrix_is_usage_error(capsys):
     assert main(["classify"]) == 2
 

@@ -6,7 +6,8 @@ import pytest
 from dgskew.classify import case_presentation, classify, predicted_vs_certified
 from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField, field_from_name
-from dgskew.linalg import Matrix, RowSpan
+from dgskew import resolution
+from dgskew.linalg import Matrix, RowSpan, columns_to_rows
 from dgskew.presentations import parse_presentation, truncate
 from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
                                minimal_resolution,
@@ -342,6 +343,54 @@ def test_generators_complement_the_decomposables(F, text):
             kernel = res.kernels.get((i - 1, j), [])
             assert all(span.contains(v) for v in kernel), (i, j)
             assert span.dim == len(kernel), (i, j)
+
+
+R1D_PARAMS = {"row": (4, 1, 2), "l1": 2, "l2": 0, "permutation": (1, 2, 3)}
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "R1d", EXTERIOR])
+def test_kernels_and_generator_counts_match_the_full_map(F, text):
+    # the resolution eliminates only the columns of the lower generators;
+    # here every stored kernel is recomputed from the completed d_i, and the
+    # degree-j generators of F_i are counted against the rank of the lower
+    # generators' columns, found by a column span
+    pres = (case_presentation(F, "R1d", R1D_PARAMS)[0] if text == "R1d"
+            else parse_presentation(F, text))
+    res = minimal_resolution(truncate(pres, 8), 4, 8)
+    t = res.algebra
+    if text == "R1d":
+        assert all(len(set(s.gen_degrees)) == 2 for s in res.steps[1:])
+    for (i, j), cols in res.maps.items():
+        full = RowSpan(F, len(cols))
+        full.extend(columns_to_rows(cols, _module_dim(t, res.steps[i - 1].gen_degrees, j)))
+        assert res.kernels.get((i, j), []) == full.kernel_sparse(), (i, j)
+    resolved = len(res.steps) + (res.stopped_at is not None)
+    for i in range(1, resolved):
+        prev = res.steps[i - 1].gen_degrees
+        gens = res.steps[i].gen_degrees if i < len(res.steps) else []
+        for j in range(min(prev) + 1, res.int_bound + 1):
+            lower = _module_dim(t, [g for g in gens if g < j], j)
+            image = RowSpan(F, _module_dim(t, prev, j))
+            image.extend(res.maps.get((i, j), [])[:lower])
+            born = gens.count(j)
+            assert born == len(res.kernels.get((i - 1, j), [])) - image.dim, (i, j)
+
+
+def test_generator_count_check_fires(monkeypatch):
+    # the picks are counted against dim ker d_{i-1} minus the rank of the
+    # lower generators: let the second call drop its one pick, at (2, 2)
+    pick = resolution.extend_independent
+    calls = []
+
+    def drop_from_second_call(span, candidates):
+        calls.append(None)
+        picked = pick(span, candidates)
+        return picked if len(calls) == 1 else picked[:-1]
+
+    monkeypatch.setattr(resolution, "extend_independent", drop_from_second_call)
+    with pytest.raises(AssertionError, match=r"step \(2, 2\): 0 new generators"):
+        resolve(ONE_SIDED, hom_bound=4)
 
 
 FLAGSHIPS = {"R1c": [[1, 1, 0], [1, 1, 0], [1, 1, 0]], "R1a": [[0, 1, 1], [0, 1, 1], [0, 1, 1]]}
