@@ -38,7 +38,7 @@ def main():
               " <- over-counts from degree 3 (degenerate quadratic)")
 
         t = truncate(c.predicted_presentation, 10)
-        res = minimal_resolution(t, 6, 10)
+        res = minimal_resolution(t, 6)
         print(res.render_betti())
         cert = gorenstein_certificate(c.predicted_presentation, 6, 10)
         print("certificate:", cert.verdict, "--", cert.detail)

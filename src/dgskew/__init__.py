@@ -7,7 +7,7 @@ from .classify import (Classification, case_presentation, classify, crosscheck,
                        predicted_vs_certified, squares_ideal_analysis)
 from .cohomology import CohomologyClass, CohomologyReport, cohomology
 from .dg import DGSpec, d, d_generator, d_matrix, verify_dg
-from .errors import BoundInsufficientError, DegreeOverflowError
+from .errors import BoundInsufficientError
 from .fields import CANDIDATE_PRIMES, QQ, FieldMismatchError, PrimeField, field_from_name
 from .linalg import Matrix, RowSpan
 from .presentations import (AlgebraPresentation, Generator, TruncatedAlgebra,
@@ -21,7 +21,7 @@ from .transform import apply_transform, invariance_check
 __all__ = [
     "AlgebraPresentation", "BoundInsufficientError", "CANDIDATE_PRIMES",
     "Classification", "CohomologyClass", "CohomologyReport", "DGSpec",
-    "DegreeOverflowError", "ExtTable", "FieldMismatchError", "Generator",
+    "ExtTable", "FieldMismatchError", "Generator",
     "GorensteinVerdict", "GradedElement", "Matrix", "Monomial", "PrimeField",
     "QQ", "ResolutionReport", "RowSpan", "TruncatedAlgebra", "apply_transform",
     "case_presentation", "classify", "cohomology", "crosscheck",

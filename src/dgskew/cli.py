@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Each subcommand is declared once, in `SUBCOMMANDS`: its name, help text,
-handler and the options its handler reads; every subcommand also takes
---field, --config and --out.  Structured output is JSON (rationals as
-"p/q" strings, fixed orderings, byte-identical across runs); a text summary
-goes to stdout.
+Each option is declared once, in `OPTIONS`, and each subcommand once, in
+`SUBCOMMANDS`: its name, help text, handler, the options its handler reads
+and the one that bounds its degrees, named when that bound is too small;
+every subcommand also takes --field, --config and --out.  Structured output
+is JSON (rationals as "p/q" strings, fixed orderings, byte-identical across
+runs); a text summary goes to stdout.
 Exit status: 0 success/pass, 1 falsification, 2 usage error.
 """
 
@@ -25,33 +26,58 @@ from .errors import BoundInsufficientError
 from .fields import field_from_name, parse_scalar
 from .linalg import Matrix
 from .suite import CRITERIA, run_suite
-from .transform import invariance_check
+from .transform import invariance_check, validate_monomial
 
 FIELD_ENV_VAR = "DGSKEW_FIELD"
-
-# config keys that are read as they are; matrices are checked when parsed
-CONFIG_TYPES = {"field": str, "out": str, "max_degree": int, "hom_bound": int, "int_bound": int}
 
 
 class UsageError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Option:
+    """--help text; the type of a value read as it is (None when parsed
+    later or never read from a config file); an int's default and minimum."""
+
+    help: str | None = None
+    type: type | None = None
+    default: int | None = None
+    low: int | None = None
+
+
+# every option a subcommand may take, by its dest (the flag is --dest with
+# dashes), in --help order
+OPTIONS = {
+    "matrix": Option("3x3 JSON array; entries int or 'p/q'"),
+    "field": Option(f"Q (default) or Fp:<prime>; env {FIELD_ENV_VAR} sets the default", str),
+    "max_degree": Option(type=int, default=8, low=2),
+    "hom_bound": Option(type=int, default=6, low=1),
+    "int_bound": Option(type=int, default=10, low=0),
+    "config": Option("JSON file with default options"),
+    "out": Option("write the JSON report here", str),
+    "transform": Option("3x3 monomial matrix as JSON"),
+    "criteria": Option("comma-separated criterion numbers, e.g. 1,5,7"),
+}
+
+
+def _source(name: str, from_config) -> str:
+    """An option as the user set it: its config key when the config file
+    set it, else its flag."""
+    return f"config {name}" if name in from_config else "--" + name.replace("_", "-")
+
+
 @dataclass
 class JobConfig:
     field: object
     matrix: Matrix | None
-    max_degree: int = 8
-    hom_bound: int = 6
-    int_bound: int = 10
-    transform: Matrix | None = None
-    out: str | None = None
-    criteria: set | None = None  # paper-suite's --criteria; None runs them all
-
-    def require_matrix(self) -> Matrix:
-        if self.matrix is None:
-            raise UsageError("a --matrix (or config matrix) is required")
-        return self.matrix
+    max_degree: int
+    hom_bound: int
+    int_bound: int
+    transform: Matrix | None
+    out: str | None
+    criteria: set | None  # paper-suite's --criteria; None runs them all
+    from_config: frozenset  # the options the config file set
 
 
 def _parse_matrix(field, data) -> Matrix:
@@ -94,11 +120,13 @@ def _build_config(args) -> JobConfig:
             raise UsageError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(raw, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
-        for name, kind in CONFIG_TYPES.items():
+        for name, opt in OPTIONS.items():
             # type(), not isinstance(): a JSON true is not the integer 1
-            if name in raw and type(raw[name]) is not kind:
+            if opt.type and name in raw and type(raw[name]) is not opt.type:
                 raise UsageError(f"config {name} must be "
-                                 f"{'an integer' if kind is int else 'a string'}, got {raw[name]!r}")
+                                 f"{'an integer' if opt.type is int else 'a string'}, "
+                                 f"got {raw[name]!r}")
+    from_config = frozenset(name for name in raw if getattr(args, name, None) is None)
 
     field_name = args.field or raw.get("field") or os.environ.get(FIELD_ENV_VAR) or "Q"
     try:
@@ -110,26 +138,25 @@ def _build_config(args) -> JobConfig:
         v = getattr(args, name, None)
         return raw.get(name, default) if v is None else v
 
-    def bounded(name, default, low):
-        """pick(), range-checked; the error names the flag or config key that was set."""
-        v = pick(name, default)
-        if v < low:
-            source = (f"config {name}" if getattr(args, name, None) is None
-                      else "--" + name.replace("_", "-"))
-            raise UsageError(f"{source} must be >= {low}")
-        return v
+    bounds = {name: pick(name, opt.default) for name, opt in OPTIONS.items() if opt.low is not None}
+    for name, value in bounds.items():
+        if value < OPTIONS[name].low:
+            raise UsageError(f"{_source(name, from_config)} must be >= {OPTIONS[name].low}")
 
-    matrix_data, transform_data = pick("matrix"), pick("transform")
-    cfg = JobConfig(field,
-                    None if matrix_data is None else _parse_matrix(field, matrix_data),
-                    max_degree=bounded("max_degree", 8, 2),
-                    hom_bound=bounded("hom_bound", 6, 1),
-                    int_bound=bounded("int_bound", 10, 0),
-                    transform=(None if transform_data is None
-                               else _parse_matrix(field, transform_data)),
-                    out=args.out or raw.get("out"))
-    cfg.criteria = _parse_criteria(getattr(args, "criteria", None))
-    return cfg
+    matrices = {}
+    for name in ("matrix", "transform"):  # each subcommand that reads one requires it
+        data = pick(name)
+        if data is None and name in args.subcommand.options:
+            raise UsageError(f"--{name} (or config {name}) is required")
+        matrices[name] = None if data is None else _parse_matrix(field, data)
+    if matrices["transform"] is not None:
+        try:
+            validate_monomial(matrices["transform"])
+        except ValueError as e:
+            raise UsageError(f"{_source('transform', from_config)} is {e}") from e
+    return JobConfig(field, out=args.out or raw.get("out"),
+                     criteria=_parse_criteria(getattr(args, "criteria", None)),
+                     from_config=from_config, **matrices, **bounds)
 
 
 def _emit(cfg: JobConfig, payload: dict, summary: str):
@@ -144,25 +171,19 @@ def _emit(cfg: JobConfig, payload: dict, summary: str):
 
 
 def _cmd_cohomology(cfg: JobConfig) -> tuple:
-    M = cfg.require_matrix()
-    report = cohomology(DGSpec(cfg.field, M), cfg.max_degree)
+    report = cohomology(DGSpec(cfg.field, cfg.matrix), cfg.max_degree)
     return report.to_json(), f"dims: {report.dims}", 0
 
 
 def _cmd_classify(cfg: JobConfig) -> tuple:
-    M = cfg.require_matrix()
-    c = classify(M)
+    c = classify(cfg.matrix)
     summary = (f"rank {c.rank}, case {c.case_label}, verdict {c.predicted_gorenstein}\n"
                f"presentation: {c.predicted_presentation.render()}")
     return c.to_json(), summary, 0
 
 
 def _cmd_crosscheck(cfg: JobConfig) -> tuple:
-    M = cfg.require_matrix()
-    try:
-        report = crosscheck(M, cfg.max_degree)
-    except ValueError as e:  # a --max-degree below the relation degree
-        raise UsageError(f"--max-degree {cfg.max_degree} is too small: {e}") from e
+    report = crosscheck(cfg.matrix, cfg.max_degree)
     lines = [f"case {report.classification.case_label}, dims {report.computed_dims}"]
     for p in report.probes:
         lines.append(f"  [{'ok' if p.ok else 'FALSIFIED'}] {p.name} {p.detail}")
@@ -170,11 +191,7 @@ def _cmd_crosscheck(cfg: JobConfig) -> tuple:
 
 
 def _cmd_gorenstein(cfg: JobConfig) -> tuple:
-    M = cfg.require_matrix()
-    try:
-        comparison = predicted_vs_certified(M, cfg.hom_bound, cfg.int_bound)
-    except ValueError as e:  # an --int-bound below the relation degree
-        raise UsageError(f"--int-bound {cfg.int_bound} is too small: {e}") from e
+    comparison = predicted_vs_certified(cfg.matrix, cfg.hom_bound, cfg.int_bound)
     summary = [comparison.detail, comparison.certificate.table.render()]
     if comparison.certificate.witness:
         for w in comparison.certificate.witness:
@@ -183,13 +200,7 @@ def _cmd_gorenstein(cfg: JobConfig) -> tuple:
 
 
 def _cmd_transform(cfg: JobConfig) -> tuple:
-    M = cfg.require_matrix()
-    if cfg.transform is None:
-        raise UsageError("--transform (a 3x3 monomial matrix as JSON) is required")
-    try:
-        report = invariance_check(M, cfg.transform, cfg.max_degree)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    report = invariance_check(cfg.matrix, cfg.transform, cfg.max_degree)
     lines = [f"transformed: {report.transformed}",
              f"dims: {report.dims_before} vs {report.dims_after}"]
     lines += [f"FALSIFIED: {f}" for f in report.falsifications]
@@ -197,8 +208,7 @@ def _cmd_transform(cfg: JobConfig) -> tuple:
 
 
 def _cmd_verify(cfg: JobConfig) -> tuple:
-    M = cfg.require_matrix()
-    report = verify_dg(DGSpec(cfg.field, M), cfg.max_degree)
+    report = verify_dg(DGSpec(cfg.field, cfg.matrix), cfg.max_degree)
     summary = "all differential checks pass" if report.ok else "\n".join(report.failures)
     return {"ok": report.ok, "failures": report.failures}, summary, 0 if report.ok else 1
 
@@ -216,20 +226,6 @@ def _parse_criteria(text):
     return {int(p) for p in pieces} or None
 
 
-# every option a subcommand may take, by its dest (the flag is --dest with
-# dashes), in --help order
-OPTIONS = {
-    "matrix": {"help": "3x3 JSON array; entries int or 'p/q'"},
-    "field": {"help": f"Q (default) or Fp:<prime>; env {FIELD_ENV_VAR} sets the default"},
-    "max_degree": {"type": int},
-    "hom_bound": {"type": int},
-    "int_bound": {"type": int},
-    "config": {"help": "JSON file with default options"},
-    "out": {"help": "write the JSON report here"},
-    "transform": {"help": "3x3 monomial matrix as JSON"},
-    "criteria": {"help": "comma-separated criterion numbers, e.g. 1,5,7"},
-}
-
 SHARED_OPTIONS = ("field", "config", "out")
 
 
@@ -239,20 +235,21 @@ class Subcommand:
     help: str
     handler: Callable  # handler(cfg) -> (JSON payload, text summary, exit status)
     options: tuple  # read by the handler, beyond SHARED_OPTIONS
+    bound: str | None = None  # the option that bounds the computation's degrees
 
 
 SUBCOMMANDS = (
     Subcommand("cohomology", "degreewise dims and bases", _cmd_cohomology,
-               ("matrix", "max_degree")),
+               ("matrix", "max_degree"), "max_degree"),
     Subcommand("classify", "case, presentation, verdict", _cmd_classify, ("matrix",)),
     Subcommand("crosscheck", "full prediction verification", _cmd_crosscheck,
-               ("matrix", "max_degree")),
+               ("matrix", "max_degree"), "max_degree"),
     Subcommand("gorenstein", "certificate pipeline", _cmd_gorenstein,
-               ("matrix", "hom_bound", "int_bound")),
+               ("matrix", "hom_bound", "int_bound"), "int_bound"),
     Subcommand("verify-dg", "differential validity checks", _cmd_verify,
-               ("matrix", "max_degree")),
+               ("matrix", "max_degree"), "max_degree"),
     Subcommand("transform", "apply the monomial action and check invariance",
-               _cmd_transform, ("matrix", "max_degree", "transform")),
+               _cmd_transform, ("matrix", "max_degree", "transform"), "max_degree"),
     Subcommand("paper-suite", "run every acceptance criterion", _cmd_suite, ("criteria",)),
 )
 
@@ -272,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in SUBCOMMANDS:
         p = sub.add_parser(command.name, help=command.help)
-        p.set_defaults(handler=command.handler)
-        for name, kwargs in OPTIONS.items():
+        p.set_defaults(subcommand=command)
+        for name, opt in OPTIONS.items():
             if name in command.options or name in SHARED_OPTIONS:
-                p.add_argument("--" + name.replace("_", "-"), **kwargs)
+                p.add_argument("--" + name.replace("_", "-"), type=opt.type, help=opt.help)
     return parser
 
 
@@ -283,16 +280,20 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _build_config(args)
-        payload, summary, status = args.handler(cfg)
+        try:
+            payload, summary, status = args.subcommand.handler(cfg)
+        except BoundInsufficientError as e:
+            bound = args.subcommand.bound
+            if bound is None:
+                raise
+            raise UsageError(f"{_source(bound, cfg.from_config)} {getattr(cfg, bound)} "
+                             f"is too small: {e}") from e
         _emit(cfg, payload, summary)
         return status
     except SystemExit as e:  # --help
         return e.code
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BoundInsufficientError as e:
-        print(f"error: {e} (raise --int-bound)", file=sys.stderr)
         return 2
 
 

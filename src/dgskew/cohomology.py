@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .dg import DGSpec, d, d_columns
-from .errors import DegreeOverflowError
+from .errors import BoundInsufficientError
 from .fields import check_same_field, normalized
 from .linalg import RowSpan, columns_to_rows
 from .skew import GradedElement, basis_position, degree_dim
@@ -97,7 +97,7 @@ class CohomologyReport:
         check_same_field(self.spec.field, z.field)
         deg = z.degree
         if deg > self.max_degree:
-            raise DegreeOverflowError(f"degree {deg} beyond computed bound {self.max_degree}")
+            raise BoundInsufficientError("a class", deg, self.max_degree)
         if not d(self.spec, z).is_zero():
             return None
         F = self.spec.field
@@ -116,8 +116,7 @@ class CohomologyReport:
     def class_product(self, u: CohomologyClass, v: CohomologyClass) -> CohomologyClass:
         """Class of representative(u) * representative(v)."""
         if u.degree + v.degree > self.max_degree:
-            raise DegreeOverflowError(
-                f"product degree {u.degree + v.degree} beyond bound {self.max_degree}")
+            raise BoundInsufficientError("a product", u.degree + v.degree, self.max_degree)
         w = u.representative.mul(v.representative)
         cls = self.class_of(w)
         if cls is None:

@@ -31,6 +31,10 @@ _SCALAR = re.compile(r"[0-9]+(/[0-9]+)?")
 # Primes above 2**31; the first is the default prime of "Fp".
 CANDIDATE_PRIMES = (2147483659, 4294967311)
 
+# Miller-Rabin on the prime bases 2..41 is exact below PRIME_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
 
 class FieldMismatchError(TypeError):
     """Raised when values from two different session fields are combined."""
@@ -100,7 +104,9 @@ class PrimeField:
     """The field F_p for an odd prime p.  Scalars are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 3 or not _is_probable_prime(p):
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"modulus {p} is not below {PRIME_LIMIT}, where primality is proven")
+        if p < 3 or not _is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
         self.p = p
         self.name = f"F{p}"
@@ -239,18 +245,18 @@ def check_same_field(a, b):
         raise FieldMismatchError(f"mixed session fields: {a!r} and {b!r}")
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on `_MR_BASES`: exact for n < PRIME_LIMIT."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

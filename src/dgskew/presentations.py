@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DegreeOverflowError
+from .errors import BoundInsufficientError
 from .fields import normalized, parse_scalar, render_sum, split_sum
 from .linalg import RowSpan, apply_columns
 
@@ -169,10 +169,10 @@ class TruncatedAlgebra:
     def __init__(self, presentation: AlgebraPresentation, bound: int):
         if bound < 0:
             raise ValueError(f"bound {bound} is negative")
-        if presentation.relations:
-            maxrel = max(presentation.word_degree(next(iter(r))) for r in presentation.relations)
-            if bound < maxrel:
-                raise ValueError(f"bound {bound} below maximal relation degree {maxrel}")
+        maxrel = max((presentation.word_degree(next(iter(r))) for r in presentation.relations),
+                     default=0)
+        if bound < maxrel:
+            raise BoundInsufficientError("a relation", maxrel, bound)
         self.presentation = presentation
         self.field = presentation.field
         self.bound = bound
@@ -192,7 +192,7 @@ class TruncatedAlgebra:
         if d < 0:
             return 0
         if d > self.bound:
-            raise DegreeOverflowError(f"degree {d} beyond bound {self.bound}")
+            raise BoundInsufficientError("a dimension", d, self.bound)
         return len(self.basis[d])
 
     def _build_degree(self, d: int):
@@ -264,7 +264,7 @@ class TruncatedAlgebra:
             else:
                 end = src_degree + self.presentation.word_degree(word)
                 if end > self.bound:
-                    raise DegreeOverflowError(f"product degree {end} beyond bound {self.bound}")
+                    raise BoundInsufficientError("a product", end, self.bound)
                 last = word[-1]
                 step = self._append[(end - self.presentation.generators[last].degree, last)]
                 cols = [apply_columns(self.field, step, col)
@@ -293,21 +293,19 @@ class TruncatedAlgebra:
         """u * v for u in A_p and v in A_q, as a vector of A_(p+q): the sum
         over the words w of v of v[w] * (u * w)."""
         if p + q > self.bound:
-            raise DegreeOverflowError(f"product degree {p + q} beyond bound {self.bound}")
+            raise BoundInsufficientError("a product", p + q, self.bound)
         words = self.basis[q]
         images = {j: apply_columns(self.field, self.word_mul_matrix(p, words[j]), u) for j in v}
         return apply_columns(self.field, images, v)
 
-    def normal_form(self, poly, degree: int | None = None):
+    def normal_form(self, poly):
         """The vector of a word combination {word: coeff} over its degree basis."""
         degs = {self.presentation.word_degree(w) for w in poly}
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
-        d = degs.pop() if degs else (degree if degree is not None else 0)
-        if degree is not None and d != degree:
-            raise ValueError(f"element has degree {d}, expected {degree}")
+        d = degs.pop() if degs else 0
         if d > self.bound:
-            raise DegreeOverflowError(f"degree {d} beyond bound {self.bound}")
+            raise BoundInsufficientError("an element", d, self.bound)
         coeffs = {tuple(w): c for w, c in poly.items() if c}
         images = {w: self.word_mul_matrix(0, w)[0] for w in coeffs}
         return apply_columns(self.field, images, coeffs)

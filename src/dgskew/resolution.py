@@ -169,10 +169,11 @@ class ResolutionReport:
         return "\n".join(lines)
 
 
-def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
-                       int_bound: int | None = None) -> ResolutionReport:
+def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     """Minimal free resolution of the trivial module through `hom_bound`
-    homological steps, exact per internal degree within the truncation.
+    homological steps, exact per internal degree through the truncation's
+    bound.  BoundInsufficientError is raised when a step below `hom_bound`
+    has no internal degree left for the next.
 
     Step i walks the internal degrees j once.  The columns of d_i at j on
     the generators chosen so far span d_i((A+ . F_i)_j) = (A+ . ker d_{i-1})_j,
@@ -185,12 +186,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
     """
     if hom_bound < 1:
         raise ValueError("hom_bound must be >= 1")
-    D = t.bound if int_bound is None else int_bound
-    if D < 0:
-        raise ValueError(f"int_bound {D} is negative")
-    if D > t.bound:
-        raise ValueError("int_bound exceeds the algebra truncation")
-    F = t.field
+    D, F = t.bound, t.field
 
     report = ResolutionReport(t, hom_bound, D, [FreeStep([0], None)])
 
@@ -239,7 +235,8 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int,
             raise AssertionError("degree-0 differential entry breaks minimality")
         report.steps.append(step)
         if i < hom_bound and step.gen_degrees[0] + 1 > D:
-            raise BoundInsufficientError(i, step.gen_degrees[0] + 1)
+            raise BoundInsufficientError(f"resolving past step {i}", step.gen_degrees[0] + 1,
+                                         D, step=i)
 
     _assert_complex(report)
     return report
@@ -383,8 +380,7 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     pres = presentation if side == "left" else presentation.opposite()
-    t = truncate(pres, int_bound)
-    report = minimal_resolution(t, hom_bound, int_bound)
+    report = minimal_resolution(truncate(pres, int_bound), hom_bound)
     table = ext_against_algebra(report)
 
     witnesses = []

@@ -106,11 +106,13 @@ class GradedElement:
         """The sum of the (monomial, coefficient) items; coefficients are
         anything `field.coerce` accepts."""
         terms = {}
-        for m, c in items:
-            m = Monomial(*m)
-            if m.degree != degree:
+        for (a, b, c), coeff in items:
+            m = Monomial(a, b, c)
+            if not (type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0):
+                raise ValueError(f"monomial {m} has an exponent that is not a nonnegative int")
+            if a + b + c != degree:
                 raise ValueError(f"monomial {m} is not of degree {degree}")
-            terms[m] = terms.get(m, 0) + field.coerce(c)
+            terms[m] = terms.get(m, 0) + field.coerce(coeff)
         return cls(field, degree, normalized(field, terms))
 
     @classmethod
@@ -229,7 +231,8 @@ def parse_element(field, text: str, degree: int | None = None) -> GradedElement:
 
 
 def _parse_term(field, chunk: str):
-    """(coefficient, monomial) of one unsigned term."""
+    """(coefficient, monomial) of one unsigned term; its factors multiply in
+    the order written, so "x2 x1" is -x1 x2."""
     coeff = field.one
     if "*" in chunk:
         head, chunk = chunk.split("*", 1)
@@ -237,10 +240,8 @@ def _parse_term(field, chunk: str):
     elif not chunk.startswith("x"):
         coeff = parse_scalar(field, chunk)
         chunk = ""
-    exps = [0, 0, 0]
+    mono = ONE
     for factor in chunk.split():
-        if not factor:
-            continue
         if "^" in factor:
             name, e = factor.split("^")
             if not e.isdecimal():
@@ -252,8 +253,9 @@ def _parse_term(field, chunk: str):
             continue
         if name not in ("x1", "x2", "x3"):
             raise ValueError(f"unknown generator {name!r}")
-        exps[int(name[1]) - 1] += e
-    return coeff, Monomial(*exps)
+        sign, mono = mul_monomials(mono, [e if g == name else 0 for g in ("x1", "x2", "x3")])
+        coeff *= sign
+    return coeff, mono
 
 
 def generators(field):

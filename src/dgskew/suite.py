@@ -193,8 +193,7 @@ def _non_gorenstein_trio(field):
 
 def _betti_and_entries(pres_text, field, hom_bound, int_bound):
     pres = parse_presentation(field, pres_text)
-    t = truncate(pres, int_bound)
-    return pres, minimal_resolution(t, hom_bound, int_bound)
+    return pres, minimal_resolution(truncate(pres, int_bound), hom_bound)
 
 
 def _one_sided_degenerate_quadratic(field):

@@ -153,6 +153,8 @@ def test_suite_subset(capsys):
      "--max-degree"),
     (["crosscheck", "--matrix", "[[1,0,0],[0,0,1],[0,0,0]]", "--max-degree", "2"], None,
      "--max-degree"),
+    (["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "3"], None, "--int-bound 3"),
+    (["gorenstein", "--matrix", FLAGSHIP], '{"int_bound": 3}', "int_bound 3"),
     (["classify", "--matrix", FLAGSHIP, "--out", "/nonexistent/x.json"], None, None),
     (["cohomology", "--matrix", FLAGSHIP], '{"max_degree": "x"}', None),
     (["cohomology", "--matrix", FLAGSHIP], "[1, 2]", None),
@@ -168,7 +170,8 @@ def test_suite_subset(capsys):
     (["classify", "--matrix", FLAGSHIP], '{"max_degree": 1}', "max_degree"),
 ], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
         "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
-        "crosscheck-degree-2-r2-pairing-zero", "unwritable-out",
+        "crosscheck-degree-2-r2-pairing-zero", "int-bound-3-resolution-step",
+        "config-int-bound-3-resolution-step", "unwritable-out",
         "config-string-degree", "config-not-an-object", "config-fractional-degree",
         "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
         "matrix-json-true-in-pair", "classify-max-degree", "gorenstein-max-degree",

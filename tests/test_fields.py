@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dgskew.fields import (CANDIDATE_PRIMES, QQ, FieldMismatchError, PrimeField,
+from dgskew.cli import main
+from dgskew.fields import (CANDIDATE_PRIMES, PRIME_LIMIT, QQ, FieldMismatchError, PrimeField,
                            check_same_field, field_from_name)
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
@@ -36,6 +37,28 @@ def test_non_prime_rejected():
         PrimeField(2**31)  # even
     with pytest.raises(ValueError):
         PrimeField(2147483661)  # 3 * 715827887
+
+
+# psi_12 and psi_13: the least composites that pass Miller-Rabin on every
+# prime base up to 37 and up to 41
+STRONG_PSEUDOPRIMES = (318665857834031151167461, 3317044064679887385961981)
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_composites_past_the_proven_range_are_rejected(n, capsys):
+    with pytest.raises(ValueError):
+        PrimeField(n)
+    assert main(["cohomology", "--field", f"Fp:{n}",
+                 "--matrix", "[[1,0,0],[0,0,0],[0,0,0]]", "--max-degree", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_moduli_at_the_limit_name_it():
+    with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+        PrimeField(PRIME_LIMIT)
+    for p in CANDIDATE_PRIMES:
+        assert PrimeField(p).p == p
 
 
 def test_coerce_fraction_string():

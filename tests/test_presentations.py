@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgskew.classify import case_presentation
-from dgskew.errors import DegreeOverflowError
+from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField
 from dgskew.presentations import AlgebraPresentation, Generator, parse_presentation, truncate
 from oracles import (count_words_avoiding, free_normal_forms, free_words,
@@ -159,8 +159,19 @@ def test_negative_bound_is_rejected():
 
 def test_normal_form_degree_overflow():
     t = truncate(pres("gen x:1, y:1; rel y^2"), 3)
-    with pytest.raises(DegreeOverflowError):
+    with pytest.raises(BoundInsufficientError):
         t.normal_form({(0, 0, 0, 0): QQ.one})
+
+
+def test_bound_errors_carry_the_degree_they_needed():
+    assert issubclass(BoundInsufficientError, ValueError)
+    with pytest.raises(BoundInsufficientError) as err:
+        truncate(pres("gen x:1, y:1; rel x*y^2"), 2)
+    assert (err.value.degree, err.value.step) == (3, None)
+    t = truncate(pres("gen x:1, y:1; rel y^2"), 3)
+    with pytest.raises(BoundInsufficientError) as err:
+        t.mul({0: QQ.one}, 2, {0: QQ.one}, 2)
+    assert err.value.degree == 4
 
 
 def test_multiplication_is_associative_on_samples():

@@ -24,7 +24,7 @@ EXTERIOR = "gen x:1, y:1; rel x^2; rel y^2; rel x*y + y*x"
 
 def resolve(text, hom_bound=6, int_bound=10):
     t = truncate(parse_presentation(QQ, text), int_bound)
-    return minimal_resolution(t, hom_bound, int_bound)
+    return minimal_resolution(t, hom_bound)
 
 
 def test_one_sided_degenerate_shape():
@@ -145,17 +145,9 @@ def test_predicted_vs_certified_on_gorenstein_side():
 def test_bound_insufficient_is_reported_with_location():
     t = truncate(parse_presentation(QQ, "gen x:1, y:1; rel y^2"), 3)
     with pytest.raises(BoundInsufficientError) as err:
-        minimal_resolution(t, 6, 3)
+        minimal_resolution(t, 6)
     assert err.value.step == 3
     assert err.value.degree == 4
-
-
-def test_int_bound_outside_the_truncation_is_rejected():
-    t = truncate(parse_presentation(QQ, ONE_SIDED), 6)
-    with pytest.raises(ValueError, match="negative"):
-        minimal_resolution(t, 3, -1)
-    with pytest.raises(ValueError, match="exceeds"):
-        minimal_resolution(t, 3, 7)
 
 
 def test_windows_shrink_with_the_generator_degrees():
@@ -198,7 +190,7 @@ def _unit_products(t, src_degrees, dst_degrees, coeff, left):
 @pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "gen x:1, y:1; rel x^2 - 2*y*x"])
 def test_sparse_maps_match_dense_products(F, text):
     # the stored d_i and the dual maps against unit vectors through mul
-    res = minimal_resolution(truncate(parse_presentation(F, text), 7), 4, 7)
+    res = minimal_resolution(truncate(parse_presentation(F, text), 7), 4)
     t = res.algebra
     assert res.maps
     for (i, j), cols in res.maps.items():
@@ -326,7 +318,7 @@ def test_generators_complement_the_decomposables(F, text):
             else parse_presentation(F, text))
     if text == "R1f":
         assert max(g.degree for g in pres.generators) == 2
-    res = minimal_resolution(truncate(pres, 8), 4, 8)
+    res = minimal_resolution(truncate(pres, 8), 4)
     t = res.algebra
     resolved = len(res.steps) + (res.stopped_at is not None)
     for i in range(1, resolved):
@@ -357,7 +349,7 @@ def test_kernels_and_generator_counts_match_the_full_map(F, text):
     # generators' columns, found by a column span
     pres = (case_presentation(F, "R1d", R1D_PARAMS)[0] if text == "R1d"
             else parse_presentation(F, text))
-    res = minimal_resolution(truncate(pres, 8), 4, 8)
+    res = minimal_resolution(truncate(pres, 8), 4)
     t = res.algebra
     if text == "R1d":
         assert all(len(set(s.gen_degrees)) == 2 for s in res.steps[1:])
@@ -439,7 +431,7 @@ RESOLUTION_DIGESTS = {
 def test_resolution_internals_are_pinned(field_name):
     F = field_from_name(field_name)
     pres = classify(Matrix.from_rows(F, FLAGSHIPS["R1c"])).predicted_presentation
-    res = minimal_resolution(truncate(pres, 12), 6, 12)
+    res = minimal_resolution(truncate(pres, 12), 6)
     payload = {"betti": res.betti,
                "kernels": [[i, j, [_sparse_items(v) for v in vs]]
                            for (i, j), vs in sorted(res.kernels.items())],

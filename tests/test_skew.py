@@ -1,5 +1,6 @@
 """The signed normal form is validated against a brute-force word oracle."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -185,6 +186,23 @@ def test_render_parse_round_trip():
 def test_bad_exponents_are_rejected(text):
     with pytest.raises(ValueError, match="exponent"):
         parse_element(QQ, text)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_words_parse_to_the_product_of_their_factors(F):
+    # factors multiply in the order written: "x2 x1" is -x1 x2
+    gens = dict(zip(("x1", "x2", "x3"), generators(F)))
+    for n in range(1, 5):
+        for word in itertools.product(gens, repeat=n):
+            product = gens[word[0]]
+            for name in word[1:]:
+                product = product.mul(gens[name])
+            assert parse_element(F, " ".join(word)).terms == product.terms, word
+
+
+def test_negative_exponents_are_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        GradedElement.monomial(QQ, (-1, 2, 0))
 
 
 def test_permute_element_signs():
