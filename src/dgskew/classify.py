@@ -166,11 +166,14 @@ def case_presentation(field, label: str, params: dict):
 
     The full three-generator algebra for rank 0, no generators for rank 3;
     for rank 2, k[x] or k[x, y]/(x^2) with y central of degree 2, built
-    from the kernel vectors s of M and t of M^T; for rank 1, two degree-1
-    generators x, y with one quadratic relation in the normalized row and
-    l1, l2, and a central degree-2 z = x1^2 when one of the degree-1
-    directions collapses.  The rank-1 representatives are written in the
-    normalized variables and mapped back through the permutation.
+    from the kernel vectors s of M and t of M^T: x = t.x and
+    y = w1 x1^2 + w2 x2^2 + w3 x3^2 with w.s != 0 (w = s when s.s != 0,
+    always so over Q, else the first unit vector not orthogonal to s);
+    for rank 1, two degree-1 generators x, y with one quadratic relation in
+    the normalized row and l1, l2, and a central degree-2 z = x1^2 when one
+    of the degree-1 directions collapses.  The rank-1 representatives are
+    written in the normalized variables and mapped back through the
+    permutation.
 
     For the R1a case the mixed coefficient is
     (m12*l1^2 + m13*l2^2 - m11) / (2*l1*l2): with it the relation's cochain
@@ -190,8 +193,16 @@ def case_presentation(field, label: str, params: dict):
     elif label == "R2_pairing_nonzero":
         gens, rels = [("x", element_from_linear(F, params["t"]))], ()
     elif label == "R2_pairing_zero":
+        s = params["s"]
+        # sum w_i x_i^2 is a coboundary exactly when w lies in the row space
+        # of M, the complement orthogonal to s: w = s fails only when s.s = 0
+        # (never over Q), and then a unit vector with w.s != 0 serves
+        w = s
+        if not normalized(F, {0: sum(x * x for x in s)}):
+            k = next(k for k, x in enumerate(s) if x)
+            w = tuple(one if n == k else F.zero for n in range(3))
         gens = [("x", element_from_linear(F, params["t"])),
-                ("y", element_from_squares(F, params["s"]))]
+                ("y", element_from_squares(F, w))]
         rels = ({(x, x): one}, {(x, y): one, (y, x): -one})
     elif label in RANK_ONE_LABELS:
         m11, m12, m13 = (F.coerce(v) for v in params["row"])
@@ -395,23 +406,27 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     variables u_j (standing for the squares x_j^2) and verify the quotient by
     (r1, r2, r3) is a univariate polynomial ring: two independent forms, the
     third dependent, quotient Hilbert function all ones.
+
+    The ideal is generated by the two nonzero rows of the reduced echelon
+    form of M, which span the same linear forms as r1, r2, r3.
     """
     F = M.field
-    _, pivots = M.rref()
+    rows, pivots = M.rref()
     if len(pivots) != 2:
         raise ValueError("squares_ideal_analysis requires a rank-2 matrix")
     free = next(j for j in range(3) if j not in pivots)
+    forms = rows[:2]
 
     # the degree-n monomials in u1, u2, u3 are the exponent triples of
-    # degree_basis(n); the ideal in degree n is spanned by m * r_i for m of
-    # degree n - 1
+    # degree_basis(n); the ideal in degree n is spanned by m * r for m of
+    # degree n - 1 and r in `forms`
     dims = []
     ok = True
     for n in range(bound + 1):
         vecs = []
         for m in degree_basis(n - 1):
             up = [basis_position([e + (k == j) for k, e in enumerate(m)]) for j in range(3)]
-            vecs += [{up[j]: x for j, x in enumerate(row) if x} for row in M.entries]
+            vecs += [{up[j]: x for j, x in enumerate(row) if x} for row in forms]
         span = RowSpan(F, degree_dim(n))
         span.extend(vecs)
         q = degree_dim(n) - span.dim

@@ -2,14 +2,23 @@
 bases, class membership and products of classes.
 
 `cohomology()` eliminates each d_deg once, as the reduced row echelon form
-of its rows.  That settles the ranks up front: Z^deg is the kernel of d_deg
-and B^deg the image of d_(deg-1), whose rank is the rank of the previous
-echelon.  A degree's boundary span and representative basis are built from
-the stored echelon of d_deg and pivot columns of d_(deg-1) the first time
-something reads them (`class_of`, `class_product` and `bases` or `to_json`),
-and the stored elimination is then dropped.  The boundary span eliminates
-the columns of d_(deg-1) afresh, so its dimension is checked against the
-rank read off the rows: two independent eliminations must agree.
+of its rows, from the top degree down.  That settles the ranks up front:
+Z^deg is the kernel of d_deg and B^deg the image of d_(deg-1), whose rank
+is the rank of the previous echelon.  Below the top degree the elimination
+takes only the rows of d_deg at the free (non-pivot) columns of the echelon
+of d_(deg+1), at most dim Z^(deg+1) of them.  That is exact: d_(deg+1) d_deg
+= 0 for every M, so each column of d_deg lies in ker d_(deg+1), where a
+vector is fixed by its free coordinates.  The kept rows therefore have the
+same kernel as all the rows, hence the same row space and, since reduced
+echelon forms are unique, the same echelon.
+
+A degree's boundary span and representative basis are built from the
+stored echelon of d_deg and pivot columns of d_(deg-1) the first time
+something reads them (`class_of`, `class_product` and `bases` or
+`to_json`), and the stored elimination is then dropped.  The boundary span
+eliminates the columns of d_(deg-1) afresh, so its dimension is checked
+against the rank read off the rows: two independent eliminations must
+agree.
 
 Representatives are chosen deterministically: the reduced-echelon kernel
 basis of d is projected off the boundary space and re-echelonized, so two
@@ -84,6 +93,11 @@ class CohomologyReport:
                 if reps.dim == z_rank - b_rank:
                     break
         basis_elems = [GradedElement.from_sparse(F, deg, row) for row in reps.rows_sparse()]
+        # with the boundaries they span the kernel of the echelon, so a
+        # kernel larger than Z^deg (an elimination that lost a row) leaves
+        # one of them outside Z^deg; d itself decides
+        if not all(d(self.spec, u).is_zero() for u in basis_elems):
+            raise AssertionError(f"degree {deg}: a representative is not a cocycle")
         built = self._built[deg] = (boundaries, reps, basis_elems)
         self._pending[deg] = None
         return built
@@ -96,6 +110,8 @@ class CohomologyReport:
         """
         check_same_field(self.spec.field, z.field)
         deg = z.degree
+        if deg < 0:
+            raise ValueError(f"degree {deg} is negative")
         if deg > self.max_degree:
             raise BoundInsufficientError("a class", deg, self.max_degree)
         if not d(self.spec, z).is_zero():
@@ -141,28 +157,35 @@ class CohomologyReport:
 def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
     """Exact dims and echelonized representative bases for degrees <= bound.
 
-    Up front, one elimination of each d_deg gives `cocycle_ranks`,
-    `coboundary_ranks` (the rank of d_(deg-1): column rank equals row rank)
-    and `dims`.  Each degree's boundary span and `bases` entry are built on
-    first use; building one raises AssertionError unless the span's
-    dimension, from a second elimination of d_(deg-1), equals that rank.
+    Up front, one elimination of each d_deg, from the top degree down and
+    on the rows at the free columns of d_(deg+1)'s echelon, gives
+    `cocycle_ranks`, `coboundary_ranks` (the rank of d_(deg-1): column rank
+    equals row rank) and `dims`.  Each degree's boundary span and `bases`
+    entry are built on first use; building one raises AssertionError unless
+    the span's dimension, from a second elimination of d_(deg-1), equals
+    that rank.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     F = spec.field
-    zr, br, pending = [], [], []
-    image, rank = [], 0  # d_(deg-1): pivot columns (a basis of its image), rank
+    echelons = [None] * (max_degree + 1)
+    # per degree, the pivot columns of d_(deg-1): a basis of its image
+    images = [[] for _ in range(max_degree + 2)]
+    free = None  # non-pivot columns of the echelon of d_(deg+1); None at the top
 
-    for deg in range(max_degree + 1):
-        width = degree_dim(deg)
-        # the one elimination of d_deg: its rows, as sparse vectors on A^deg
+    for deg in range(max_degree, -1, -1):
+        # the one elimination of d_deg, on its rows at `free`: its columns lie
+        # in ker d_(deg+1), where a vector is fixed by its free coordinates,
+        # so those rows have the full kernel and hence the full echelon
         cols = d_columns(spec, deg)
-        echelon = RowSpan(F, width)
-        echelon.extend(columns_to_rows(cols, degree_dim(deg + 1)))
-        zr.append(width - echelon.dim)
-        br.append(rank)
-        pending.append((echelon, image))
-        image, rank = [cols[j] for j in echelon.pivots], echelon.dim
+        rows = columns_to_rows(cols, degree_dim(deg + 1))
+        echelon = RowSpan(F, degree_dim(deg))
+        echelon.extend(rows if free is None else (rows[f] for f in free))
+        echelons[deg] = echelon
+        images[deg + 1] = [cols[j] for j in echelon.pivots]
+        free = echelon.free
 
+    zr = [e.width - e.dim for e in echelons]
+    br = [0] + [e.dim for e in echelons[:-1]]
     return CohomologyReport(spec, max_degree, [z - b for z, b in zip(zr, br)], zr, br,
-                            pending, [None] * (max_degree + 1))
+                            list(zip(echelons, images)), [None] * (max_degree + 1))

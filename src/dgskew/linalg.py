@@ -356,12 +356,17 @@ class RowSpan:
         insort(order, q)
         return True
 
+    @property
+    def free(self):
+        """The non-pivot columns, ascending, as a fresh list."""
+        return [f for f in range(self.width) if f not in self._rows]
+
     def kernel_sparse(self):
         """Basis of the vectors orthogonal to every row, one per non-pivot
         column f in ascending order: 1 at f, 0 at every other non-pivot."""
         one = self.field.one
         p = self._p
-        free = [f for f in range(self.width) if f not in self._rows]
+        free = self.free
         basis = {f: {f: one} for f in free}
         if p is None:
             for q, tail in self._rows.items():

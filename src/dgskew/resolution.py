@@ -13,11 +13,22 @@ positive degree, which is the defining property of a minimal resolution.
 Each (i, j) step eliminates d_i once, on the lower generators: the row
 echelon of those columns gives their rank and the kernel of d_i at j (the
 new columns are independent modulo the old image, so every kernel vector
-is zero on them).  The old image lies in ker d_{i-1} at j, so generators
-are born only where that rank is short of dim ker d_{i-1}; only there is the
-column span built, and the number of generators it picks must equal the
-shortfall, a check of exactness at (i-1, j) by a second, independent
-elimination.
+is zero on them).  For i >= 2 it takes only the rows of d_i at the free
+(non-pivot) coordinates of the echelon behind ker d_{i-1} at j.  That is
+exact: the columns of d_i lie in ker d_{i-1}, where a vector is fixed by
+those coordinates, so the kept rows have the same kernel, hence the same
+reduced echelon, as all the rows.  `_assert_complex` checks d_{i-1} d_i = 0
+on every stored map before a report is returned.  The old image lies in
+ker d_{i-1} at j, so generators are born only where that rank is short of
+dim ker d_{i-1}; only there is the column span built, and the number of
+generators it picks must equal the shortfall, a check of exactness at
+(i-1, j) by a second, independent elimination.
+
+Ext against the algebra needs only ranks of the dual maps d_i^* at each
+internal degree m.  They are taken in increasing i, and where the image of
+d_{i-1}^* at m is known, only the columns of d_i^* off its pivots are built
+and eliminated: d_i^* kills that image, and the unit vectors off its pivots
+complete it to a basis, so those columns span the whole image of d_i^*.
 
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
@@ -37,7 +48,6 @@ against the stored kernels); the absence of a second class only ever yields
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -83,8 +93,10 @@ def _segments(t: TruncatedAlgebra, degrees, vec):
     return out
 
 
-def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: bool):
-    """Sparse columns of a map of free modules, block by block.
+def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: bool,
+                    skip=frozenset()):
+    """Sparse columns of a map of free modules, block by block, leaving out
+    the columns whose index is in `skip`.
 
     Source block s is A_q for q = src_degrees[s], target block r is A_q for
     q = dst_degrees[r]; the map multiplies block s into block r by the
@@ -92,16 +104,28 @@ def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: 
     """
     offsets = list(accumulate((_block_dim(t, q) for q in dst_degrees), initial=0))
     cols = []
+    start = 0  # the index of block s's first column
     for s, q in enumerate(src_degrees):
-        block = [{} for _ in range(_block_dim(t, q))]
+        n = _block_dim(t, q)
+        kept = [w for w in range(n) if start + w not in skip]
+        start += n
+        if not kept:
+            continue
+        parts = []
         for r, q_dst in enumerate(dst_degrees):
             c = coeff(s, r)
-            if c is None or not block or not _block_dim(t, q_dst):
-                continue
-            off = offsets[r]
-            for col, part in zip(block, t.mul_columns(c.vec, c.degree, q, left)):
-                col.update((off + k, x) for k, x in part.items())
-        cols.extend(block)
+            if c is not None and _block_dim(t, q_dst):
+                parts.append((offsets[r], t.mul_columns(c.vec, c.degree, q, left)))
+        if len(parts) == 1:
+            # one target block: a shifted copy of each cached product column
+            off, prods = parts[0]
+            cols.extend({off + k: x for k, x in prods[w].items()} for w in kept)
+            continue
+        for w in kept:
+            col = {}
+            for off, prods in parts:
+                col.update((off + k, x) for k, x in prods[w].items())
+            cols.append(col)
     return cols
 
 
@@ -178,17 +202,22 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     Step i walks the internal degrees j once.  The columns of d_i at j on
     the generators chosen so far span d_i((A+ . F_i)_j) = (A+ . ker d_{i-1})_j,
     since ker d_{i-1} is the image of d_i in every lower degree.  One row
-    echelon of those columns gives their rank and the kernel of d_i at j,
-    stored for step i + 1.  When the rank is below dim ker d_{i-1} at j,
-    the kernel vectors outside the column span of the same columns become
-    F_i's degree-j generators and complete d_i at j; an AssertionError
-    naming (i, j) is raised unless they number exactly the shortfall.
+    echelon of those columns, on the rows at the free coordinates of the
+    echelon behind ker d_{i-1} at j (all rows for i = 1), gives their rank
+    and the kernel of d_i at j, stored for step i + 1.  When the rank is
+    below dim ker d_{i-1} at j, the kernel vectors outside the column span
+    of the same columns become F_i's degree-j generators and complete d_i
+    at j; an AssertionError naming (i, j) is raised unless they number
+    exactly the shortfall.
     """
     if hom_bound < 1:
         raise ValueError("hom_bound must be >= 1")
     D, F = t.bound, t.field
 
     report = ResolutionReport(t, hom_bound, D, [FreeStep([0], None)])
+    # per internal degree j, the free coordinates of the echelon behind
+    # kernels[(i, j)] for the last step i (none for the augmentation)
+    free = {}
 
     # kernel of the augmentation: everything in positive internal degrees
     for j in range(1, D + 1):
@@ -197,12 +226,18 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     for i in range(1, hom_bound + 1):
         prev = report.steps[i - 1].gen_degrees
         step = FreeStep([], [])
+        free, prev_free = {}, free
         for j in range(min(prev) + 1, D + 1):
             # d_i of the generators chosen so far spans (A+ . ker d_{i-1})_j
             cols = _map_columns(t, step, prev, j)
             n = _module_dim(t, prev, j)
+            # eliminated on its rows at the free coordinates of d_{i-1}'s
+            # echelon: the columns lie in ker d_{i-1}, where a vector is fixed
+            # by those coordinates, so these rows have the full kernel
+            rows = columns_to_rows(cols, n)
+            keep = prev_free.get(j)
             echelon = RowSpan(F, len(cols))
-            echelon.extend(columns_to_rows(cols, n))
+            echelon.extend(rows if keep is None else (rows[f] for f in keep))
             kb = report.kernels.get((i - 1, j), [])
             if echelon.dim < len(kb):
                 # by exactness below j the old image lies in ker d_{i-1} at
@@ -227,6 +262,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
                 # the new columns are independent modulo the old ones, so the
                 # kernel of the completed d_i at j is that of the old columns
                 report.kernels[(i, j)] = echelon.kernel_sparse()
+                free[j] = echelon.free
 
         if not step.gen_degrees:
             report.stopped_at = i
@@ -286,8 +322,9 @@ class ExtTable:
         return "\n".join(lines)
 
 
-def _dual_columns(report: ResolutionReport, i: int, m: int):
-    """The dualized differential Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m.
+def _dual_columns(report: ResolutionReport, i: int, m: int, skip=frozenset()):
+    """The dualized differential Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m, less
+    the columns whose index is in `skip`.
 
     A functional is a block vector (phi_b in A_{m + g_b}); composing with d_i
     left-multiplies by the entries: (d_i^* phi)_a = sum_b c_{ab} phi_b.
@@ -295,7 +332,7 @@ def _dual_columns(report: ResolutionReport, i: int, m: int):
     step = report.steps[i]
     return _module_columns(report.algebra, [m + h for h in report.steps[i - 1].gen_degrees],
                            [m + g for g in step.gen_degrees],
-                           lambda b, a: step.entries[a][b], left=True)
+                           lambda b, a: step.entries[a][b], left=True, skip=skip)
 
 
 def _functional_dim(report: ResolutionReport, i: int, m: int) -> int:
@@ -313,27 +350,45 @@ def _coboundaries(report: ResolutionReport, i: int, m: int) -> RowSpan:
 
 def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     """Graded dims of ker/im in the dualized complex, per internal degree
-    within each homological degree's validity window."""
-    dims = {}
-    windows = []
-    rank = cache(lambda i, m: _coboundaries(report, i, m).dim)  # of d_i^* at m
+    within each homological degree's validity window.
+
+    The rank of each d_i^* at m is that of its column span.  At each m the
+    ranks are taken in increasing i, and where the image of d_{i-1}^* at m
+    is known, only the columns of d_i^* off its pivots are built: d_i^*
+    kills that image, and the unit vectors off its pivots complete it to a
+    basis of the domain.
+    """
+    windows, ext_at = [], []         # ext_at: the (i, m) whose dimension is read
     for i in range(report.hom_bound):
         win = report.window(i)
         windows.append(win)
         cur = report.step_or_none(i)
-        if cur is None:
-            continue
-        lo = -max(cur.gen_degrees)
-        nxt = report.step_or_none(i + 1)
-        for m in range(lo, win + 1):
-            dom = _functional_dim(report, i, m)
-            if dom == 0:
-                continue
-            d = dom - (rank(i + 1, m) if nxt else 0) - rank(i, m)
-            if d < 0:
-                raise AssertionError("negative Ext dimension: broken complex")
-            if d:
-                dims[(i, m)] = d
+        if cur is not None:
+            ext_at += [(i, m) for m in range(-max(cur.gen_degrees), win + 1)
+                       if _functional_dim(report, i, m)]
+
+    # per m, the i whose d_i^* rank is needed: d_i^* and d_{i+1}^* bound Ext^i
+    wanted = {}
+    for i, m in ext_at:
+        wanted.setdefault(m, set()).update(
+            k for k in (i, i + 1) if k >= 1 and report.step_or_none(k))
+    rank = {}                        # (i, m) -> rank of d_i^* at m
+    F = report.algebra.field
+    for m, needed in wanted.items():
+        pivots = {}                  # i -> pivots of the image of d_i^* at m
+        for i in sorted(needed):
+            span = RowSpan(F, _functional_dim(report, i, m))
+            span.extend(_dual_columns(report, i, m, pivots.get(i - 1, frozenset())))
+            rank[(i, m)] = span.dim
+            pivots[i] = frozenset(span.pivots)
+
+    dims = {}
+    for i, m in ext_at:
+        d = _functional_dim(report, i, m) - rank.get((i + 1, m), 0) - rank.get((i, m), 0)
+        if d < 0:
+            raise AssertionError("negative Ext dimension: broken complex")
+        if d:
+            dims[(i, m)] = d
     return ExtTable(report.hom_bound, report.int_bound, dims, windows)
 
 

@@ -9,8 +9,9 @@ from dgskew.classify import (classify, crosscheck, cubic_cocycle_rank,
                              normalize_rank_one, predicted_dims,
                              squares_ideal_analysis)
 from dgskew.fields import QQ, field_from_name
-from dgskew.linalg import Matrix
+from dgskew.linalg import Matrix, RowSpan
 from dgskew.sampling import random_full_rank, random_rank_one, random_rank_two
+from dgskew.skew import basis_position, degree_basis, degree_dim
 
 
 def mat(rows):
@@ -172,6 +173,47 @@ def test_squares_ideal_dependency_row():
     assert M.rank() == 2
     rep = squares_ideal_analysis(M, bound=5)
     assert rep.ok
+
+
+def test_squares_ideal_matches_the_ideal_of_all_three_rows():
+    # the analysis multiplies only the two nonzero rows of rref(M); the
+    # ideal of all three rows of M must have the same quotient dims
+    rng = random.Random(16)
+    for F in (QQ, field_from_name("Fp:7")):
+        for _ in range(10):
+            M = random_rank_two(F, rng)
+            want = []
+            for n in range(7):
+                span = RowSpan(F, degree_dim(n))
+                for m in degree_basis(n - 1):
+                    up = [basis_position([e + (k == j) for k, e in enumerate(m)])
+                          for j in range(3)]
+                    span.extend({up[j]: x for j, x in enumerate(row) if x}
+                                for row in M.entries)
+                want.append(degree_dim(n) - span.dim)
+            assert squares_ideal_analysis(M, bound=6).quotient_dims == want
+
+
+def test_crosscheck_passes_on_isotropic_pairing_zero_matrices():
+    # y = sum s_i x_i^2 is a coboundary when s.s = 0, which happens over
+    # F_p; the y generator must then use a w with w.s != 0
+    F7 = field_from_name("Fp:7")
+    rep = crosscheck(Matrix.from_rows(F7, [[5, 6, 0], [3, 3, 6], [4, 6, 2]]), 6)
+    assert rep.classification.case_label == "R2_pairing_zero"
+    assert rep.ok, [p.name for p in rep.failures()]
+    assert rep.computed_dims == [1] * 7
+
+    F3 = field_from_name("Fp:3")
+    isotropic = 0
+    for entries in itertools.product(range(3), repeat=9):
+        M = Matrix.from_rows(F3, [entries[:3], entries[3:6], entries[6:]])
+        c = classify(M)
+        if c.case_label != "R2_pairing_zero" or sum(x * x for x in c.parameters["s"]) % 3:
+            continue
+        isotropic += 1
+        rep = crosscheck(M, 6)
+        assert rep.ok, (entries, [p.name for p in rep.failures()])
+    assert isotropic == 768
 
 
 def test_crosscheck_passes_on_generic_representatives():

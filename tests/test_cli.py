@@ -46,6 +46,13 @@ def test_crosscheck_passes_on_generic_instance(capsys):
     assert rc == 0
 
 
+def test_crosscheck_passes_on_an_isotropic_pairing_zero_instance(capsys):
+    # over F_7, s.s = 0 for the kernel vector s of this matrix
+    rc = main(["crosscheck", "--field", "Fp:7", "--matrix", "[[5,6,0],[3,3,6],[4,6,2]]",
+               "--max-degree", "6"])
+    assert rc == 0
+
+
 def test_gorenstein_pipeline(capsys):
     rc = main(["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "5",
                "--int-bound", "8"])

@@ -8,10 +8,10 @@ import pytest
 
 import dgskew
 from dgskew.cohomology import cohomology
-from dgskew.dg import DGSpec, d
+from dgskew.dg import DGSpec, d, d_columns
 from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField
-from dgskew.linalg import Matrix, RowSpan
+from dgskew.linalg import Matrix, RowSpan, columns_to_rows
 from dgskew.sampling import random_rank_two
 from dgskew.skew import GradedElement, Monomial, degree_basis, degree_dim, parse_element
 
@@ -256,6 +256,80 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
         assert report.class_of(z) == got and len(made) - before <= 2
     assert json.dumps(report.to_json(), indent=2, sort_keys=True) == want
     assert len(made) == 3 * (top + 1)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
+@pytest.mark.parametrize("rank", sorted(RANK_MATRICES))
+def test_stored_echelons_match_a_full_row_elimination(field_name, rank):
+    # cohomology() eliminates d_deg on its rows at the free columns of
+    # d_(deg+1) only; the echelon of all its rows must be the same
+    F = dgskew.field_from_name(field_name)
+    spec = DGSpec.from_rows(F, RANK_MATRICES[rank])
+    top = 8
+    report = cohomology(spec, top)
+    for deg in range(top + 1):
+        echelon, _ = report._pending[deg]
+        full = RowSpan(F, degree_dim(deg))
+        full.extend(columns_to_rows(d_columns(spec, deg), degree_dim(deg + 1)))
+        assert echelon.pivots == full.pivots, deg
+        assert echelon.kernel_sparse() == full.kernel_sparse(), deg
+        assert echelon.rows_sparse() == full.rows_sparse(), deg
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
+@pytest.mark.parametrize("rank", sorted(RANK_MATRICES))
+def test_elimination_of_d_receives_at_most_the_next_cocycle_rank_rows(monkeypatch,
+                                                                      field_name, rank):
+    received = {}
+
+    class CountingRowSpan(RowSpan):
+        def extend(self, vectors):
+            vectors = list(vectors)
+            received[self.width] = len(vectors)
+            super().extend(vectors)
+
+    monkeypatch.setattr(importlib.import_module("dgskew.cohomology"), "RowSpan", CountingRowSpan)
+    F = dgskew.field_from_name(field_name)
+    top = 8
+    report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), top)
+    # the echelon of d_deg has width dim A^deg, distinct per degree
+    assert sorted(received) == [degree_dim(deg) for deg in range(top + 1)]
+    assert received[degree_dim(top)] == degree_dim(top + 1)
+    for deg in range(top):
+        assert received[degree_dim(deg)] <= report.cocycle_ranks[deg + 1], deg
+
+
+def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
+    # empty the last nonzero row of d_2: its echelon then has a kernel
+    # larger than Z^2 (dims[2] reads 1, not 0), and building degree 2 must
+    # refuse the representatives
+    module = importlib.import_module("dgskew.cohomology")
+    full = module.columns_to_rows
+
+    def lossy(columns, nrows):
+        rows = full(columns, nrows)
+        if nrows == degree_dim(3):
+            rows[max(i for i, row in enumerate(rows) if row)] = {}
+        return rows
+
+    monkeypatch.setattr(module, "columns_to_rows", lossy)
+    spec = DGSpec.from_rows(QQ, RANK_MATRICES[3])
+    report = cohomology(spec, 4)
+    assert report.dims[2] == 1
+    with pytest.raises(AssertionError, match="degree 2: a representative is not a cocycle"):
+        report.to_json()
+
+
+def test_class_of_rejects_a_negative_degree():
+    report = report_of([[1, 0, 0], [0, 1, 0], [0, 0, 0]], 4)
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        report.class_of(GradedElement.zero(QQ, -1))
+    report = report_of([[1, 2, 3], [0, 1, 4], [5, 6, 0]], 3)
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        report.class_of(GradedElement.zero(QQ, -1))
+    # the top degree's stored data is untouched
+    assert report._built[3] is None
+    assert report.class_of(GradedElement.zero(QQ, 3)).is_zero
 
 
 def test_boundary_span_is_checked_against_the_rank():

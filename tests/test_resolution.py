@@ -11,8 +11,8 @@ from dgskew.linalg import Matrix, RowSpan, columns_to_rows
 from dgskew.presentations import parse_presentation, truncate
 from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
                                minimal_resolution,
-                               _assert_complex, _block_dim, _dual_columns, _map_columns,
-                               _module_dim, _segments,
+                               _assert_complex, _block_dim, _coboundaries, _dual_columns,
+                               _functional_dim, _map_columns, _module_dim, _segments,
                                _verify_cocycle, _verify_independent)
 
 ONE_SIDED = "gen x:1, y:1; rel y^2"
@@ -367,6 +367,28 @@ def test_kernels_and_generator_counts_match_the_full_map(F, text):
             image.extend(res.maps.get((i, j), [])[:lower])
             born = gens.count(j)
             assert born == len(res.kernels.get((i - 1, j), [])) - image.dim, (i, j)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "R1d", EXTERIOR])
+def test_ext_dims_match_ranks_of_the_full_dual_maps(F, text):
+    # ext_against_algebra builds only the columns of d_i^* off the pivots of
+    # the image of d_{i-1}^*; here every rank comes from all the columns
+    pres = (case_presentation(F, "R1d", R1D_PARAMS)[0] if text == "R1d"
+            else parse_presentation(F, text))
+    res = minimal_resolution(truncate(pres, 8), 4)
+    want = {}
+    for i in range(res.hom_bound):
+        cur = res.step_or_none(i)
+        if cur is None:
+            continue
+        for m in range(-max(cur.gen_degrees), res.window(i) + 1):
+            nxt = _coboundaries(res, i + 1, m).dim if res.step_or_none(i + 1) else 0
+            ext = _functional_dim(res, i, m) - nxt - _coboundaries(res, i, m).dim
+            if ext:
+                want[(i, m)] = ext
+    assert want
+    assert ext_against_algebra(res).dims == want
 
 
 def test_generator_count_check_fires(monkeypatch):
