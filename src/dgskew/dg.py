@@ -102,14 +102,16 @@ def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     return GradedElement.from_sparse(spec.field, u.degree + 1, out)
 
 
-def d_columns(spec: DGSpec, deg: int):
-    """Sparse columns of d on degree `deg`: column j is d of the j-th basis
-    monomial as {row index in degree deg+1: nonzero scalar}."""
+def d_columns(spec: DGSpec, deg: int, skip=frozenset()):
+    """Sparse columns of d on degree `deg`, less the columns whose index is
+    in `skip`: column j is d of the j-th basis monomial as {row index in
+    degree deg+1: nonzero scalar}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
     F = spec.field
     rows = spec.matrix.entries
-    return [normalized(F, dict(_d_terms(rows, m))) for m in basis_monomials(deg)]
+    return [normalized(F, dict(_d_terms(rows, m)))
+            for j, m in enumerate(basis_monomials(deg)) if j not in skip]
 
 
 def d_matrix(spec: DGSpec, deg: int) -> Matrix:

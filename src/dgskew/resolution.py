@@ -10,25 +10,15 @@ j, because by exactness below j every lower kernel vector is d_i of an
 element of F_i, and d_i is a module map.  Every differential entry then has
 positive degree, which is the defining property of a minimal resolution.
 
-Each (i, j) step eliminates d_i once, on the lower generators: the row
-echelon of those columns gives their rank and the kernel of d_i at j (the
-new columns are independent modulo the old image, so every kernel vector
-is zero on them).  For i >= 2 it takes only the rows of d_i at the free
-(non-pivot) coordinates of the echelon behind ker d_{i-1} at j.  That is
-exact: the columns of d_i lie in ker d_{i-1}, where a vector is fixed by
-those coordinates, so the kept rows have the same kernel, hence the same
-reduced echelon, as all the rows.  `_assert_complex` checks d_{i-1} d_i = 0
-on every stored map before a report is returned.  The old image lies in
-ker d_{i-1} at j, so generators are born only where that rank is short of
-dim ker d_{i-1}; only there is the column span built, and the number of
-generators it picks must equal the shortfall, a check of exactness at
-(i-1, j) by a second, independent elimination.
+Each (i, j) step eliminates d_i once, on the lower generators and, for
+i >= 2, on only its rows at the free coordinates of the echelon behind
+ker d_{i-1} at j (see `minimal_resolution`).  `_assert_complex` checks
+d_{i-1} d_i = 0 on every stored map before a report is returned.
 
-Ext against the algebra needs only ranks of the dual maps d_i^* at each
-internal degree m.  They are taken in increasing i, and where the image of
-d_{i-1}^* at m is known, only the columns of d_i^* off its pivots are built
-and eliminated: d_i^* kills that image, and the unit vectors off its pivots
-complete it to a basis, so those columns span the whole image of d_i^*.
+Ext against the algebra is the cohomology of the dual complex at each
+internal degree m, Hom(F_i, A)_m with d^i the dual of d_{i+1}: one
+`complexes.CochainComplex` per m, which the certificate reuses for its
+witnesses and their independence.
 
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
@@ -51,6 +41,7 @@ from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate
 from typing import NamedTuple
 
+from .complexes import CochainComplex
 from .errors import BoundInsufficientError
 from .linalg import RowSpan, apply_columns, columns_to_rows, extend_independent
 from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
@@ -299,6 +290,8 @@ class ExtTable:
     int_bound: int
     dims: dict                      # (i, m) -> dim, only nonzero entries
     windows: list                   # window per homological degree
+    # m -> the dual complex Hom(F_., A)_m the dims were read off
+    complexes: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     def total_within_windows(self) -> int:
         return sum(self.dims.values())
@@ -340,56 +333,36 @@ def _functional_dim(report: ResolutionReport, i: int, m: int) -> int:
     return sum(_block_dim(report.algebra, m + g) for g in report.steps[i].gen_degrees)
 
 
-def _coboundaries(report: ResolutionReport, i: int, m: int) -> RowSpan:
-    """The image of d_i^* in Hom(F_i, A)_m (zero for i = 0)."""
-    span = RowSpan(report.algebra.field, _functional_dim(report, i, m))
-    if i >= 1:
-        span.extend(_dual_columns(report, i, m))
-    return span
+def _dual_complex(report: ResolutionReport, m: int) -> CochainComplex:
+    """Hom(F_., A)_m: C^i is Hom(F_i, A)_m, d^i the dual of d_{i+1}."""
+    def width(i):
+        return _functional_dim(report, i, m) if report.step_or_none(i) else 0
+    return CochainComplex(report.algebra.field, width,
+                          lambda i, skip: _dual_columns(report, i + 1, m, skip))
 
 
 def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     """Graded dims of ker/im in the dualized complex, per internal degree
-    within each homological degree's validity window.
-
-    The rank of each d_i^* at m is that of its column span.  At each m the
-    ranks are taken in increasing i, and where the image of d_{i-1}^* at m
-    is known, only the columns of d_i^* off its pivots are built: d_i^*
-    kills that image, and the unit vectors off its pivots complete it to a
-    basis of the domain.
-    """
-    windows, ext_at = [], []         # ext_at: the (i, m) whose dimension is read
+    within each homological degree's validity window; the table keeps the
+    dual complexes they were read off."""
+    windows, complexes, dims = [], {}, {}
     for i in range(report.hom_bound):
         win = report.window(i)
         windows.append(win)
         cur = report.step_or_none(i)
-        if cur is not None:
-            ext_at += [(i, m) for m in range(-max(cur.gen_degrees), win + 1)
-                       if _functional_dim(report, i, m)]
-
-    # per m, the i whose d_i^* rank is needed: d_i^* and d_{i+1}^* bound Ext^i
-    wanted = {}
-    for i, m in ext_at:
-        wanted.setdefault(m, set()).update(
-            k for k in (i, i + 1) if k >= 1 and report.step_or_none(k))
-    rank = {}                        # (i, m) -> rank of d_i^* at m
-    F = report.algebra.field
-    for m, needed in wanted.items():
-        pivots = {}                  # i -> pivots of the image of d_i^* at m
-        for i in sorted(needed):
-            span = RowSpan(F, _functional_dim(report, i, m))
-            span.extend(_dual_columns(report, i, m, pivots.get(i - 1, frozenset())))
-            rank[(i, m)] = span.dim
-            pivots[i] = frozenset(span.pivots)
-
-    dims = {}
-    for i, m in ext_at:
-        d = _functional_dim(report, i, m) - rank.get((i + 1, m), 0) - rank.get((i, m), 0)
-        if d < 0:
-            raise AssertionError("negative Ext dimension: broken complex")
-        if d:
-            dims[(i, m)] = d
-    return ExtTable(report.hom_bound, report.int_bound, dims, windows)
+        if cur is None:
+            continue
+        for m in range(-max(cur.gen_degrees), win + 1):
+            if not _functional_dim(report, i, m):
+                continue
+            if m not in complexes:
+                complexes[m] = _dual_complex(report, m)
+            d = complexes[m].dim(i)
+            if d < 0:
+                raise AssertionError("negative Ext dimension: broken complex")
+            if d:
+                dims[(i, m)] = d
+    return ExtTable(report.hom_bound, report.int_bound, dims, windows, complexes)
 
 
 @dataclass
@@ -442,7 +415,7 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
     for i, m, _dim in table.classes():
         if len(witnesses) >= 2:
             break
-        for phi in _ext_class_functionals(report, i, m):
+        for phi in _ext_class_functionals(table.complexes[m], i):
             witnesses.append(WitnessClass(i, m, phi,
                                           _render_functional(report, i, m, phi)))
             if len(witnesses) >= 2:
@@ -451,7 +424,7 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
     if len(witnesses) >= 2:
         for w in witnesses:
             _verify_cocycle(report, w)
-        _verify_independent(report, witnesses)
+        _verify_independent(table.complexes, witnesses)
         total = table.total_within_windows()
         return GorensteinVerdict(
             "NonGorenstein", table, witnesses[:2],
@@ -462,13 +435,13 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
         "no refutation up to the cutoff")
 
 
-def _ext_class_functionals(report: ResolutionReport, i: int, m: int):
-    """Representative functionals of Ext^i at internal degree m."""
-    cocycles = RowSpan(report.algebra.field, _functional_dim(report, i, m))
-    if report.step_or_none(i + 1):
-        cocycles.extend(columns_to_rows(_dual_columns(report, i + 1, m),
-                                        _functional_dim(report, i + 1, m)))
-    return extend_independent(_coboundaries(report, i, m), cocycles.kernel_sparse())
+def _ext_class_functionals(cx: CochainComplex, i: int):
+    """Representative functionals of Ext^i at one internal degree: the
+    kernel basis vectors of d^i whose residues modulo B^i are independent of
+    the residues of the vectors before them."""
+    boundaries = cx.boundaries(i)
+    residues = RowSpan(cx.field, boundaries.width)
+    return [phi for phi in cx.cocycles(i) if residues.add(boundaries.reduce(phi))]
 
 
 def _functional_blocks(report: ResolutionReport, i: int, m: int, phi):
@@ -507,21 +480,20 @@ def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
                     f"witness at ({i},{m}) fails the cocycle re-verification")
 
 
-def _verify_independent(report: ResolutionReport, witnesses):
+def _verify_independent(complexes, witnesses):
     """The witnesses are independent modulo coboundaries.
 
     Classes of different bidegrees lie in different graded pieces, so the
-    witnesses at each bidegree must extend the image of the dual map there
-    by as many dimensions as they are.
+    witnesses at each bidegree must have independent residues modulo the
+    stored image of the dual map there, `complexes[m].boundaries(i)`.
     """
     by_bidegree = {}
     for w in witnesses:
         by_bidegree.setdefault((w.hom_degree, w.internal_degree), []).append(w)
     for (i, m), group in by_bidegree.items():
-        span = _coboundaries(report, i, m)
-        base = span.dim
-        for w in group:
-            span.add(w.functional)
-        if span.dim != base + len(group):
+        boundaries = complexes[m].boundaries(i)
+        residues = RowSpan(boundaries.field, boundaries.width)
+        residues.extend(boundaries.reduce(w.functional) for w in group)
+        if residues.dim != len(group):
             raise AssertionError(
                 f"witnesses at ({i},{m}) are not independent modulo coboundaries")

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import random
 from math import comb
@@ -7,6 +6,7 @@ from math import comb
 import pytest
 
 import dgskew
+from dgskew import complexes
 from dgskew.cohomology import cohomology
 from dgskew.dg import DGSpec, d, d_columns
 from dgskew.errors import BoundInsufficientError
@@ -226,8 +226,7 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
             super().__init__(*args)
             made.append(self)
 
-    # the module, which the package's `cohomology` function shadows
-    monkeypatch.setattr(importlib.import_module("dgskew.cohomology"), "RowSpan", CountingRowSpan)
+    monkeypatch.setattr(complexes, "RowSpan", CountingRowSpan)
     F = dgskew.field_from_name(field_name)
     spec = DGSpec.from_rows(F, RANK_MATRICES[rank])
     top = 7
@@ -236,7 +235,9 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
     made.clear()
     report = cohomology(spec, top)
     assert report.dims == fresh.dims
-    assert len(made) == top + 1
+    # B^0 = 0, then one column elimination of each d_deg, deg <= top
+    assert len(made) == top + 2
+    assert made == report._complex._boundaries
 
     # per degree, the sum of the basis representatives plus a boundary
     rng = random.Random(rank)
@@ -255,69 +256,86 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
         assert got == fresh.class_of(z)
         assert report.class_of(z) == got and len(made) - before <= 2
     assert json.dumps(report.to_json(), indent=2, sort_keys=True) == want
-    assert len(made) == 3 * (top + 1)
+    assert len(made) == top + 2 + 2 * (top + 1)
+
+
+def _full_row_echelon(F, spec, deg):
+    echelon = RowSpan(F, degree_dim(deg))
+    echelon.extend(columns_to_rows(d_columns(spec, deg), degree_dim(deg + 1)))
+    return echelon
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
 @pytest.mark.parametrize("rank", sorted(RANK_MATRICES))
 def test_stored_echelons_match_a_full_row_elimination(field_name, rank):
-    # cohomology() eliminates d_deg on its rows at the free columns of
-    # d_(deg+1) only; the echelon of all its rows must be the same
+    # the complex eliminates the columns of d_deg off the pivots of B^deg,
+    # and its kernels on the rows of d_deg at the pivots of B^(deg+1) only;
+    # the elimination of all its columns, and of all its rows, must agree
     F = dgskew.field_from_name(field_name)
     spec = DGSpec.from_rows(F, RANK_MATRICES[rank])
     top = 8
     report = cohomology(spec, top)
+    cx = report._complex
     for deg in range(top + 1):
-        echelon, _ = report._pending[deg]
-        full = RowSpan(F, degree_dim(deg))
-        full.extend(columns_to_rows(d_columns(spec, deg), degree_dim(deg + 1)))
-        assert echelon.pivots == full.pivots, deg
-        assert echelon.kernel_sparse() == full.kernel_sparse(), deg
-        assert echelon.rows_sparse() == full.rows_sparse(), deg
+        image = RowSpan(F, degree_dim(deg + 1))
+        image.extend(d_columns(spec, deg))
+        assert cx.boundaries(deg + 1).rows_sparse() == image.rows_sparse(), deg
+        full = _full_row_echelon(F, spec, deg)
+        assert cx.cocycles(deg) == full.kernel_sparse(), deg
+        # the classes: the reduced residues of the full kernel modulo B^deg
+        residues = RowSpan(F, degree_dim(deg))
+        residues.extend(cx.boundaries(deg).reduce(v) for v in full.kernel_sparse())
+        assert cx.classes(deg).rows_sparse() == residues.rows_sparse(), deg
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
 @pytest.mark.parametrize("rank", sorted(RANK_MATRICES))
 def test_elimination_of_d_receives_at_most_the_next_cocycle_rank_rows(monkeypatch,
                                                                       field_name, rank):
-    received = {}
+    received = []
 
     class CountingRowSpan(RowSpan):
         def extend(self, vectors):
             vectors = list(vectors)
-            received[self.width] = len(vectors)
+            received.append((self.width, len(vectors)))
             super().extend(vectors)
 
-    monkeypatch.setattr(importlib.import_module("dgskew.cohomology"), "RowSpan", CountingRowSpan)
+    monkeypatch.setattr(complexes, "RowSpan", CountingRowSpan)
     F = dgskew.field_from_name(field_name)
     top = 8
     report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), top)
-    # the echelon of d_deg has width dim A^deg, distinct per degree
-    assert sorted(received) == [degree_dim(deg) for deg in range(top + 1)]
-    assert received[degree_dim(top)] == degree_dim(top + 1)
+    br = report.coboundary_ranks
+    # up front: the columns of each d_deg off the pivots of B^deg
+    assert received == [(degree_dim(deg + 1), degree_dim(deg) - br[deg])
+                        for deg in range(top + 1)]
     for deg in range(top):
-        assert received[degree_dim(deg)] <= report.cocycle_ranks[deg + 1], deg
+        # a kernel of d_deg: its rank-many rows at the pivots of B^(deg+1)
+        received.clear()
+        report._complex.cocycles(deg)
+        assert received == ([(degree_dim(deg), br[deg + 1])] if br[deg + 1] else []), deg
+        assert br[deg + 1] <= report.cocycle_ranks[deg + 1], deg
 
 
 def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
-    # empty the last nonzero row of d_2: its echelon then has a kernel
-    # larger than Z^2 (dims[2] reads 1, not 0), and building degree 2 must
-    # refuse the representatives
-    module = importlib.import_module("dgskew.cohomology")
-    full = module.columns_to_rows
+    # empty the first nonzero row of d_2, which sits at the first pivot of
+    # B^3: the rows of d_2 at those pivots then fall short of its column rank
+    full = complexes.columns_to_rows
 
     def lossy(columns, nrows):
         rows = full(columns, nrows)
         if nrows == degree_dim(3):
-            rows[max(i for i, row in enumerate(rows) if row)] = {}
+            rows[min(i for i, row in enumerate(rows) if row)] = {}
         return rows
 
-    monkeypatch.setattr(module, "columns_to_rows", lossy)
-    spec = DGSpec.from_rows(QQ, RANK_MATRICES[3])
-    report = cohomology(spec, 4)
-    assert report.dims[2] == 1
-    with pytest.raises(AssertionError, match="degree 2: a representative is not a cocycle"):
-        report.to_json()
+    monkeypatch.setattr(complexes, "columns_to_rows", lossy)
+    for field_name in ("Q", "Fp:2147483659"):
+        F = dgskew.field_from_name(field_name)
+        report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[3]), 4)
+        assert report.dims == [1, 0, 0, 0, 0]
+        assert report.unit_class().coordinates == (1,)
+        with pytest.raises(AssertionError, match=r"degree 2: the rows of d\^2 at the pivots "
+                                                 r"of B\^3 have rank 2, its columns 3"):
+            report.to_json()
 
 
 def test_class_of_rejects_a_negative_degree():
@@ -328,16 +346,20 @@ def test_class_of_rejects_a_negative_degree():
     with pytest.raises(ValueError, match="degree -1 is negative"):
         report.class_of(GradedElement.zero(QQ, -1))
     # the top degree's stored data is untouched
-    assert report._built[3] is None
+    assert report._classes == {}
     assert report.class_of(GradedElement.zero(QQ, 3)).is_zero
 
 
 def test_boundary_span_is_checked_against_the_rank():
-    # the boundary span re-eliminates the stored pivot columns of d_(k-1);
-    # losing one makes it disagree with the rank read off the rows of d_(k-1)
+    # a stored B^4 that lost a row: the kernel of d_3 on the rows at its
+    # pivots then holds a vector outside Z^3, and the representatives of
+    # degree 3 must be refused by d itself
     spec = DGSpec.from_rows(QQ, RANK_MATRICES[1])
     report = cohomology(spec, 4)
-    echelon, image = report._pending[3]
-    report._pending[3] = (echelon, image[:-1])
-    with pytest.raises(AssertionError, match="degree 3"):
+    cx = report._complex
+    image = cx.boundaries(4)
+    lost = RowSpan(QQ, image.width)
+    lost.extend(image.rows_sparse()[:-1])
+    cx._boundaries[4] = lost
+    with pytest.raises(AssertionError, match="degree 3: a representative is not a cocycle"):
         report.class_of(d(spec, parse_element(QQ, "x1 x2")))

@@ -1,6 +1,7 @@
 """The generic algebra layers know nothing of the case chart: presentations
 and resolutions work over any presented algebra, and the classifier owns
-the case labels, the case presentations and their representatives."""
+the case labels, the case presentations and their representatives.  The
+cochain-complex engine sits on the linear algebra alone."""
 
 import ast
 import re
@@ -35,3 +36,7 @@ def test_generic_layers_stay_off_the_case_chart(module):
     source = (SRC / f"{module}.py").read_text()
     assert _package_imports(ast.parse(source)) & CASE_MODULES == set()
     assert [line for line in source.splitlines() if CASE_LABEL.search(line)] == []
+
+
+def test_the_complex_engine_imports_only_linear_algebra_and_fields():
+    assert _package_imports(ast.parse((SRC / "complexes.py").read_text())) <= {"linalg", "fields"}

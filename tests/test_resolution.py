@@ -6,12 +6,12 @@ import pytest
 from dgskew.classify import case_presentation, classify, predicted_vs_certified
 from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField, field_from_name
-from dgskew import resolution
+from dgskew import complexes, resolution
 from dgskew.linalg import Matrix, RowSpan, columns_to_rows
 from dgskew.presentations import parse_presentation, truncate
 from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
                                minimal_resolution,
-                               _assert_complex, _block_dim, _coboundaries, _dual_columns,
+                               _assert_complex, _block_dim, _dual_columns,
                                _functional_dim, _map_columns, _module_dim, _segments,
                                _verify_cocycle, _verify_independent)
 
@@ -221,17 +221,19 @@ def test_assert_complex_sees_a_corrupted_differential():
 def test_independence_check_rejects_a_coboundary_or_zero_witness():
     # the one-sided witnesses sit at the distinct bidegrees (1, -1) and (1, 0)
     res = resolve(ONE_SIDED)
+    complexes = ext_against_algebra(res).complexes
     low, high = sorted(gorenstein_certificate(parse_presentation(QQ, ONE_SIDED)).witness,
                        key=lambda w: w.internal_degree)
     assert (low.internal_degree, high.internal_degree) == (-1, 0)
-    _verify_independent(res, [low, high])
+    _verify_independent(complexes, [low, high])
     # d_1^* of the unit functional on F_0: a coboundary at (1, 0)
     coboundary = _dual_columns(res, 1, 0)[0]
     assert coboundary
-    for pair in ([low, WitnessClass(1, 0, coboundary, "")],
-                 [WitnessClass(1, -1, {}, ""), high]):
+    for group in ([low, WitnessClass(1, 0, coboundary, "")],
+                  [WitnessClass(1, -1, {}, ""), high],
+                  [WitnessClass(1, 0, {k: 2 * x for k, x in high.functional.items()}, ""), high]):
         with pytest.raises(AssertionError, match="not independent"):
-            _verify_independent(res, pair)
+            _verify_independent(complexes, group)
 
 
 def test_cocycle_check_rejects_a_perturbed_witness():
@@ -369,6 +371,15 @@ def test_kernels_and_generator_counts_match_the_full_map(F, text):
             assert born == len(res.kernels.get((i - 1, j), [])) - image.dim, (i, j)
 
 
+def _full_dual_rank(res, i, m):
+    """The rank of d_i^* at m from all of its columns (zero for i = 0)."""
+    if not 1 <= i < len(res.steps):
+        return 0
+    span = RowSpan(res.algebra.field, _functional_dim(res, i, m))
+    span.extend(_dual_columns(res, i, m))
+    return span.dim
+
+
 @pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
 @pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "R1d", EXTERIOR])
 def test_ext_dims_match_ranks_of_the_full_dual_maps(F, text):
@@ -383,12 +394,53 @@ def test_ext_dims_match_ranks_of_the_full_dual_maps(F, text):
         if cur is None:
             continue
         for m in range(-max(cur.gen_degrees), res.window(i) + 1):
-            nxt = _coboundaries(res, i + 1, m).dim if res.step_or_none(i + 1) else 0
-            ext = _functional_dim(res, i, m) - nxt - _coboundaries(res, i, m).dim
+            ext = (_functional_dim(res, i, m) - _full_dual_rank(res, i + 1, m)
+                   - _full_dual_rank(res, i, m))
             if ext:
                 want[(i, m)] = ext
     assert want
     assert ext_against_algebra(res).dims == want
+
+
+def test_a_certificate_eliminates_each_dual_map_once(monkeypatch):
+    # every RowSpan the engine makes is a stored B^n, one column elimination
+    # of d^(n-1) at m for each n up to the highest rank the table reads at
+    # m, or the one row elimination behind the cocycles at a witness bidegree
+    made = []
+
+    class CountingRowSpan(RowSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    tables = []
+    ext = resolution.ext_against_algebra
+
+    def keep(report):
+        tables.append(ext(report))
+        return tables[-1]
+
+    monkeypatch.setattr(complexes, "RowSpan", CountingRowSpan)
+    monkeypatch.setattr(resolution, "ext_against_algebra", keep)
+    cert = gorenstein_certificate(parse_presentation(QQ, ONE_SIDED))
+    assert cert.is_refuted
+    [table] = tables
+    res = resolve(ONE_SIDED)
+    read = {}                       # m -> the highest i whose Ext^i at m is read
+    for i in range(res.hom_bound):
+        for m in range(-max(res.steps[i].gen_degrees), res.window(i) + 1):
+            if _functional_dim(res, i, m):
+                read[m] = max(read.get(m, i), i)
+    assert sorted(table.complexes) == sorted(read)
+    stored = []
+    for m, cx in table.complexes.items():
+        # B^0 up to B^(i+1): Ext^i needs the ranks of d^(i-1) and d^i
+        assert len(cx._boundaries) == read[m] + 2, m
+        stored += cx._boundaries
+    witnessed = {(w.hom_degree, w.internal_degree) for w in cert.witness}
+    assert len(witnessed) == 2
+    assert len(made) == len(stored) + len(witnessed)
+    assert all(any(s is b for b in made) for s in stored)
 
 
 def test_generator_count_check_fires(monkeypatch):
