@@ -2,13 +2,11 @@
 bases, class membership and products of classes.
 
 `cohomology()` is the skew instance of `complexes.CochainComplex`: C^deg is
-A^deg on its monomial basis and d^deg is `d_columns`.  Each d_deg is
-eliminated once up front, for the ranks.  A degree's representatives, the
-complex's `classes`, are built the first time something reads them
-(`class_of`, `class_product` and `bases` or `to_json`), and each must be a
-cocycle of `d` itself.  They are in reduced echelon form, so two runs on
-the same input produce byte-identical reports, whatever order the degrees
-are built in.
+A^deg on its monomial basis and d^deg is `d_columns`.  A degree's
+representatives, the complex's `classes` in reduced echelon form, are built
+on first read (`class_of`, `class_product`, `bases`, `to_json`) and must be
+cocycles of `d` itself; reports are byte-identical whatever order the
+degrees are built in.
 """
 
 from __future__ import annotations
@@ -125,6 +123,6 @@ def cohomology(spec: DGSpec, max_degree: int) -> CohomologyReport:
         raise ValueError("max_degree must be >= 2")
     cx = CochainComplex(spec.field, degree_dim, lambda deg, skip: d_columns(spec, deg, skip))
     degrees = range(max_degree + 1)
-    zr = [degree_dim(deg) - cx.rank(deg) for deg in degrees]
-    br = [cx.boundaries(deg).dim for deg in degrees]
-    return CohomologyReport(spec, max_degree, [z - b for z, b in zip(zr, br)], zr, br, cx)
+    return CohomologyReport(spec, max_degree, [cx.dim(deg) for deg in degrees],
+                            [degree_dim(deg) - cx.rank(deg) for deg in degrees],
+                            [cx.boundaries(deg).dim for deg in degrees], cx)

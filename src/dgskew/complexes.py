@@ -5,38 +5,39 @@ term), and `columns(n, skip)`: the sparse columns ``{row: nonzero}`` of
 d^n: C^n -> C^(n+1) in index order, less those whose index is in `skip`.
 
 `CochainComplex` stores each boundary space B^n = im d^(n-1) as a reduced
-row echelon, built once from B^0 = 0 upwards, and reads every rank and dim
-off it: rank d^n = dim B^(n+1), dim H^n = dim C^n - rank d^n - dim B^n.
-B^(n+1) is eliminated from only the columns of d^n off B^n's pivots.  That
-is exact: d^n kills B^n, and the unit vectors off its pivots complete its
-rows to a basis of C^n, so their images span d^n(C^n).
+row echelon, built once from B^0 = 0 upwards from only the columns of
+d^(n-1) off B^(n-1)'s pivots: d^(n-1) kills B^(n-1), and the unit vectors
+off its pivots complete its rows to a basis.  Every rank and dim is read
+off the stored B^n.
 
-Kernels are eliminated on demand, by rows.  Every column of d^n lies in
-B^(n+1), where a vector is fixed by its entries at B^(n+1)'s pivots, so
-the kernel of d^n is that of its rank-many rows at those pivots.  Its
-reduced echelon, hence its `kernel_sparse` basis, is the same as for all
-the rows: `cocycles(n)`.  `classes(n)` is the reduced echelon basis of the
-kernel on the columns off B^n's pivots, that is of {z in Z^n vanishing at
-B^n's pivots}: the residues of Z^n modulo B^n, a canonical complement of
-B^n in Z^n.  Those rows are independent, since B^(n+1) projects
-injectively onto its pivot coordinates, so a row elimination whose rank is
-not dim B^(n+1) has lost a row and raises AssertionError.
+Kernels are eliminated on demand, on the rows of d^n at B^(n+1)'s pivots
+only: every column of d^n lies in B^(n+1), where a vector is fixed by
+those entries, so these rows have the kernel, hence the reduced echelon,
+of all the rows (`cocycles(n)`).  On the columns off B^n's pivots that
+kernel is {z in Z^n vanishing at B^n's pivots}, a canonical complement of
+B^n in Z^n (`classes(n)`).  Each kernel is checked, raising AssertionError
+that names the degree.  Its rows must have rank dim B^(n+1), as B^(n+1)
+projects injectively onto its pivots: that refuses a B^(n+1) with a vector
+too many.  And d^n itself must kill every kernel vector: that refuses one
+short of a vector, whose kernel is too large.  `classes(n)` builds every
+lower degree's first, so each B^k, k <= n, has passed both checks.
 """
 
 from __future__ import annotations
 
-from .linalg import RowSpan, columns_to_rows
+from .linalg import RowSpan, apply_columns, columns_to_rows
 
 
 class CochainComplex:
-    """The boundaries of a complex, each built once and stored, with its
-    cocycles and classes on demand."""
+    """One complex: its boundaries and classes, each built once, and its
+    cocycles on demand."""
 
     def __init__(self, field, width, columns):
         self.field = field
         self.width = width
         self.columns = columns
         self._boundaries = [RowSpan(field, width(0))]     # B^0 = 0
+        self._classes = []
 
     def boundaries(self, n: int) -> RowSpan:
         """B^n, built with every lower boundary space on first use; the
@@ -63,14 +64,20 @@ class CochainComplex:
         as in C^n."""
         image = self.boundaries(n + 1)
         kept = [j for j in range(self.width(n)) if j not in skip]
+        # past the last term d^n maps to C^(n+1) = 0: no columns to read
+        columns = self.columns(n, skip) if image.width else [{} for _ in kept]
         echelon = RowSpan(self.field, len(kept))
         if image.dim:
-            rows = columns_to_rows(self.columns(n, skip), image.width)
+            rows = columns_to_rows(columns, image.width)
             echelon.extend(rows[q] for q in image.pivots)
         if echelon.dim != image.dim:
             raise AssertionError(f"degree {n}: the rows of d^{n} at the pivots of B^{n + 1} "
                                  f"have rank {echelon.dim}, its columns {image.dim}")
-        return [{kept[k]: x for k, x in v.items()} for v in echelon.kernel_sparse()]
+        kernel = echelon.kernel_sparse()
+        if any(apply_columns(self.field, columns, v) for v in kernel):
+            raise AssertionError(f"degree {n}: d^{n} does not kill the kernel of its rows "
+                                 f"at the pivots of B^{n + 1}")
+        return [{kept[k]: x for k, x in v.items()} for v in kernel]
 
     def cocycles(self, n: int) -> list:
         """The kernel basis of d^n, one vector per free column of its
@@ -79,7 +86,12 @@ class CochainComplex:
 
     def classes(self, n: int) -> RowSpan:
         """The reduced echelon complement of B^n in Z^n: the cocycles that
-        vanish at B^n's pivots."""
-        span = RowSpan(self.field, self.width(n))
-        span.extend(self._kernel(n, frozenset(self.boundaries(n).pivots)))
-        return span
+        vanish at B^n's pivots.  Built once, after every lower degree's;
+        the stored span, read-only to callers."""
+        built = self._classes
+        while len(built) <= n:
+            k = len(built)
+            span = RowSpan(self.field, self.width(k))
+            span.extend(self._kernel(k, frozenset(self.boundaries(k).pivots)))
+            built.append(span)
+        return built[n]

@@ -103,9 +103,8 @@ def d(spec: DGSpec, u: GradedElement) -> GradedElement:
 
 
 def d_columns(spec: DGSpec, deg: int, skip=frozenset()):
-    """Sparse columns of d on degree `deg`, less the columns whose index is
-    in `skip`: column j is d of the j-th basis monomial as {row index in
-    degree deg+1: nonzero scalar}."""
+    """Sparse columns of d on degree `deg` off the indices in `skip`: column
+    j is d of the j-th basis monomial as {row in degree deg+1: nonzero}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
     F = spec.field

@@ -38,7 +38,7 @@ against the stored kernels); the absence of a second class only ever yields
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .complexes import CochainComplex
@@ -290,8 +290,8 @@ class ExtTable:
     int_bound: int
     dims: dict                      # (i, m) -> dim, only nonzero entries
     windows: list                   # window per homological degree
-    # m -> the dual complex Hom(F_., A)_m the dims were read off
-    complexes: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    # m -> the dual complex read at m, until the certificate detaches it
+    _complexes: dict | None = dataclass_field(default=None, repr=False, compare=False)
 
     def total_within_windows(self) -> int:
         return sum(self.dims.values())
@@ -343,8 +343,7 @@ def _dual_complex(report: ResolutionReport, m: int) -> CochainComplex:
 
 def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     """Graded dims of ker/im in the dualized complex, per internal degree
-    within each homological degree's validity window; the table keeps the
-    dual complexes they were read off."""
+    within each homological degree's validity window."""
     windows, complexes, dims = [], {}, {}
     for i in range(report.hom_bound):
         win = report.window(i)
@@ -410,24 +409,20 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
     pres = presentation if side == "left" else presentation.opposite()
     report = minimal_resolution(truncate(pres, int_bound), hom_bound)
     table = ext_against_algebra(report)
+    # the verdict's table keeps no engine state
+    complexes, table._complexes = table._complexes, None
 
-    witnesses = []
-    for i, m, _dim in table.classes():
-        if len(witnesses) >= 2:
-            break
-        for phi in _ext_class_functionals(table.complexes[m], i):
-            witnesses.append(WitnessClass(i, m, phi,
-                                          _render_functional(report, i, m, phi)))
-            if len(witnesses) >= 2:
-                break
+    witnesses = list(islice((WitnessClass(i, m, phi, _render_functional(report, i, m, phi))
+                             for i, m, _dim in table.classes()
+                             for phi in _ext_class_functionals(complexes[m], i)), 2))
 
     if len(witnesses) >= 2:
         for w in witnesses:
             _verify_cocycle(report, w)
-        _verify_independent(table.complexes, witnesses)
+        _verify_independent(complexes, witnesses)
         total = table.total_within_windows()
         return GorensteinVerdict(
-            "NonGorenstein", table, witnesses[:2],
+            "NonGorenstein", table, witnesses,
             f"{total} Ext classes inside the window refute total dimension 1")
     return GorensteinVerdict(
         "ConsistentUpToCutoff", table, None,
@@ -437,8 +432,7 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
 
 def _ext_class_functionals(cx: CochainComplex, i: int):
     """Representative functionals of Ext^i at one internal degree: the
-    kernel basis vectors of d^i whose residues modulo B^i are independent of
-    the residues of the vectors before them."""
+    cocycles whose residues modulo B^i extend those of the cocycles before."""
     boundaries = cx.boundaries(i)
     residues = RowSpan(cx.field, boundaries.width)
     return [phi for phi in cx.cocycles(i) if residues.add(boundaries.reduce(phi))]
@@ -481,19 +475,16 @@ def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
 
 
 def _verify_independent(complexes, witnesses):
-    """The witnesses are independent modulo coboundaries.
-
-    Classes of different bidegrees lie in different graded pieces, so the
-    witnesses at each bidegree must have independent residues modulo the
-    stored image of the dual map there, `complexes[m].boundaries(i)`.
-    """
-    by_bidegree = {}
+    """The witnesses are independent modulo coboundaries: at each bidegree
+    (classes of different bidegrees lie in different graded pieces) their
+    coordinates over `complexes[m].classes(i)` are independent.  Building
+    those classes first checks the stored B^i against d^(i-1) itself."""
+    coordinates = {}
     for w in witnesses:
-        by_bidegree.setdefault((w.hom_degree, w.internal_degree), []).append(w)
-    for (i, m), group in by_bidegree.items():
-        boundaries = complexes[m].boundaries(i)
-        residues = RowSpan(boundaries.field, boundaries.width)
-        residues.extend(boundaries.reduce(w.functional) for w in group)
-        if residues.dim != len(group):
+        i, m = w.hom_degree, w.internal_degree
+        classes = complexes[m].classes(i)
+        span = coordinates.setdefault((i, m), RowSpan(classes.field, classes.dim))
+        coords = classes.express(complexes[m].boundaries(i).reduce(w.functional))
+        if coords is None or not span.add(coords):
             raise AssertionError(
-                f"witnesses at ({i},{m}) are not independent modulo coboundaries")
+                f"witnesses at ({i},{m}) are not independent classes modulo coboundaries")

@@ -241,6 +241,7 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
 
     # per degree, the sum of the basis representatives plus a boundary
     rng = random.Random(rank)
+    built = set()
     degrees = list(range(top + 1))
     rng.shuffle(degrees)
     for k in degrees:
@@ -250,11 +251,15 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
         if k:
             z = z.add(d(spec, GradedElement.from_terms(
                 F, k - 1, [(m, rng.randint(-3, 3)) for m in degree_basis(k - 1)])))
+        # a class query builds the classes of every degree up to its own
+        # that is not built yet: one row elimination and one span each
+        new = sum(1 for deg in range(k + 1) if deg not in built)
+        built.update(range(k + 1))
         before = len(made)
         got = report.class_of(z)
-        assert len(made) - before <= 2
+        assert len(made) - before == 2 * new
         assert got == fresh.class_of(z)
-        assert report.class_of(z) == got and len(made) - before <= 2
+        assert report.class_of(z) == got and len(made) - before == 2 * new
     assert json.dumps(report.to_json(), indent=2, sort_keys=True) == want
     assert len(made) == top + 2 + 2 * (top + 1)
 
@@ -350,16 +355,32 @@ def test_class_of_rejects_a_negative_degree():
     assert report.class_of(GradedElement.zero(QQ, 3)).is_zero
 
 
+def _short_of_its_last_row(cx, n):
+    span = cx.boundaries(n)
+    lost = RowSpan(span.field, span.width)
+    lost.extend(span.rows_sparse()[:-1])
+    cx._boundaries[n] = lost
+
+
 def test_boundary_span_is_checked_against_the_rank():
-    # a stored B^4 that lost a row: the kernel of d_3 on the rows at its
-    # pivots then holds a vector outside Z^3, and the representatives of
-    # degree 3 must be refused by d itself
+    # a stored B^3 that lost a row: the classes of degree 3, the cocycles
+    # vanishing at its pivots, would then hold a coboundary, which d does
+    # not see.  They are built after those of degree 2, whose kernel, on
+    # the rows of d_2 at B^3's pivots, is then larger than Z^2: d_2 itself
+    # refuses it before degree 3 is served
     spec = DGSpec.from_rows(QQ, RANK_MATRICES[1])
     report = cohomology(spec, 4)
-    cx = report._complex
-    image = cx.boundaries(4)
-    lost = RowSpan(QQ, image.width)
-    lost.extend(image.rows_sparse()[:-1])
-    cx._boundaries[4] = lost
-    with pytest.raises(AssertionError, match="degree 3: a representative is not a cocycle"):
+    _short_of_its_last_row(report._complex, 3)
+    with pytest.raises(AssertionError, match=r"degree 2: d\^2 does not kill the kernel"):
+        report.class_of(d(spec, parse_element(QQ, "x1 x2")))
+
+
+def test_boundary_span_above_the_queried_degree_is_checked():
+    # a stored B^4 that lost a row: the kernel of d_3 on the rows at its
+    # pivots then holds a vector outside Z^3, and the representatives of
+    # degree 3 must be refused
+    spec = DGSpec.from_rows(QQ, RANK_MATRICES[1])
+    report = cohomology(spec, 4)
+    _short_of_its_last_row(report._complex, 4)
+    with pytest.raises(AssertionError, match=r"degree 3: d\^3 does not kill the kernel"):
         report.class_of(d(spec, parse_element(QQ, "x1 x2")))

@@ -6,6 +6,7 @@ of C^(n+1), so D_(n+1) D_n = 0, and P_n is a random invertible matrix.
 rank d^n = r_n and dim H^n = dim C^n - r_(n-1) - r_n are then known.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_inverse, dense_kernel, span_echelon, span_reduce
@@ -86,3 +87,14 @@ def test_ranks_boundaries_and_classes(complex_data):
         residues = [span_reduce(F, echelon, v)[0] for v in kernel]
         want = [list(r) for _, r in span_echelon(F, residues, c)]
         assert [dense(F, c, v) for v in classes] == want
+    # a stored B^n short of its last row leaves the kernel of d^(n-1) on the
+    # rows at its pivots too large: refused before the classes of n are read
+    for n in range(1, top + 1):
+        if ranks[n - 1]:
+            short = _engine(F, widths, maps)
+            span = short.boundaries(n)
+            lost = RowSpan(F, span.width)
+            lost.extend(span.rows_sparse()[:-1])
+            short._boundaries[n] = lost
+            with pytest.raises(AssertionError, match=rf"degree {n - 1}: d\^{n - 1} does not kill"):
+                short.classes(n)

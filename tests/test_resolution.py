@@ -221,7 +221,7 @@ def test_assert_complex_sees_a_corrupted_differential():
 def test_independence_check_rejects_a_coboundary_or_zero_witness():
     # the one-sided witnesses sit at the distinct bidegrees (1, -1) and (1, 0)
     res = resolve(ONE_SIDED)
-    complexes = ext_against_algebra(res).complexes
+    complexes = ext_against_algebra(res)._complexes
     low, high = sorted(gorenstein_certificate(parse_presentation(QQ, ONE_SIDED)).witness,
                        key=lambda w: w.internal_degree)
     assert (low.internal_degree, high.internal_degree) == (-1, 0)
@@ -234,6 +234,26 @@ def test_independence_check_rejects_a_coboundary_or_zero_witness():
                   [WitnessClass(1, 0, {k: 2 * x for k, x in high.functional.items()}, ""), high]):
         with pytest.raises(AssertionError, match="not independent"):
             _verify_independent(complexes, group)
+
+
+def test_independence_check_refuses_a_boundary_space_short_of_a_row():
+    # B^1 at m = 0 stored without its last row: that row, a coboundary,
+    # then has a nonzero residue.  Before the witnesses' coordinates are
+    # read, the classes of degree 0 are built on the rows of d^0 at the
+    # short span's pivots, and d^0 itself refuses their kernel
+    res = resolve(ONE_SIDED)
+    duals = ext_against_algebra(res)._complexes
+    high = max(gorenstein_certificate(parse_presentation(QQ, ONE_SIDED)).witness,
+               key=lambda w: w.internal_degree)
+    assert (high.hom_degree, high.internal_degree) == (1, 0)
+    span = duals[0].boundaries(1)
+    lost = RowSpan(QQ, span.width)
+    lost.extend(span.rows_sparse()[:-1])
+    duals[0]._boundaries[1] = lost
+    coboundary = WitnessClass(1, 0, span.rows_sparse()[-1], "")
+    assert lost.reduce(coboundary.functional)
+    with pytest.raises(AssertionError, match=r"degree 0: d\^0 does not kill the kernel"):
+        _verify_independent(duals, [high, coboundary])
 
 
 def test_cocycle_check_rejects_a_perturbed_witness():
@@ -413,34 +433,40 @@ def test_a_certificate_eliminates_each_dual_map_once(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    tables = []
+    kept = []
     ext = resolution.ext_against_algebra
 
     def keep(report):
-        tables.append(ext(report))
-        return tables[-1]
+        table = ext(report)
+        kept.append((table, table._complexes))
+        return table
 
     monkeypatch.setattr(complexes, "RowSpan", CountingRowSpan)
     monkeypatch.setattr(resolution, "ext_against_algebra", keep)
     cert = gorenstein_certificate(parse_presentation(QQ, ONE_SIDED))
     assert cert.is_refuted
-    [table] = tables
+    [(table, duals)] = kept
+    assert cert.table is table and table._complexes is None
     res = resolve(ONE_SIDED)
     read = {}                       # m -> the highest i whose Ext^i at m is read
     for i in range(res.hom_bound):
         for m in range(-max(res.steps[i].gen_degrees), res.window(i) + 1):
             if _functional_dim(res, i, m):
                 read[m] = max(read.get(m, i), i)
-    assert sorted(table.complexes) == sorted(read)
-    stored = []
-    for m, cx in table.complexes.items():
+    assert sorted(duals) == sorted(read)
+    stored, classes = [], []
+    for m, cx in duals.items():
         # B^0 up to B^(i+1): Ext^i needs the ranks of d^(i-1) and d^i
         assert len(cx._boundaries) == read[m] + 2, m
         stored += cx._boundaries
+        classes += cx._classes
     witnessed = {(w.hom_degree, w.internal_degree) for w in cert.witness}
     assert len(witnessed) == 2
-    assert len(made) == len(stored) + len(witnessed)
-    assert all(any(s is b for b in made) for s in stored)
+    # the independence check builds the classes of every degree up to the
+    # witness's at its m: one row elimination and one span each
+    assert len(classes) == sum(i + 1 for i, _m in witnessed)
+    assert len(made) == len(stored) + len(witnessed) + 2 * len(classes)
+    assert all(any(s is b for b in made) for s in stored + classes)
 
 
 def test_generator_count_check_fires(monkeypatch):
