@@ -6,7 +6,8 @@ and the one that bounds its degrees, named when that bound is too small;
 every subcommand also takes --field, --config and --out.  Structured output
 is JSON (rationals as "p/q" strings, fixed orderings, byte-identical across
 runs); a text summary goes to stdout.
-Exit status: 0 success/pass, 1 falsification, 2 usage error.
+Exit status: 0 success/pass, 1 falsification, 2 usage error, 141 (128 +
+SIGPIPE) when stdout is closed before the summary is written.
 """
 
 from __future__ import annotations
@@ -128,11 +129,13 @@ def _build_config(args) -> JobConfig:
                                  f"got {raw[name]!r}")
     from_config = frozenset(name for name in raw if getattr(args, name, None) is None)
 
-    field_name = args.field or raw.get("field") or os.environ.get(FIELD_ENV_VAR) or "Q"
+    sources = (("--field", args.field), ("config field", raw.get("field")),
+               (FIELD_ENV_VAR, os.environ.get(FIELD_ENV_VAR)))
+    source, field_name = next(((s, v) for s, v in sources if v), ("", "Q"))
     try:
         field = field_from_name(field_name)
     except ValueError as e:
-        raise UsageError(str(e)) from e
+        raise UsageError(f"{source}: {e}") from e
 
     def pick(name, default=None):
         v = getattr(args, name, None)
@@ -295,6 +298,11 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away: no traceback, and stdout now points at
+        # devnull so that the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -167,6 +167,9 @@ def field_from_name(name: str):
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):
+        # int() would also take spaces, underscores and a sign
+        if not re.fullmatch(r"[0-9]+", name[3:]):
+            raise ValueError(f"the modulus of {name!r} is not a decimal number")
         return PrimeField(int(name[3:]))
     if name == "Fp":
         return PrimeField(CANDIDATE_PRIMES[0])

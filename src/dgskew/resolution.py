@@ -10,15 +10,16 @@ j, because by exactness below j every lower kernel vector is d_i of an
 element of F_i, and d_i is a module map.  Every differential entry then has
 positive degree, which is the defining property of a minimal resolution.
 
-Each (i, j) step eliminates d_i once, on the lower generators and, for
-i >= 2, on only its rows at the free coordinates of the echelon behind
-ker d_{i-1} at j (see `minimal_resolution`).  `_assert_complex` checks
-d_{i-1} d_i = 0 on every stored map before a report is returned.
+Each (i, j) step eliminates d_i once, on the lower generators and its rows
+at the free coordinates of the stored echelon of d_{i-1} at j, and stores
+its own (see `minimal_resolution`).  `_assert_complex` checks d_{i-1} d_i
+= 0 on every stored map before a report is returned.
 
 Ext against the algebra is the cohomology of the dual complex at each
 internal degree m, Hom(F_i, A)_m with d^i the dual of d_{i+1}: one
-`complexes.CochainComplex` per m, which the certificate reuses for its
-witnesses and their independence.
+`complexes.CochainComplex` per m, kept on the report as
+`ResolutionReport.dual(m)` and read by the certificate for its witnesses
+and their independence.
 
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
@@ -31,8 +32,8 @@ All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
 complete.  NonGorenstein verdicts are finitely witnessed (two classes
 independent modulo coboundaries in the dualized complex, re-verified
-against the stored kernels); the absence of a second class only ever yields
-"ConsistentUpToCutoff".
+against the kernels of the stored echelons); the absence of a second class
+only ever yields "ConsistentUpToCutoff".
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ def _block_dim(t: TruncatedAlgebra, j: int) -> int:
     return len(t.basis[j]) if 0 <= j <= t.bound else 0
 
 
-def _module_dim(t: TruncatedAlgebra, gens, j: int) -> int:
-    return sum(_block_dim(t, j - g) for g in gens)
+def _module_dim(t: TruncatedAlgebra, degrees) -> int:
+    """The dimension of the direct sum of the blocks A_q, q in `degrees`."""
+    return sum(_block_dim(t, q) for q in degrees)
 
 
 def _segments(t: TruncatedAlgebra, degrees, vec):
@@ -129,42 +131,52 @@ def _map_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int):
 @dataclass
 class ResolutionReport:
     """The free modules F_0..F_n, plus per (i, j) the sparse columns of d_i
-    at internal degree j (`maps`) and a basis of its kernel as sparse
-    vectors on (F_i)_j (`kernels`)."""
+    at internal degree j (`maps`) and the row echelon of d_i at j on the
+    generators of degree < j (`echelons`): ker d_i at j vanishes on those of
+    degree j, so it has dimension `width - dim` and basis `kernel_sparse()`.
+    (0, j) is the augmentation's, empty, of width dim A_j, for 0 < j."""
 
     algebra: TruncatedAlgebra
     hom_bound: int
     int_bound: int
     steps: list                      # steps[0] = F_0
-    kernels: dict = dataclass_field(default_factory=dict, repr=False)
+    echelons: dict = dataclass_field(default_factory=dict, repr=False)
     maps: dict = dataclass_field(default_factory=dict, repr=False)
     stopped_at: int | None = None    # first i with no kernel generators <= bound
+    _duals: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def betti(self):
         """Internal degrees of minimal generators, per homological degree."""
         return [list(s.gen_degrees) for s in self.steps]
 
-    def step_or_none(self, i: int) -> FreeStep | None:
-        if 0 <= i < len(self.steps) and self.steps[i].gen_degrees:
-            return self.steps[i]
-        return None
-
     def window(self, i: int) -> int:
-        """Internal degrees <= window(i) carry complete data for Ext^i."""
-        nxt = self.step_or_none(i + 1)
-        if nxt is not None:
-            return self.int_bound - max(nxt.gen_degrees)
-        cur = self.step_or_none(i)
-        if cur is not None:
-            return self.int_bound - max(cur.gen_degrees)
-        return self.int_bound - max(self.steps[-1].gen_degrees)
+        """Internal degrees <= window(i) carry complete data for Ext^i: the
+        bound less the top generator degree of F_(i+1), or of the last F."""
+        return self.int_bound - max(self.steps[min(i + 1, len(self.steps) - 1)].gen_degrees)
+
+    def dual(self, m: int) -> CochainComplex:
+        """Hom(F_., A)_m: C^i is Hom(F_i, A)_m, d^i the dual of d_{i+1}.
+        Built on first use and kept on the report."""
+        if m not in self._duals:
+            # the callbacks hold the algebra and the steps, not the report, so
+            # that no reference cycle keeps a report alive past its last use
+            t, steps = self.algebra, self.steps
+
+            def width(i):
+                gens = steps[i].gen_degrees if i < len(steps) else []
+                return _module_dim(t, [m + g for g in gens])
+
+            self._duals[m] = CochainComplex(
+                t.field, width,
+                lambda i, skip: _dual_columns(t, steps[i + 1], steps[i].gen_degrees, m, skip))
+        return self._duals[m]
 
     def euler_defect(self, n: int) -> int:
         """sum_i (-1)^i dim (F_i)_n minus dim k_n; zero where exact."""
         total = 0
         for i, s in enumerate(self.steps):
-            d = _module_dim(self.algebra, s.gen_degrees, n)
+            d = _module_dim(self.algebra, [n - g for g in s.gen_degrees])
             total += d if i % 2 == 0 else -d
         return total - (1 if n == 0 else 0)
 
@@ -194,66 +206,64 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     the generators chosen so far span d_i((A+ . F_i)_j) = (A+ . ker d_{i-1})_j,
     since ker d_{i-1} is the image of d_i in every lower degree.  One row
     echelon of those columns, on the rows at the free coordinates of the
-    echelon behind ker d_{i-1} at j (all rows for i = 1), gives their rank
-    and the kernel of d_i at j, stored for step i + 1.  When the rank is
-    below dim ker d_{i-1} at j, the kernel vectors outside the column span
-    of the same columns become F_i's degree-j generators and complete d_i
-    at j; an AssertionError naming (i, j) is raised unless they number
-    exactly the shortfall.
+    echelon behind ker d_{i-1} at j, gives their rank and is stored for step
+    i + 1; the augmentation's echelon is empty, so step 1 keeps every row.
+    When the rank is below dim ker d_{i-1} at j, the kernel vectors outside
+    the column span of the same columns become F_i's degree-j generators and
+    complete d_i at j; an AssertionError naming (i, j) is raised unless they
+    number exactly the shortfall.
+
+    The count check is also the row restriction's rank oracle: as d_{i-1}
+    d_i = 0, the picks number dim ker d_{i-1} minus the column rank and the
+    shortfall is dim ker d_{i-1} minus the rank of the kept rows, so it
+    fires exactly when the restriction loses rank.
     """
     if hom_bound < 1:
         raise ValueError("hom_bound must be >= 1")
     D, F = t.bound, t.field
 
     report = ResolutionReport(t, hom_bound, D, [FreeStep([0], None)])
-    # per internal degree j, the free coordinates of the echelon behind
-    # kernels[(i, j)] for the last step i (none for the augmentation)
-    free = {}
-
-    # kernel of the augmentation: everything in positive internal degrees
+    # the augmentation kills all of A_j for j > 0
     for j in range(1, D + 1):
-        report.kernels[(0, j)] = [{k: F.one} for k in range(len(t.basis[j]))]
+        report.echelons[(0, j)] = RowSpan(F, len(t.basis[j]))
 
     for i in range(1, hom_bound + 1):
         prev = report.steps[i - 1].gen_degrees
         step = FreeStep([], [])
-        free, prev_free = {}, free
         for j in range(min(prev) + 1, D + 1):
             # d_i of the generators chosen so far spans (A+ . ker d_{i-1})_j
             cols = _map_columns(t, step, prev, j)
-            n = _module_dim(t, prev, j)
+            below = report.echelons[(i - 1, j)]
+            kernel_dim = below.width - below.dim
             # eliminated on its rows at the free coordinates of d_{i-1}'s
             # echelon: the columns lie in ker d_{i-1}, where a vector is fixed
             # by those coordinates, so these rows have the full kernel
-            rows = columns_to_rows(cols, n)
-            keep = prev_free.get(j)
+            rows = columns_to_rows(cols, _module_dim(t, [j - h for h in prev]))
             echelon = RowSpan(F, len(cols))
-            echelon.extend(rows if keep is None else (rows[f] for f in keep))
-            kb = report.kernels.get((i - 1, j), [])
-            if echelon.dim < len(kb):
+            echelon.extend(rows[f] for f in below.free)
+            if echelon.dim < kernel_dim:
                 # by exactness below j the old image lies in ker d_{i-1} at
                 # j, so a generator is born here only when its rank falls short
-                span = RowSpan(F, n)
+                span = RowSpan(F, len(rows))
                 span.extend(cols)
-                picked = extend_independent(span, kb)
-                if len(picked) != len(kb) - echelon.dim:
+                picked = extend_independent(span, below.kernel_sparse())
+                if len(picked) != kernel_dim - echelon.dim:
                     raise AssertionError(
                         f"step ({i}, {j}): {len(picked)} new generators, but ker d_{i-1} "
-                        f"has dimension {len(kb)} and the lower generators span {echelon.dim}")
+                        f"has dimension {kernel_dim} and the lower generators span {echelon.dim}")
                 for v in picked:
                     step.gen_degrees.append(j)
                     step.entries.append(
                         [AlgElt(j - h, seg) if seg else None
                          for h, seg in zip(prev, _segments(t, [j - h for h in prev], v))])
-                    cols.append(dict(v))     # a copy: no map column aliases a kernel vector
+                    cols.append(v)
             if not step.gen_degrees:
                 continue
             report.maps[(i, j)] = cols
             if j > step.gen_degrees[0]:
                 # the new columns are independent modulo the old ones, so the
                 # kernel of the completed d_i at j is that of the old columns
-                report.kernels[(i, j)] = echelon.kernel_sparse()
-                free[j] = echelon.free
+                report.echelons[(i, j)] = echelon
 
         if not step.gen_degrees:
             report.stopped_at = i
@@ -290,8 +300,6 @@ class ExtTable:
     int_bound: int
     dims: dict                      # (i, m) -> dim, only nonzero entries
     windows: list                   # window per homological degree
-    # m -> the dual complex read at m, until the certificate detaches it
-    _complexes: dict | None = dataclass_field(default=None, repr=False, compare=False)
 
     def total_within_windows(self) -> int:
         return sum(self.dims.values())
@@ -315,53 +323,32 @@ class ExtTable:
         return "\n".join(lines)
 
 
-def _dual_columns(report: ResolutionReport, i: int, m: int, skip=frozenset()):
-    """The dualized differential Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m, less
-    the columns whose index is in `skip`.
+def _dual_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, m: int, skip=frozenset()):
+    """The dual of d_i at m, Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m, for
+    step = F_i, less the columns whose index is in `skip`.
 
     A functional is a block vector (phi_b in A_{m + g_b}); composing with d_i
     left-multiplies by the entries: (d_i^* phi)_a = sum_b c_{ab} phi_b.
     """
-    step = report.steps[i]
-    return _module_columns(report.algebra, [m + h for h in report.steps[i - 1].gen_degrees],
-                           [m + g for g in step.gen_degrees],
+    return _module_columns(t, [m + h for h in prev_gens], [m + g for g in step.gen_degrees],
                            lambda b, a: step.entries[a][b], left=True, skip=skip)
-
-
-def _functional_dim(report: ResolutionReport, i: int, m: int) -> int:
-    """dim Hom(F_i, A)_m."""
-    return sum(_block_dim(report.algebra, m + g) for g in report.steps[i].gen_degrees)
-
-
-def _dual_complex(report: ResolutionReport, m: int) -> CochainComplex:
-    """Hom(F_., A)_m: C^i is Hom(F_i, A)_m, d^i the dual of d_{i+1}."""
-    def width(i):
-        return _functional_dim(report, i, m) if report.step_or_none(i) else 0
-    return CochainComplex(report.algebra.field, width,
-                          lambda i, skip: _dual_columns(report, i + 1, m, skip))
 
 
 def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     """Graded dims of ker/im in the dualized complex, per internal degree
     within each homological degree's validity window."""
-    windows, complexes, dims = [], {}, {}
-    for i in range(report.hom_bound):
-        win = report.window(i)
-        windows.append(win)
-        cur = report.step_or_none(i)
-        if cur is None:
-            continue
-        for m in range(-max(cur.gen_degrees), win + 1):
-            if not _functional_dim(report, i, m):
+    windows = [report.window(i) for i in range(report.hom_bound)]
+    dims = {}
+    for i, step in enumerate(report.steps[:report.hom_bound]):
+        for m in range(-max(step.gen_degrees), windows[i] + 1):
+            if not _module_dim(report.algebra, [m + g for g in step.gen_degrees]):
                 continue
-            if m not in complexes:
-                complexes[m] = _dual_complex(report, m)
-            d = complexes[m].dim(i)
+            d = report.dual(m).dim(i)
             if d < 0:
                 raise AssertionError("negative Ext dimension: broken complex")
             if d:
                 dims[(i, m)] = d
-    return ExtTable(report.hom_bound, report.int_bound, dims, windows, complexes)
+    return ExtTable(report.hom_bound, report.int_bound, dims, windows)
 
 
 @dataclass
@@ -394,32 +381,28 @@ class GorensteinVerdict:
 
 
 def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6,
-                           int_bound: int = 10, side: str = "left") -> GorensteinVerdict:
+                           int_bound: int = 10) -> GorensteinVerdict:
     """Refute one-dimensionality of Ext(k, A) inside the window, or report
     consistency up to the cutoff.
 
     NonGorenstein needs two Ext classes independent modulo coboundaries;
-    both functionals are re-verified as cocycles against the full stored
-    kernels before the verdict is emitted.  ConsistentUpToCutoff is
-    explicitly not a proof: a truncation cannot certify dim Ext = 1
-    globally.  side="right" runs the same engine on the opposite algebra.
+    both functionals are re-verified as cocycles against the full kernels of
+    the stored echelons before the verdict is emitted.  ConsistentUpToCutoff
+    is explicitly not a proof: a truncation cannot certify dim Ext = 1
+    globally.  This is the left-module certificate; the right-module one is
+    that of `presentation.opposite()`.
     """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    pres = presentation if side == "left" else presentation.opposite()
-    report = minimal_resolution(truncate(pres, int_bound), hom_bound)
+    report = minimal_resolution(truncate(presentation, int_bound), hom_bound)
     table = ext_against_algebra(report)
-    # the verdict's table keeps no engine state
-    complexes, table._complexes = table._complexes, None
 
     witnesses = list(islice((WitnessClass(i, m, phi, _render_functional(report, i, m, phi))
                              for i, m, _dim in table.classes()
-                             for phi in _ext_class_functionals(complexes[m], i)), 2))
+                             for phi in _ext_class_functionals(report.dual(m), i)), 2))
 
     if len(witnesses) >= 2:
         for w in witnesses:
             _verify_cocycle(report, w)
-        _verify_independent(complexes, witnesses)
+        _verify_independent(report, witnesses)
         total = table.total_within_windows()
         return GorensteinVerdict(
             "NonGorenstein", table, witnesses,
@@ -452,18 +435,18 @@ def _render_functional(report, i, m, phi) -> str:
 
 
 def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
-    """Independent re-check: the functional kills the entire stored kernel of
-    d_i (not only the chosen generators) wherever the product stays inside
+    """Independent re-check: the functional kills the entire kernel of d_i
+    (not only the chosen generators) wherever the product stays inside
     the truncation.  The products go through `TruncatedAlgebra.mul`, not
     through the module maps the resolution was built from."""
     t = report.algebra
     F = t.field
     i, m = w.hom_degree, w.internal_degree
     blocks = _functional_blocks(report, i, m, w.functional)
-    for (ii, j), kernel in report.kernels.items():
+    for (ii, j), echelon in report.echelons.items():
         if ii != i or m + j > report.int_bound or m + j < 0:
             continue
-        for kappa in kernel:
+        for kappa in echelon.kernel_sparse():
             prods = []
             for (g, phi_g), u in zip(blocks, _segments(t, [j - g for g, _ in blocks], kappa)):
                 if u and phi_g:
@@ -474,17 +457,17 @@ def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
                     f"witness at ({i},{m}) fails the cocycle re-verification")
 
 
-def _verify_independent(complexes, witnesses):
+def _verify_independent(report: ResolutionReport, witnesses):
     """The witnesses are independent modulo coboundaries: at each bidegree
     (classes of different bidegrees lie in different graded pieces) their
-    coordinates over `complexes[m].classes(i)` are independent.  Building
+    coordinates over `report.dual(m).classes(i)` are independent.  Building
     those classes first checks the stored B^i against d^(i-1) itself."""
     coordinates = {}
     for w in witnesses:
         i, m = w.hom_degree, w.internal_degree
-        classes = complexes[m].classes(i)
+        classes = report.dual(m).classes(i)
         span = coordinates.setdefault((i, m), RowSpan(classes.field, classes.dim))
-        coords = classes.express(complexes[m].boundaries(i).reduce(w.functional))
+        coords = classes.express(report.dual(m).boundaries(i).reduce(w.functional))
         if coords is None or not span.add(coords):
             raise AssertionError(
                 f"witnesses at ({i},{m}) are not independent classes modulo coboundaries")

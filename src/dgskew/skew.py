@@ -280,19 +280,15 @@ def element_from_squares(field, coeffs) -> GradedElement:
 def permute_element(u: GradedElement, perm) -> GradedElement:
     """Apply the variable substitution x_i -> x_perm[i] (0-based images).
 
-    The substitution is an algebra map; resorting each permuted word into
-    normal form contributes the inversion-parity sign.
+    The substitution is an algebra map, so x1^a x2^b x3^c goes to the product
+    of the pure powers x_perm[0]^a x_perm[1]^b x_perm[2]^c, whose sign
+    `mul_monomials` gives.
     """
     items = []
     for m, c in u.terms.items():
-        word = [perm[0]] * m.a + [perm[1]] * m.b + [perm[2]] * m.c
-        sign = 1
-        for i in range(len(word)):
-            for j in range(i + 1, len(word)):
-                if word[i] > word[j]:
-                    sign = -sign
-        exps = [0, 0, 0]
-        for g in word:
-            exps[g] += 1
-        items.append((Monomial(*exps), sign * c))
+        sign, mono = 1, ONE
+        for g, e in zip(perm, m):
+            s, mono = mul_monomials(mono, [e if k == g else 0 for k in range(3)])
+            sign *= s
+        items.append((mono, sign * c))
     return GradedElement.from_terms(u.field, u.degree, items)

@@ -46,6 +46,16 @@ def element_product(u, v):
     return {m: c for m, c in out.items() if not F.is_zero(c)}
 
 
+def permuted_by_words(u, perm):
+    """The substitution x_i -> x_perm[i] on u as {exponent triple: nonzero
+    coefficient}: each monomial spelled out as a word, its letters renamed,
+    and the word sorted into normal form by `reduce_word`."""
+    F = u.field
+    return {exps: c if sign > 0 else F.neg(c)
+            for m, c in u.terms.items()
+            for sign, exps in [reduce_word([perm[g] for g in _spelled(m)])]}
+
+
 def _spelled(m):
     """The normal-form word x1^a x2^b x3^c of an exponent triple."""
     return [g for g, e in enumerate(m) for _ in range(e)]

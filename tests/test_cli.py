@@ -134,6 +134,27 @@ def test_env_var_sets_default_field(monkeypatch, capsys):
     assert "[1, 2, 3, 4, 5]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source,name", [
+    ("--field", "Fp:"), ("--field", "Fp: 7"), ("--field", "bogus"),
+    ("config field", "Fp:"), ("config field", "Fp:1_000_003"),
+    ("DGSKEW_FIELD", "bogus"), ("DGSKEW_FIELD", "Fp:+7"),
+])
+def test_a_bad_field_names_where_it_was_set(source, name, tmp_path, monkeypatch, capsys):
+    # the modulus is decimal digits only, though int() takes " 7" and "1_000_003"
+    argv = ["classify", "--matrix", FLAGSHIP]
+    if source == "--field":
+        argv += ["--field", name]
+    elif source == "config field":
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"field": name}))
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("DGSKEW_FIELD", name)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: ") and err.count("\n") == 1, err
+
+
 def test_verify_dg_subcommand(capsys):
     rc = main(["verify-dg", "--matrix", FLAGSHIP, "--max-degree", "5"])
     assert rc == 0

@@ -13,7 +13,8 @@ from dgskew.fields import QQ, PrimeField
 from dgskew.skew import (GradedElement, Monomial, basis_position, degree_basis,
                          degree_dim, generators, mul_monomials, parse_element,
                          permute_element)
-from oracles import all_words, element_product, linear_combination, reduce_word
+from oracles import (all_words, element_product, linear_combination, permuted_by_words,
+                     reduce_word)
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=8)
 
@@ -217,6 +218,17 @@ def test_permute_element_signs():
     lhs = permute_element(u.mul(v), perm)
     rhs = permute_element(u, perm).mul(permute_element(v, perm))
     assert lhs.sub(rhs).is_zero()
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_permute_element_matches_the_word_oracle(F):
+    # every monomial to degree 8 under all six permutations, its sign against
+    # the inversion count of the renamed word
+    for perm in itertools.permutations(range(3)):
+        for d in range(9):
+            for m in degree_basis(d):
+                u = GradedElement.monomial(F, m, 3)
+                assert permute_element(u, perm).terms == permuted_by_words(u, perm), (perm, m)
 
 
 @pytest.mark.parametrize("text", ["2/0*x1", "x1^2 + 1/0", "0.5*x1", "1e5000*x1"])
