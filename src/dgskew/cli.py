@@ -6,8 +6,9 @@ and the one that bounds its degrees, named when that bound is too small;
 every subcommand also takes --field, --config and --out.  Structured output
 is JSON (rationals as "p/q" strings, fixed orderings, byte-identical across
 runs); a text summary goes to stdout.
-Exit status: 0 success/pass, 1 falsification, 2 usage error, 141 (128 +
-SIGPIPE) when stdout is closed before the summary is written.
+Exit status: 0 success/pass, 1 falsification, 2 usage error, whether or not
+stdout and stderr are open; 141 (128 + SIGPIPE) when stdout is closed before
+the summary of a run that would exit 0 is written.
 """
 
 from __future__ import annotations
@@ -279,7 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _silence(stream):
+    """Point a stream whose reader went away at devnull, so that the flush
+    at exit stays quiet too."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
+    status = 0  # the run's status, decided before anything is written
     try:
         args = build_parser().parse_args(argv)
         cfg = _build_config(args)
@@ -296,13 +304,15 @@ def main(argv=None) -> int:
     except SystemExit as e:  # --help
         return e.code
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
+        try:
+            print(f"error: {e}", file=sys.stderr)
+        except BrokenPipeError:
+            _silence(sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader went away: no traceback, and stdout now points at
-        # devnull so that the flush at exit stays quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        # stdout is closed: no traceback, and only a 0 turns into 141
+        _silence(sys.stdout)
+        return status or 141
 
 
 if __name__ == "__main__":

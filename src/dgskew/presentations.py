@@ -3,9 +3,9 @@
 A presentation is a list of generators with positive degrees and a list of
 homogeneous relations (noncommutative polynomials in the generators).  The
 truncation computes, degree by degree, a monomial-word basis of the quotient
-together with the "append one generator" maps, kept as sparse columns.  The
-table of right multiplication by a word is one append step from the table
-of its prefix, so every product inside the bound reduces to those maps.
+and the "append one generator" maps, the tables of right multiplication by
+one-letter words.  Any other word's table is one append step from its
+prefix's, so every product inside the bound reduces to those maps.
 This stays linear algebra throughout: in degree d
 the relation span is generated by u * r with u running over the degree
 d - |r| quotient basis, because occurrences of a relation anywhere left of
@@ -177,8 +177,7 @@ class TruncatedAlgebra:
         self.field = presentation.field
         self.bound = bound
         self.basis = [[()]]            # chosen representative words per degree
-        self._append: dict = {}        # (src_degree, gen) -> sparse columns
-        self._word_mul_cache: dict = {}
+        self._word_mul_cache: dict = {}  # (src_degree, word) -> sparse columns
         self._mul_columns_cache: dict = {}
         for d in range(1, bound + 1):
             self._build_degree(d)
@@ -246,14 +245,14 @@ class TruncatedAlgebra:
                 if not residue.keys() <= sel_pos.keys():
                     raise AssertionError("reduction left a non-basis candidate")
                 cols.append({sel_pos[i]: a for i, a in residue.items()})
-            self._append[(src, gi)] = cols
+            self._word_mul_cache[(src, (gi,))] = cols
 
     def word_mul_matrix(self, src_degree: int, word):
         """Sparse columns ``{row: nonzero}`` of v |-> v * word from A_src to
         A_(src+|word|), one per basis word of A_src.
 
-        A table is one append step from the table of its prefix; both are
-        cached, and shared between callers: read them only."""
+        A word's table is its last letter's, built with the basis, applied
+        to its prefix's; all are cached and shared between callers: read them only."""
         key = (src_degree, tuple(word))
         cols = self._word_mul_cache.get(key)
         if cols is None:
@@ -265,8 +264,8 @@ class TruncatedAlgebra:
                 end = src_degree + self.presentation.word_degree(word)
                 if end > self.bound:
                     raise BoundInsufficientError("a product", end, self.bound)
-                last = word[-1]
-                step = self._append[(end - self.presentation.generators[last].degree, last)]
+                letter = word[-1:]
+                step = self._word_mul_cache[(end - self.presentation.word_degree(letter), letter)]
                 cols = [apply_columns(self.field, step, col)
                         for col in self.word_mul_matrix(src_degree, word[:-1])]
             self._word_mul_cache[key] = cols

@@ -12,8 +12,8 @@ positive degree, which is the defining property of a minimal resolution.
 
 Each (i, j) step eliminates d_i once, on the lower generators and its rows
 at the free coordinates of the stored echelon of d_{i-1} at j, and stores
-its own (see `minimal_resolution`).  `_assert_complex` checks d_{i-1} d_i
-= 0 on every stored map before a report is returned.
+its own (see `minimal_resolution`).  As each step completes,
+`_assert_complex` checks d_{i-1} d_i = 0 at every internal degree.
 
 Ext against the algebra is the cohomology of the dual complex at each
 internal degree m, Hom(F_i, A)_m with d^i the dual of d_{i+1}: one
@@ -25,8 +25,8 @@ Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
 functional on Hom(F_i, A).  Every map of free modules (d_i and its dual) is
 a list of sparse columns ``{row: nonzero}``, one per basis word of the
-source, read off the algebra's cached word products; each d_i is built once
-per internal degree and kept on the report for the complex check.
+source, read off the algebra's cached word products; d_i is stored only as
+the entries of F_i, from which `_map_columns` builds it at each degree.
 
 All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
@@ -130,18 +130,17 @@ def _map_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int):
 
 @dataclass
 class ResolutionReport:
-    """The free modules F_0..F_n, plus per (i, j) the sparse columns of d_i
-    at internal degree j (`maps`) and the row echelon of d_i at j on the
-    generators of degree < j (`echelons`): ker d_i at j vanishes on those of
-    degree j, so it has dimension `width - dim` and basis `kernel_sparse()`.
-    (0, j) is the augmentation's, empty, of width dim A_j, for 0 < j."""
+    """The free modules F_0..F_n, d_i stored as the entries of F_i, plus per
+    (i, j) the row echelon of d_i at internal degree j on the generators of
+    degree < j (`echelons`): ker d_i at j vanishes on those of degree j, so
+    it has dimension `width - dim` and basis `kernel_sparse()`.  (0, j) is
+    the augmentation's, empty, of width dim A_j, for 0 < j."""
 
     algebra: TruncatedAlgebra
     hom_bound: int
     int_bound: int
     steps: list                      # steps[0] = F_0
     echelons: dict = dataclass_field(default_factory=dict, repr=False)
-    maps: dict = dataclass_field(default_factory=dict, repr=False)
     stopped_at: int | None = None    # first i with no kernel generators <= bound
     _duals: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -227,9 +226,10 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     for j in range(1, D + 1):
         report.echelons[(0, j)] = RowSpan(F, len(t.basis[j]))
 
+    below_maps = {}  # d_{i-1} per internal degree, kept until d_i is complete
     for i in range(1, hom_bound + 1):
         prev = report.steps[i - 1].gen_degrees
-        step = FreeStep([], [])
+        step, maps = FreeStep([], []), {}
         for j in range(min(prev) + 1, D + 1):
             # d_i of the generators chosen so far spans (A+ . ker d_{i-1})_j
             cols = _map_columns(t, step, prev, j)
@@ -259,7 +259,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
                     cols.append(v)
             if not step.gen_degrees:
                 continue
-            report.maps[(i, j)] = cols
+            maps[j] = cols
             if j > step.gen_degrees[0]:
                 # the new columns are independent modulo the old ones, so the
                 # kernel of the completed d_i at j is that of the old columns
@@ -270,24 +270,21 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
             break
         if any(e is not None and e.degree == 0 for row in step.entries for e in row):
             raise AssertionError("degree-0 differential entry breaks minimality")
+        if i > 1:
+            _assert_complex(F, i, below_maps, maps)
+        below_maps = maps
         report.steps.append(step)
         if i < hom_bound and step.gen_degrees[0] + 1 > D:
             raise BoundInsufficientError(f"resolving past step {i}", step.gen_degrees[0] + 1,
                                          D, step=i)
-
-    _assert_complex(report)
     return report
 
 
-def _assert_complex(report: ResolutionReport):
-    """d_{i-1} o d_i = 0 within the truncation, per internal degree: the
-    stored d_{i-1} applied to every stored column of d_i."""
-    F = report.algebra.field
-    for (i, j), cols in report.maps.items():
-        if i < 2:
-            continue
-        prev = report.maps[(i - 1, j)]
-        if any(apply_columns(F, prev, col) for col in cols):
+def _assert_complex(F, i: int, below_maps: dict, maps: dict):
+    """d_{i-1} o d_i = 0 within the truncation, per internal degree j: the
+    columns below_maps[j] of d_{i-1} applied to every column maps[j] of d_i."""
+    for j, cols in maps.items():
+        if any(apply_columns(F, below_maps[j], col) for col in cols):
             raise AssertionError(f"d_{i-1} o d_{i} != 0 at internal degree {j}")
 
 
@@ -400,8 +397,7 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
                              for phi in _ext_class_functionals(report.dual(m), i)), 2))
 
     if len(witnesses) >= 2:
-        for w in witnesses:
-            _verify_cocycle(report, w)
+        _verify_cocycle(report, witnesses)
         _verify_independent(report, witnesses)
         total = table.total_within_windows()
         return GorensteinVerdict(
@@ -434,27 +430,30 @@ def _render_functional(report, i, m, phi) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _verify_cocycle(report: ResolutionReport, w: WitnessClass):
-    """Independent re-check: the functional kills the entire kernel of d_i
+def _verify_cocycle(report: ResolutionReport, witnesses):
+    """Independent re-check: each functional kills the entire kernel of d_i
     (not only the chosen generators) wherever the product stays inside
     the truncation.  The products go through `TruncatedAlgebra.mul`, not
-    through the module maps the resolution was built from."""
+    through the module maps the resolution was built from; each stored
+    echelon's kernel basis is built once, for every witness that reads it."""
     t = report.algebra
     F = t.field
-    i, m = w.hom_degree, w.internal_degree
-    blocks = _functional_blocks(report, i, m, w.functional)
-    for (ii, j), echelon in report.echelons.items():
-        if ii != i or m + j > report.int_bound or m + j < 0:
-            continue
-        for kappa in echelon.kernel_sparse():
-            prods = []
-            for (g, phi_g), u in zip(blocks, _segments(t, [j - g for g, _ in blocks], kappa)):
-                if u and phi_g:
-                    prods.append(t.mul(u, j - g, phi_g, m + g))
-            # the sum of the block products: the columns prods applied to all ones
-            if apply_columns(F, prods, dict.fromkeys(range(len(prods)), F.one)):
-                raise AssertionError(
-                    f"witness at ({i},{m}) fails the cocycle re-verification")
+    for (i, j), echelon in report.echelons.items():
+        readers = [w for w in witnesses
+                   if w.hom_degree == i and 0 <= w.internal_degree + j <= report.int_bound]
+        kernel = echelon.kernel_sparse() if readers else []
+        for w in readers:
+            m = w.internal_degree
+            blocks = _functional_blocks(report, i, m, w.functional)
+            for kappa in kernel:
+                prods = []
+                for (g, phi_g), u in zip(blocks, _segments(t, [j - g for g, _ in blocks], kappa)):
+                    if u and phi_g:
+                        prods.append(t.mul(u, j - g, phi_g, m + g))
+                # the sum of the block products: the columns prods applied to all ones
+                if apply_columns(F, prods, dict.fromkeys(range(len(prods)), F.one)):
+                    raise AssertionError(
+                        f"witness at ({i},{m}) fails the cocycle re-verification")
 
 
 def _verify_independent(report: ResolutionReport, witnesses):

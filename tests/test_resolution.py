@@ -35,6 +35,14 @@ def _kernel(res, i, j):
     return echelon.kernel_sparse() if echelon is not None else []
 
 
+def _maps(res):
+    """d_i at j, rebuilt from the entries of F_i, keyed (i, j) for every
+    i >= 1 and every j from F_i's lowest generator degree through the bound."""
+    return {(i, j): _map_columns(res.algebra, step, res.steps[i - 1].gen_degrees, j)
+            for i, step in enumerate(res.steps[1:], start=1)
+            for j in range(step.gen_degrees[0], res.int_bound + 1)}
+
+
 def _hom_dim(res, i, m):
     """dim Hom(F_i, A)_m."""
     return _module_dim(res.algebra, [m + g for g in res.steps[i].gen_degrees])
@@ -204,8 +212,9 @@ def test_sparse_maps_match_dense_products(F, text):
     # the stored d_i and the dual maps against unit vectors through mul
     res = minimal_resolution(truncate(parse_presentation(F, text), 7), 4)
     t = res.algebra
-    assert res.maps
-    for (i, j), cols in res.maps.items():
+    maps = _maps(res)
+    assert maps
+    for (i, j), cols in maps.items():
         step, prev = res.steps[i], res.steps[i - 1].gen_degrees
         assert cols == _unit_products(
             t, [j - g for g in step.gen_degrees], [j - h for h in prev],
@@ -220,14 +229,15 @@ def test_sparse_maps_match_dense_products(F, text):
 
 def test_assert_complex_sees_a_corrupted_differential():
     res = resolve(ONE_SIDED, hom_bound=4)
-    _assert_complex(res)
-    # add a term to one stored column of d_3 where d_2 does not vanish
+    maps = _maps(res)
     j = min(res.steps[3].gen_degrees)
-    d2 = res.maps[(2, j)]
-    row = next(r for r, col in enumerate(d2) if col)
-    res.maps[(3, j)][0][row] = res.maps[(3, j)][0].get(row, 0) + 1
+    d2, d3 = {j: maps[(2, j)]}, {j: maps[(3, j)]}
+    _assert_complex(QQ, 3, d2, d3)
+    # add a term to one column of d_3 where d_2 does not vanish
+    row = next(r for r, col in enumerate(d2[j]) if col)
+    d3[j][0][row] = d3[j][0].get(row, 0) + 1
     with pytest.raises(AssertionError, match="d_2 o d_3"):
-        _assert_complex(res)
+        _assert_complex(QQ, 3, d2, d3)
 
 
 def test_independence_check_rejects_a_coboundary_or_zero_witness():
@@ -271,12 +281,34 @@ def test_cocycle_check_rejects_a_perturbed_witness():
     low = min(gorenstein_certificate(parse_presentation(QQ, ONE_SIDED)).witness,
               key=lambda w: w.internal_degree)
     assert (low.hom_degree, low.internal_degree) == (1, -1)
-    _verify_cocycle(res, low)
+    _verify_cocycle(res, [low])
     # coordinate 1 is the dual of F_1's y generator: phi(e_y) = 1 does not
     # kill y * e_y, the kernel vector the relation y^2 gives in degree 2
     bad = WitnessClass(1, -1, {**low.functional, 1: QQ.one}, "")
     with pytest.raises(AssertionError, match="fails the cocycle re-verification"):
-        _verify_cocycle(res, bad)
+        _verify_cocycle(res, [bad])
+
+
+def test_the_cocycle_check_builds_each_kernel_once(monkeypatch):
+    # both R1c witnesses sit at hom degree 1 and read the same stored
+    # echelons: each kernel basis is built once, not once per witness
+    pres = classify(Matrix.from_rows(QQ, FLAGSHIPS["R1c"])).predicted_presentation
+    witnesses = gorenstein_certificate(pres).witness
+    assert {w.hom_degree for w in witnesses} == {1}
+    res = minimal_resolution(truncate(pres, 10), 6)
+    read = {(i, j) for w in witnesses for i, j in res.echelons
+            if i == w.hom_degree and 0 <= w.internal_degree + j <= res.int_bound}
+    assert len(read) == 9
+    built = []
+    kernel_sparse = RowSpan.kernel_sparse
+
+    def count(span):
+        built.append(span)
+        return kernel_sparse(span)
+
+    monkeypatch.setattr(RowSpan, "kernel_sparse", count)
+    _verify_cocycle(res, witnesses)
+    assert sorted(map(id, built)) == sorted(id(res.echelons[k]) for k in read)
 
 
 def test_linear_relation_resolves_as_a_polynomial_ring():
@@ -324,13 +356,24 @@ def _generator_vector(t, prev, j, row):
     (EXTERIOR, lambda i: [i] * (i + 1), [(0, 2, 1)], "ConsistentUpToCutoff"),
     ("gen x:1, y:1; rel x^2; rel y^2; rel x*y", lambda i: [i] * (i + 1), None, "NonGorenstein"),
 ], ids=["dual-numbers", "exterior", "square-zero"])
-def test_finite_dimensional_algebras_resolve(text, betti_i, socle, verdict):
+def test_finite_dimensional_algebras_resolve(text, betti_i, socle, verdict, monkeypatch):
     # A_j = 0 above the socle, so (F_i)_j can vanish while (F_{i+1})_j does
-    # not: d_i is still stored there, as an empty map, for the complex check
+    # not: d_i is still kept there, as an empty map, for the complex check
+    checked = {}
+    check = resolution._assert_complex
+
+    def record(F, i, below_maps, maps):
+        checked.update(((i, j), (below_maps[j], cols)) for j, cols in maps.items())
+        check(F, i, below_maps, maps)
+
+    monkeypatch.setattr(resolution, "_assert_complex", record)
     res = resolve(text)
     assert res.betti == [betti_i(i) for i in range(7)]
-    for i, step in enumerate(res.steps[1:], start=1):
-        assert all((i, j) in res.maps for j in range(step.gen_degrees[0], res.int_bound + 1))
+    # the check reads d_{i-1} and d_i at every j where d_i is defined, i >= 2
+    maps = _maps(res)
+    assert checked == {(i, j): (maps[(i - 1, j)], cols)
+                       for (i, j), cols in maps.items() if i > 1}
+    assert any(below == [] for below, _cols in checked.values())
     cert = gorenstein_certificate(parse_presentation(QQ, text))
     assert cert.verdict == verdict
     if socle is not None:
@@ -385,7 +428,8 @@ def test_kernels_and_generator_counts_match_the_full_map(F, text):
     t = res.algebra
     if text == "R1d":
         assert all(len(set(s.gen_degrees)) == 2 for s in res.steps[1:])
-    for (i, j), cols in res.maps.items():
+    maps = _maps(res)
+    for (i, j), cols in maps.items():
         full = RowSpan(F, len(cols))
         prev = res.steps[i - 1].gen_degrees
         full.extend(columns_to_rows(cols, _module_dim(t, [j - h for h in prev])))
@@ -397,7 +441,7 @@ def test_kernels_and_generator_counts_match_the_full_map(F, text):
         for j in range(min(prev) + 1, res.int_bound + 1):
             lower = _module_dim(t, [j - g for g in gens if g < j])
             image = RowSpan(F, _module_dim(t, [j - h for h in prev]))
-            image.extend(res.maps.get((i, j), [])[:lower])
+            image.extend(maps.get((i, j), [])[:lower])
             born = gens.count(j)
             assert born == len(_kernel(res, i - 1, j)) - image.dim, (i, j)
 
@@ -576,6 +620,6 @@ def test_resolution_internals_are_pinned(field_name):
                "kernels": [[i, j, [_sparse_items(v) for v in _kernel(res, i, j)]]
                            for i, j in sorted(res.echelons)],
                "maps": [[i, j, [_sparse_items(c) for c in cols]]
-                        for (i, j), cols in sorted(res.maps.items())]}
+                        for (i, j), cols in sorted(_maps(res).items())]}
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RESOLUTION_DIGESTS[field_name]

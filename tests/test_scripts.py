@@ -1,6 +1,7 @@
 """The example scripts and `python -m dgskew` run end to end on the library
 as it stands."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,11 +12,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(*args, stdout=subprocess.PIPE):
+def _run(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     """Run python with the given arguments on the sources in src/."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
+                          stdout=stdout, stderr=stderr, text=True, timeout=300)
+
+
+def _run_closed(*args, stream):
+    """_run with `stream` ("stdout" or "stderr") on a pipe whose read end is
+    closed before the run starts, as in `dgskew ... | true`."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run(*args, **{stream: write_end})
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("script,args", [("certify_flagships.py", []),
@@ -40,14 +52,24 @@ def test_python_m_dgskew_rejects_a_bad_matrix_in_one_line():
 
 
 def test_python_m_dgskew_on_a_closed_stdout_exits_141_without_a_traceback():
-    # the read end of stdout's pipe is closed before the run starts, as in
-    # `dgskew cohomology ... | true`; exit 1 would claim a falsification
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _run("-m", "dgskew", "cohomology", "--matrix", "[[0,0,0],[0,0,0],[0,0,0]]",
-                    "--max-degree", "20", stdout=write_end)
-    finally:
-        os.close(write_end)
+    # exit 1 would claim a falsification
+    proc = _run_closed("-m", "dgskew", "cohomology", "--matrix", "[[0,0,0],[0,0,0],[0,0,0]]",
+                       "--max-degree", "20", stream="stdout")
     assert proc.returncode == 141, proc.stderr
     assert proc.stderr == ""
+
+
+def test_python_m_dgskew_keeps_a_falsification_on_a_closed_stdout(tmp_path):
+    # a closed stdout turns only a 0 into 141; the report is written first
+    out = tmp_path / "crosscheck.json"
+    proc = _run_closed("-m", "dgskew", "crosscheck", "--matrix", "[[1,1,0],[1,1,0],[1,1,0]]",
+                       "--max-degree", "4", "--out", str(out), stream="stdout")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(out.read_text())["ok"] is False
+
+
+def test_python_m_dgskew_keeps_a_usage_error_on_a_closed_stderr():
+    # exit 1 would claim a falsification
+    proc = _run_closed("-m", "dgskew", "classify", "--matrix", "[[1]]", stream="stderr")
+    assert proc.returncode == 2, proc.stdout
