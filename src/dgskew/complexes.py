@@ -21,11 +21,28 @@ projects injectively onto its pivots: that refuses a B^(n+1) with a vector
 too many.  And d^n itself must kill every kernel vector: that refuses one
 short of a vector, whose kernel is too large.  `classes(n)` builds every
 lower degree's first, so each B^k, k <= n, has passed both checks.
+
+An elimination puts its pivots at the first nonzero in the order its
+columns come in, so the kernel vector of a free column f is 1 at f, 0 at
+every other free column and nonzero only at columns before f.  `cocycles`
+takes the columns in the order of C^n: its basis is the one the
+certificate's witnesses are read off.  `classes` takes them last-first: the
+first nonzero of each kernel vector in C^n is then at its free column,
+where every other vector is 0, so the basis is already the reduced echelon
+of the classes and is stored as it comes.  It reads the columns of d^n off
+B^n's pivots that `boundaries(n + 1)` eliminated, kept until then, so each
+is built once.  A negative degree raises ValueError.
 """
 
 from __future__ import annotations
 
 from .linalg import RowSpan, apply_columns, columns_to_rows
+
+
+def _nonnegative(n: int):
+    """Refuse a negative degree, which list indexing would wrap around."""
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
 
 
 class CochainComplex:
@@ -37,35 +54,45 @@ class CochainComplex:
         self.width = width
         self.columns = columns
         self._boundaries = [RowSpan(field, width(0))]     # B^0 = 0
+        # n -> the columns of d^n off B^n's pivots, read by boundaries(n + 1)
+        # and kept until classes(n) reads them
+        self._columns = {}
         self._classes = []
 
     def boundaries(self, n: int) -> RowSpan:
         """B^n, built with every lower boundary space on first use; the
         stored span, read-only to callers."""
+        _nonnegative(n)
         built = self._boundaries
         while len(built) <= n:
             k = len(built) - 1
             span = RowSpan(self.field, self.width(k + 1))
             if span.width:
-                span.extend(self.columns(k, frozenset(built[k].pivots)))
+                columns = self._columns[k] = self.columns(k, frozenset(built[k].pivots))
+                span.extend(columns)
             built.append(span)
         return built[n]
 
     def rank(self, n: int) -> int:
         """The rank of d^n."""
+        _nonnegative(n)
         return self.boundaries(n + 1).dim
 
     def dim(self, n: int) -> int:
         """dim H^n."""
         return self.width(n) - self.rank(n) - self.boundaries(n).dim
 
-    def _kernel(self, n: int, skip):
-        """A basis of the kernel of d^n on the columns off `skip`, indexed
-        as in C^n."""
+    def _kernel(self, n: int, kept, columns):
+        """A basis of the kernel of d^n on `columns`, the columns of the
+        indices `kept` of C^n in that order, indexed as in C^n.
+
+        Pivots sit at the first nonzero in the order of `kept`, so the
+        vector of each free index f is 1 at f, 0 at every other free index
+        and nonzero only at indices before f in that order.  `cocycles`
+        keeps the order of C^n.  `classes` reverses it: each vector's first
+        nonzero in C^n is then at its free index, and the basis is the
+        reduced echelon of its span, which needs no further reduction."""
         image = self.boundaries(n + 1)
-        kept = [j for j in range(self.width(n)) if j not in skip]
-        # past the last term d^n maps to C^(n+1) = 0: no columns to read
-        columns = self.columns(n, skip) if image.width else [{} for _ in kept]
         echelon = RowSpan(self.field, len(kept))
         if image.dim:
             rows = columns_to_rows(columns, image.width)
@@ -82,16 +109,27 @@ class CochainComplex:
     def cocycles(self, n: int) -> list:
         """The kernel basis of d^n, one vector per free column of its
         reduced row echelon."""
-        return self._kernel(n, frozenset())
+        _nonnegative(n)
+        kept = range(self.width(n))
+        # past the last term d^n maps to C^(n+1) = 0: no columns to read
+        columns = (self.columns(n, frozenset()) if self.boundaries(n + 1).width
+                   else [{} for _ in kept])
+        return self._kernel(n, kept, columns)
 
     def classes(self, n: int) -> RowSpan:
         """The reduced echelon complement of B^n in Z^n: the cocycles that
         vanish at B^n's pivots.  Built once, after every lower degree's;
         the stored span, read-only to callers."""
+        _nonnegative(n)
         built = self._classes
         while len(built) <= n:
             k = len(built)
+            skip = frozenset(self.boundaries(k).pivots)
+            kept = [j for j in range(self.width(k)) if j not in skip]
+            # past the last term no columns were read: d^k maps to C^(k+1) = 0
+            columns = (self._columns.pop(k) if self.boundaries(k + 1).width
+                       else [{} for _ in kept])
             span = RowSpan(self.field, self.width(k))
-            span.extend(self._kernel(k, frozenset(self.boundaries(k).pivots)))
+            span.extend(self._kernel(k, kept[::-1], columns[::-1]))
             built.append(span)
         return built[n]

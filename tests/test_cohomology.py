@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from dgskew.fields import QQ, PrimeField
 from dgskew.linalg import Matrix, RowSpan, columns_to_rows
 from dgskew.sampling import random_rank_two
 from dgskew.skew import GradedElement, Monomial, degree_basis, degree_dim, parse_element
+from test_complexes import recording_kernels
 
 
 def report_of(rows, bound=6):
@@ -275,12 +277,15 @@ def _full_row_echelon(F, spec, deg):
 def test_stored_echelons_match_a_full_row_elimination(field_name, rank):
     # the complex eliminates the columns of d_deg off the pivots of B^deg,
     # and its kernels on the rows of d_deg at the pivots of B^(deg+1) only;
-    # the elimination of all its columns, and of all its rows, must agree
+    # the elimination of all its columns, and of all its rows, must agree.
+    # The classes' kernel, eliminated with those columns indexed last-first,
+    # is their reduced echelon as it comes, in descending order of pivot
     F = dgskew.field_from_name(field_name)
     spec = DGSpec.from_rows(F, RANK_MATRICES[rank])
     top = 8
     report = cohomology(spec, top)
     cx = report._complex
+    handed = recording_kernels(cx)
     for deg in range(top + 1):
         image = RowSpan(F, degree_dim(deg + 1))
         image.extend(d_columns(spec, deg))
@@ -291,6 +296,10 @@ def test_stored_echelons_match_a_full_row_elimination(field_name, rank):
         residues = RowSpan(F, degree_dim(deg))
         residues.extend(cx.boundaries(deg).reduce(v) for v in full.kernel_sparse())
         assert cx.classes(deg).rows_sparse() == residues.rows_sparse(), deg
+        kept, last_first = handed[deg]
+        skip = cx.boundaries(deg).pivots
+        assert kept == [j for j in reversed(range(degree_dim(deg))) if j not in skip], deg
+        assert cx.classes(deg).rows_sparse() == last_first[::-1], deg
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
@@ -323,7 +332,9 @@ def test_elimination_of_d_receives_at_most_the_next_cocycle_rank_rows(monkeypatc
 
 def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
     # empty the first nonzero row of d_2, which sits at the first pivot of
-    # B^3: the rows of d_2 at those pivots then fall short of its column rank
+    # B^3: the rows of d_2 at those pivots then fall short of its column
+    # rank.  Over rank 1 the classes of degree 2 are not empty: the check
+    # fires on the last-first elimination before any of them is served
     full = complexes.columns_to_rows
 
     def lossy(columns, nrows):
@@ -333,13 +344,16 @@ def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
         return rows
 
     monkeypatch.setattr(complexes, "columns_to_rows", lossy)
-    for field_name in ("Q", "Fp:2147483659"):
+    for field_name, (rank, dims, dim_b3) in product(("Q", "Fp:2147483659"),
+                                                    [(3, [1, 0, 0, 0, 0], 3),
+                                                     (1, [1, 2, 3, 4, 5], 2)]):
         F = dgskew.field_from_name(field_name)
-        report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[3]), 4)
-        assert report.dims == [1, 0, 0, 0, 0]
+        report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), 4)
+        assert report.dims == dims
         assert report.unit_class().coordinates == (1,)
-        with pytest.raises(AssertionError, match=r"degree 2: the rows of d\^2 at the pivots "
-                                                 r"of B\^3 have rank 2, its columns 3"):
+        with pytest.raises(AssertionError, match=rf"degree 2: the rows of d\^2 at the pivots "
+                                                 rf"of B\^3 have rank {dim_b3 - 1}, its columns "
+                                                 rf"{dim_b3}$"):
             report.to_json()
 
 

@@ -4,16 +4,26 @@ Each map is d^n = P_(n+1) D_n P_n^-1: D_n is a 0/1 standard form that
 sends the r_n unit vectors after the first r_(n-1) of C^n to the first r_n
 of C^(n+1), so D_(n+1) D_n = 0, and P_n is a random invertible matrix.
 rank d^n = r_n and dim H^n = dim C^n - r_(n-1) - r_n are then known.
+
+The engine's two instances, the skew cohomology and the dual of a minimal
+resolution, are checked for a negative degree and for the column requests
+a full read of their classes makes.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_inverse, dense_kernel, span_echelon, span_reduce
 
+from dgskew.cohomology import cohomology
 from dgskew.complexes import CochainComplex
-from dgskew.fields import QQ, PrimeField
+from dgskew.dg import DGSpec
+from dgskew.fields import QQ, PrimeField, field_from_name
 from dgskew.linalg import Matrix, RowSpan, dense
+from dgskew.presentations import parse_presentation, truncate
+from dgskew.resolution import gorenstein_certificate, minimal_resolution
 
 
 def _invertible(draw, F, n):
@@ -55,11 +65,27 @@ def _engine(F, widths, maps):
     return CochainComplex(F, width, columns)
 
 
+def recording_kernels(cx):
+    """Wrap the kernel elimination of cx; the dict returned then holds, per
+    degree, the (indices of C^n in elimination order, kernel vectors) that
+    its last call handed over."""
+    handed = {}
+    kernel = cx._kernel
+
+    def record(n, kept, columns):
+        handed[n] = (list(kept), kernel(n, kept, columns))
+        return handed[n][1]
+
+    cx._kernel = record
+    return handed
+
+
 @given(complexes())
 @settings(max_examples=80, deadline=None)
 def test_ranks_boundaries_and_classes(complex_data):
     F, widths, ranks, maps = complex_data
     cx = _engine(F, widths, maps)
+    handed = recording_kernels(cx)
     top = len(widths) - 1
     for n, c in enumerate(widths):
         below = ranks[n - 1] if n else 0
@@ -77,6 +103,11 @@ def test_ranks_boundaries_and_classes(complex_data):
         assert [tuple(dense(F, c, v)) for v in cx.cocycles(n)] == kernel
         classes = cx.classes(n).rows_sparse()
         assert len(classes) == cx.dim(n)
+        # eliminated last-first, the kernel is the classes' reduced echelon
+        # as it comes, in descending order of pivot
+        kept, last_first = handed[n]
+        assert kept == [j for j in reversed(range(c)) if j not in boundaries.pivots]
+        assert classes == last_first[::-1]
         for v in classes:
             assert n == top or not any(maps[n].apply(dense(F, c, v)))
         # independent modulo boundaries
@@ -98,3 +129,67 @@ def test_ranks_boundaries_and_classes(complex_data):
             short._boundaries[n] = lost
             with pytest.raises(AssertionError, match=rf"degree {n - 1}: d\^{n - 1} does not kill"):
                 short.classes(n)
+
+
+NEGATIVE_DEGREE_COMPLEXES = {
+    "cohomology": lambda: cohomology(DGSpec.from_rows(QQ, [[1, 2, 3], [0, 1, 4], [5, 6, 0]]),
+                                     4)._complex,
+    "dual": lambda: minimal_resolution(truncate(parse_presentation(QQ, "gen x:1, y:1; rel x^2"),
+                                                8), 4).dual(-1),
+}
+
+
+@pytest.mark.parametrize("method", ["boundaries", "rank", "dim", "cocycles", "classes"])
+@pytest.mark.parametrize("instance", sorted(NEGATIVE_DEGREE_COMPLEXES))
+def test_a_negative_degree_is_refused(instance, method):
+    # a list index would wrap around: dim(-1) read -8 on the skew instance
+    # and 5 on the dual one
+    cx = NEGATIVE_DEGREE_COMPLEXES[instance]()
+    with pytest.raises(ValueError, match=r"^degree -1 is negative$"):
+        getattr(cx, method)(-1)
+
+
+def _counting_columns(monkeypatch):
+    """Wrap the columns callback of every complex built from now on; the
+    Counter returned counts the requests per (complex, degree)."""
+    requests = Counter()
+    init = CochainComplex.__init__
+
+    def counting(self, field, width, columns):
+        def counted(n, skip):
+            requests[id(self), n] += 1
+            return columns(n, skip)
+        init(self, field, width, counted)
+
+    monkeypatch.setattr(CochainComplex, "__init__", counting)
+    return requests
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
+def test_cohomology_requests_each_map_once(monkeypatch, field_name):
+    # boundaries(n + 1) eliminates the columns of d^n off B^n's pivots and
+    # classes(n) reads the same ones: one request per degree, not two
+    requests = _counting_columns(monkeypatch)
+    top = 8
+    spec = DGSpec.from_rows(field_from_name(field_name), [[1, -2, 3], [2, 1, -1], [4, -3, 5]])
+    report = cohomology(spec, top)
+    report.to_json()
+    cx = report._complex
+    assert requests == {(id(cx), n): 1 for n in range(top + 1)}
+    assert cx._columns == {}
+
+
+def test_a_dual_complex_requests_each_map_once(monkeypatch):
+    # the one-sided witnesses sit at hom degree 1: the classes of degrees
+    # 0 and 1 read the columns that B^1 and B^2 were built from
+    requests = _counting_columns(monkeypatch)
+    text = "gen x:1, y:1; rel y^2"
+    witnesses = gorenstein_certificate(parse_presentation(QQ, text)).witness
+    assert {(w.hom_degree, w.internal_degree) for w in witnesses} == {(1, -1), (1, 0)}
+    res = minimal_resolution(truncate(parse_presentation(QQ, text), 10), 6)
+    for m in (-1, 0):
+        requests.clear()
+        cx = res.dual(m)
+        cx.classes(1)
+        assert requests == {(id(cx), 0): 1, (id(cx), 1): 1}, m
+        assert cx._columns == {}
