@@ -31,7 +31,8 @@ first nonzero of each kernel vector in C^n is then at its free column,
 where every other vector is 0, so the basis is already the reduced echelon
 of the classes and is stored as it comes.  It reads the columns of d^n off
 B^n's pivots that `boundaries(n + 1)` eliminated, kept until then, so each
-is built once.  A negative degree raises ValueError.
+is built once; `cocycles(n)` reads them too while they are kept and B^n = 0,
+when they are all of d^n.  A negative degree raises ValueError.
 """
 
 from __future__ import annotations
@@ -111,9 +112,14 @@ class CochainComplex:
         reduced row echelon."""
         _nonnegative(n)
         kept = range(self.width(n))
-        # past the last term d^n maps to C^(n+1) = 0: no columns to read
-        columns = (self.columns(n, frozenset()) if self.boundaries(n + 1).width
-                   else [{} for _ in kept])
+        if not self.boundaries(n + 1).width:
+            # past the last term d^n maps to C^(n+1) = 0: no columns to read
+            columns = [{} for _ in kept]
+        elif not self.boundaries(n).dim and n in self._columns:
+            # B^n = 0: boundaries(n + 1) read all of d^n, kept for classes(n)
+            columns = self._columns[n]
+        else:
+            columns = self.columns(n, frozenset())
         return self._kernel(n, kept, columns)
 
     def classes(self, n: int) -> RowSpan:

@@ -4,8 +4,14 @@ A presentation is a list of generators with positive degrees and a list of
 homogeneous relations (noncommutative polynomials in the generators).  The
 truncation computes, degree by degree, a monomial-word basis of the quotient
 and the "append one generator" maps, the tables of right multiplication by
-one-letter words.  Any other word's table is one append step from its
-prefix's, so every product inside the bound reduces to those maps.
+one-letter words.  Every product inside the bound reduces to those maps.
+Two caches hold what is built from them, each shared with every caller and
+read-only: the word tables (`word_mul_matrix`), one per word that a
+relation's prefix, a right product, `mul` or `normal_form` asks for, each
+one append step from its prefix's; and the product columns of multiplication by one element on one
+degree (`mul_columns`).  A left product c*u reads no word table: the basis
+is prefix-closed, so c*(b g) = (c*b)*g is one append step on a cached
+column of c*A_(|u|-|g|).
 This stays linear algebra throughout: in degree d
 the relation span is generated by u * r with u running over the degree
 d - |r| quotient basis, because occurrences of a relation anywhere left of
@@ -177,7 +183,10 @@ class TruncatedAlgebra:
         self.field = presentation.field
         self.bound = bound
         self.basis = [[()]]            # chosen representative words per degree
+        # per degree >= 1, (letter, index of the prefix) of each basis word
+        self._prefixes: list = [[]]
         self._word_mul_cache: dict = {}  # (src_degree, word) -> sparse columns
+        # (element, its degree, q, left) -> sparse columns
         self._mul_columns_cache: dict = {}
         for d in range(1, bound + 1):
             self._build_degree(d)
@@ -202,7 +211,8 @@ class TruncatedAlgebra:
         span then pivots on its latest candidate, so the non-pivot
         candidates are the greedy, lexicographically earliest complement of
         the span: the basis.  The residue of a candidate modulo the span is
-        its normal form.
+        its normal form, read off the reduced echelon: a candidate off the
+        pivots is a basis word, one at a pivot is minus its row's tail.
         """
         gens = self.presentation.generators
         candidates = sorted(b + (gi,) for gi, g in enumerate(gens) if g.degree <= d
@@ -229,30 +239,52 @@ class TruncatedAlgebra:
             rel_vecs.extend(vecs)
         rel_span = RowSpan(self.field, n)
         rel_span.extend(rel_vecs)
+        rows = dict(zip(rel_span.pivots, rel_span.rows_sparse()))
 
-        pivots = set(rel_span.pivots)
-        self.basis.append([w for w in candidates if pos[w] not in pivots])
-        sel_pos = {pos[w]: k for k, w in enumerate(self.basis[d])}
+        basis = [w for w in candidates if pos[w] not in rows]
+        self.basis.append(basis)
+        sel_pos = {pos[w]: k for k, w in enumerate(basis)}
 
-        one = self.field.one
+        # left products build c * (b g) as (c * b) * g (`mul_columns`), so each
+        # basis word's prefix must be a basis word: keep its letter and index
+        index = {}
+        prefixes = []
+        for w in basis:
+            src = d - gens[w[-1]].degree
+            if src not in index:
+                index[src] = {b: k for k, b in enumerate(self.basis[src])}
+            k = index[src].get(w[:-1])
+            if k is None:
+                raise AssertionError(f"the basis of degree {d} is not prefix-closed at {w}")
+            prefixes.append((w[-1], k))
+        self._prefixes.append(prefixes)
+
+        F = self.field
         for gi, g in enumerate(gens):
             if g.degree > d:
                 continue
             src = d - g.degree
             cols = []
             for b in self.basis[src]:
-                residue = rel_span.reduce({pos[b + (gi,)]: one})
-                if not residue.keys() <= sel_pos.keys():
+                p = pos[b + (gi,)]
+                row = rows.get(p)
+                if row is None:
+                    cols.append({sel_pos[p]: F.one})
+                    continue
+                if not row.keys() - {p} <= sel_pos.keys():
                     raise AssertionError("reduction left a non-basis candidate")
-                cols.append({sel_pos[i]: a for i, a in residue.items()})
+                cols.append(normalized(F, {sel_pos[i]: -a for i, a in row.items() if i != p}))
             self._word_mul_cache[(src, (gi,))] = cols
 
     def word_mul_matrix(self, src_degree: int, word):
         """Sparse columns ``{row: nonzero}`` of v |-> v * word from A_src to
         A_(src+|word|), one per basis word of A_src.
 
-        A word's table is its last letter's, built with the basis, applied
-        to its prefix's; all are cached and shared between callers: read them only."""
+        A word's table is its last letter's applied to its prefix's.  The
+        one-letter tables are built with the basis; the others only when a
+        relation's prefix, a right product (`mul_columns`, `mul`) or
+        `normal_form` asks for them.
+        All are cached and shared between callers: read them only."""
         key = (src_degree, tuple(word))
         cols = self._word_mul_cache.get(key)
         if cols is None:
@@ -275,18 +307,35 @@ class TruncatedAlgebra:
         """Sparse columns ``{row: nonzero}`` of u |-> c*u (left) or u |-> u*c
         on A_q, one per basis word u, for the element c = coeffs of A_degree.
 
-        The columns are cached and shared between callers: read them only."""
+        Left products need no word table: c*1 = c, and for a basis word
+        u = b + (g,), whose prefix b is a basis word, c*u = (c*b)*g is one
+        append step on the column of b in c*A_(q-|g|), which is cached too.
+        Right products apply the tables of c's basis words.  The columns are
+        cached and shared between callers: read them only."""
         key = (tuple(sorted(coeffs.items())), degree, q, left)
-        if key not in self._mul_columns_cache:
-            if left:
-                tables = [self.word_mul_matrix(degree, u) for u in self.basis[q]]
-            else:
+        cols = self._mul_columns_cache.get(key)
+        if cols is None:
+            if degree + q > self.bound:
+                raise BoundInsufficientError("a product", degree + q, self.bound)
+            F = self.field
+            if not left:
                 rights = {k: self.word_mul_matrix(q, self.basis[degree][k]) for k in coeffs}
-                tables = [{k: cols[w] for k, cols in rights.items()}
-                          for w in range(len(self.basis[q]))]
-            self._mul_columns_cache[key] = [apply_columns(self.field, table, coeffs)
-                                            for table in tables]
-        return self._mul_columns_cache[key]
+                cols = [apply_columns(F, {k: t[w] for k, t in rights.items()}, coeffs)
+                        for w in range(len(self.basis[q]))]
+            elif q == 0:
+                cols = [normalized(F, coeffs)]
+            else:
+                gens = self.presentation.generators
+                lower = {}   # q - |g| -> the columns of c*A_(q-|g|)
+                cols = []
+                for g, k in self._prefixes[q]:
+                    src = q - gens[g].degree
+                    if src not in lower:
+                        lower[src] = self.mul_columns(coeffs, degree, src, True)
+                    step = self._word_mul_cache[(degree + src, (g,))]
+                    cols.append(apply_columns(F, step, lower[src][k]))
+            self._mul_columns_cache[key] = cols
+        return cols
 
     def mul(self, u, p: int, v, q: int):
         """u * v for u in A_p and v in A_q, as a vector of A_(p+q): the sum

@@ -89,11 +89,15 @@ def _segments(t: TruncatedAlgebra, degrees, vec):
 def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: bool,
                     skip=frozenset()):
     """Sparse columns of a map of free modules, block by block, leaving out
-    the columns whose index is in `skip`.
+    the columns whose index is in `skip`, in a fresh list.
 
     Source block s is A_q for q = src_degrees[s], target block r is A_q for
     q = dst_degrees[r]; the map multiplies block s into block r by the
     element coeff(s, r) (None when zero), on the left or on the right.
+    Where block s meets one target block and that block starts at row 0,
+    its columns are the cached product columns of
+    `TruncatedAlgebra.mul_columns` themselves, shared with the cache and
+    every other map that reads them: read them only.
     """
     offsets = list(accumulate((_block_dim(t, q) for q in dst_degrees), initial=0))
     cols = []
@@ -110,9 +114,12 @@ def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: 
             if c is not None and _block_dim(t, q_dst):
                 parts.append((offsets[r], t.mul_columns(c.vec, c.degree, q, left)))
         if len(parts) == 1:
-            # one target block: a shifted copy of each cached product column
+            # one target block: each cached product column, shifted to it
             off, prods = parts[0]
-            cols.extend({off + k: x for k, x in prods[w].items()} for w in kept)
+            if off:
+                cols.extend({off + k: x for k, x in prods[w].items()} for w in kept)
+            else:
+                cols.extend(prods[w] for w in kept)
             continue
         for w in kept:
             col = {}

@@ -11,6 +11,7 @@ a full read of their classes makes.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from dgskew.cohomology import cohomology
 from dgskew.complexes import CochainComplex
 from dgskew.dg import DGSpec
 from dgskew.fields import QQ, PrimeField, field_from_name
-from dgskew.linalg import Matrix, RowSpan, dense
+from dgskew.linalg import Matrix, RowSpan, apply_columns, columns_to_rows, dense
 from dgskew.presentations import parse_presentation, truncate
 from dgskew.resolution import gorenstein_certificate, minimal_resolution
 
@@ -131,6 +132,44 @@ def test_ranks_boundaries_and_classes(complex_data):
                 short.classes(n)
 
 
+@given(complexes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_shared_columns_are_read_only_to_every_receiver(complex_data, data):
+    # the resolution hands the cached product columns themselves to the
+    # engine and to the linear algebra: none of them may change a column,
+    # whatever form its scalars come in (over Q a Fraction, integral or
+    # not; over F_p an int outside [0, p))
+    F, widths, ranks, maps = complex_data
+    if F is QQ:
+        raw = Fraction
+    else:
+        def raw(x):
+            return x + F.p * data.draw(st.integers(-3, 3))
+    stored = [[{i: raw(x) for i, x in enumerate(m.col(j)) if x} for j in range(m.ncols)]
+              for m in maps]
+
+    def snapshot():
+        return [[[(i, type(x), x) for i, x in col.items()] for col in cols] for cols in stored]
+
+    before = snapshot()
+    cx = CochainComplex(F, lambda n: widths[n] if 0 <= n < len(widths) else 0,
+                        lambda n, skip: [c for j, c in enumerate(stored[n]) if j not in skip])
+    for n, c in enumerate(widths):
+        assert cx.dim(n) == c - (ranks[n - 1] if n else 0) - ranks[n]
+        cx.cocycles(n)
+        cx.classes(n)
+    for n, cols in enumerate(stored):
+        rows = columns_to_rows(cols, widths[n + 1])
+        span = RowSpan(F, widths[n + 1])
+        span.extend(cols)
+        for col in cols:
+            span.reduce(col)
+            span.add(col)
+        for row in rows:
+            apply_columns(F, cols, row)
+    assert snapshot() == before
+
+
 NEGATIVE_DEGREE_COMPLEXES = {
     "cohomology": lambda: cohomology(DGSpec.from_rows(QQ, [[1, 2, 3], [0, 1, 4], [5, 6, 0]]),
                                      4)._complex,
@@ -181,15 +220,20 @@ def test_cohomology_requests_each_map_once(monkeypatch, field_name):
 
 def test_a_dual_complex_requests_each_map_once(monkeypatch):
     # the one-sided witnesses sit at hom degree 1: the classes of degrees
-    # 0 and 1 read the columns that B^1 and B^2 were built from
+    # 0 and 1 read the columns that B^1 and B^2 were built from.  At m = -1
+    # B^1 = 0, so those are all of d^1 and the cocycles of degree 1 read
+    # them too; at m = 0 B^1 != 0 and the cocycles need d^1 at its pivots,
+    # which no boundary space read
     requests = _counting_columns(monkeypatch)
     text = "gen x:1, y:1; rel y^2"
     witnesses = gorenstein_certificate(parse_presentation(QQ, text)).witness
     assert {(w.hom_degree, w.internal_degree) for w in witnesses} == {(1, -1), (1, 0)}
     res = minimal_resolution(truncate(parse_presentation(QQ, text), 10), 6)
-    for m in (-1, 0):
+    for m, reads in ((-1, ("cocycles", "classes")), (0, ("classes",))):
         requests.clear()
         cx = res.dual(m)
-        cx.classes(1)
+        assert (cx.boundaries(1).dim == 0) == (m == -1)
+        for read in reads:
+            getattr(cx, read)(1)
         assert requests == {(id(cx), 0): 1, (id(cx), 1): 1}, m
         assert cx._columns == {}

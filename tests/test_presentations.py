@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from dgskew.classify import case_presentation
 from dgskew.errors import BoundInsufficientError
-from dgskew.fields import QQ, PrimeField
+from dgskew.fields import QQ, PrimeField, normalized
+from dgskew.linalg import apply_columns
 from dgskew.presentations import AlgebraPresentation, Generator, parse_presentation, truncate
 from oracles import (count_words_avoiding, free_normal_forms, free_words,
                      quotient_dims_full_span)
@@ -94,11 +95,15 @@ def test_dims_match_full_span_oracle():
 
 ORACLE_TEXTS = {"one-sided": "gen x:1, y:1; rel y^2",
                 "two-sided": "gen x:1, y:1; rel x^2 + x*y + y*x + y^2",
-                "linear": "gen x:1, y:1; rel x - y"}
+                "linear": "gen x:1, y:1; rel x - y",
+                # the lex-largest word y*x, where the relation's echelon rows
+                # pivot, has the coefficient -3: over Q the append maps carry
+                # fractions
+                "non-unit": "gen x:1, y:1; rel 2*x*y - 3*y*x"}
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=["Q", "F7"])
-@pytest.mark.parametrize("name", ["one-sided", "two-sided", "linear", "R1d"])
+@pytest.mark.parametrize("name", ["one-sided", "two-sided", "linear", "non-unit", "R1d"])
 def test_word_tables_match_the_free_word_oracle(F, name):
     if name == "R1d":  # a degree-2 generator
         p = rank_one(F, "R1d", (4, 1, 2), 2, 0)
@@ -137,6 +142,29 @@ def test_word_tables_match_the_free_word_oracle(F, name):
 def _sparse(form):
     """The nonzero entries of a dense oracle vector, by position."""
     return {k: x for k, x in enumerate(form) if x}
+
+
+LEFT_PRODUCT_TEXTS = {"degree-2 generator": "gen x:1, y:1, z:2; rel x*y + y*x; rel z*x - x*z",
+                      "computed flagship ring":
+                          "gen a:1, b:1; rel a^2 - a*b - b*a + b^2; rel a^2*b - b*a^2",
+                      "degenerate quadratic": "gen x:1, y:1; rel y^2"}
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["Q", "F7"])
+@pytest.mark.parametrize("name", sorted(LEFT_PRODUCT_TEXTS))
+def test_left_products_match_the_word_tables(F, name):
+    # mul_columns builds c * (b g) as (c * b) * g, stepping down by |g|; the
+    # oracle applies the table of each whole basis word u to c
+    bound = 8
+    t = truncate(parse_presentation(F, LEFT_PRODUCT_TEXTS[name]), bound)
+    rng = random.Random(7)
+    for e in range(4):
+        for _ in range(2):
+            c = normalized(F, [rng.randint(-3, 3) for _ in t.basis[e]])
+            c[rng.randrange(t.dim(e))] = F.one
+            for q in range(bound - e + 1):
+                expected = [apply_columns(F, t.word_mul_matrix(e, u), c) for u in t.basis[q]]
+                assert t.mul_columns(c, e, q, True) == expected, (e, q, c)
 
 
 def test_normal_form_examples():

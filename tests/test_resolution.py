@@ -597,6 +597,23 @@ def test_certificate_bytes_are_pinned(name, field_name):
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[(name, field_name)]
 
 
+# sha256 of gorenstein_certificate(R1c flagship, 6, 14).to_json(), recorded
+# before left products stopped reading word tables: past the pins above,
+# where the left products run longer chains of append steps
+DEEP_CERTIFICATE_DIGESTS = {
+    "Q": "62865164e778809722a820f1d2af4208e7a3da270222ae9ddbbe03cc4b6ef0fa",
+    "Fp:2147483659": "62865164e778809722a820f1d2af4208e7a3da270222ae9ddbbe03cc4b6ef0fa",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(DEEP_CERTIFICATE_DIGESTS))
+def test_deep_certificate_bytes_are_pinned(field_name):
+    F = field_from_name(field_name)
+    pres = classify(Matrix.from_rows(F, FLAGSHIPS["R1c"])).predicted_presentation
+    text = json.dumps(gorenstein_certificate(pres, 6, 14).to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_CERTIFICATE_DIGESTS[field_name]
+
+
 def _sparse_items(vec):
     return [[k, str(x)] for k, x in sorted(vec.items())]
 
