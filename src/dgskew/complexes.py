@@ -4,11 +4,13 @@ A complex gives `width(n)`, the dimension of C^n (zero past its last
 term), and `columns(n, skip)`: the sparse columns ``{row: nonzero}`` of
 d^n: C^n -> C^(n+1) in index order, less those whose index is in `skip`.
 
-`CochainComplex` stores each boundary space B^n = im d^(n-1) as a reduced
-row echelon, built once from B^0 = 0 upwards from only the columns of
+`CochainComplex` stores each boundary space B^n = im d^(n-1) as a
+`RowSpan`, built once from B^0 = 0 upwards from only the columns of
 d^(n-1) off B^(n-1)'s pivots: d^(n-1) kills B^(n-1), and the unit vectors
 off its pivots complete its rows to a basis.  Every rank and dim is read
-off the stored B^n.
+off the stored B^n, and B^n is read only for its pivots, its dim and
+residues, so its rows stay the forward echelon they were inserted as and
+are never reduced.
 
 Kernels are eliminated on demand, on the rows of d^n at B^(n+1)'s pivots
 only: every column of d^n lies in B^(n+1), where a vector is fixed by
@@ -31,8 +33,9 @@ first nonzero of each kernel vector in C^n is then at its free column,
 where every other vector is 0, so the basis is already the reduced echelon
 of the classes and is stored as it comes.  It reads the columns of d^n off
 B^n's pivots that `boundaries(n + 1)` eliminated, kept until then, so each
-is built once; `cocycles(n)` reads them too while they are kept and B^n = 0,
-when they are all of d^n.  A negative degree raises ValueError.
+is built once.  `cocycles(n)` reads them too while they are kept, and asks
+the callback only for the columns at B^n's pivots.  A negative degree
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -115,9 +118,14 @@ class CochainComplex:
         if not self.boundaries(n + 1).width:
             # past the last term d^n maps to C^(n+1) = 0: no columns to read
             columns = [{} for _ in kept]
-        elif not self.boundaries(n).dim and n in self._columns:
-            # B^n = 0: boundaries(n + 1) read all of d^n, kept for classes(n)
-            columns = self._columns[n]
+        elif n in self._columns:
+            # boundaries(n + 1) read the columns off B^n's pivots, kept for
+            # classes(n): only those at the pivots are still to come
+            pivots = frozenset(self.boundaries(n).pivots)
+            off = iter(self._columns[n])
+            at = iter(self.columns(n, frozenset(j for j in kept if j not in pivots))
+                      if pivots else ())
+            columns = [next(at if j in pivots else off) for j in kept]
         else:
             columns = self.columns(n, frozenset())
         return self._kernel(n, kept, columns)

@@ -9,8 +9,10 @@ what makes the blockwise formula well defined; verify_dg checks it).
 `d` and `d_columns` share that formula on basis positions: each term's
 index in the next degree is T(b+c) + c of its exponents (see
 `skew.basis_position`), read straight off the monomial's own exponents and
-the matrix entries, with no monomial built per term.  Scalars combine with
-the native operators and are reduced mod p once at the end.
+the matrix entries, with no monomial built per term.  The entries are
+negated once per call: `d_columns` negates them mod p over F_p, so its
+columns hold the entries as they are, in normal form; `d` combines them
+with its coefficients by the native operators and reduces once at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import check_same_field, normalized
+from .fields import _modulus, check_same_field
 from .linalg import Matrix, apply_columns
 from .skew import GradedElement, Monomial, basis_monomials, degree_basis, degree_dim
 
@@ -66,10 +68,21 @@ def _odd_blocks(a: int, b: int, c: int):
     return out
 
 
-def _d_terms(rows, m):
+def _signed_rows(rows, p):
+    """M's rows and their negatives, the scalars of `_d_terms`, built once
+    per call of `d` or `d_columns`.  With p an int they are negated mod p,
+    so that rows in normal form over F_p give negatives in normal form."""
+    if p is None:
+        return rows, [(-x, -y, -z) for x, y, z in rows]
+    return rows, [(-x % p, -y % p, -z % p) for x, y, z in rows]
+
+
+def _d_terms(signed, m):
     """Terms of d(m) as (position in the next degree, +-M[i][j]) pairs, at
-    distinct positions, with unreduced native scalars; rows are M's rows."""
+    distinct positions, with nonzero scalars taken from signed, the pair
+    of `_signed_rows`."""
     a, b, c = m
+    rows, negated = signed
     out = []
     for i, neg in _odd_blocks(a, b, c):
         # m / x_i has x2,x3-degree k and x3-exponent e; times x1^2, x2^2
@@ -77,9 +90,7 @@ def _d_terms(rows, m):
         k = b + c - (i > 0)
         t = k * (k + 1) // 2 + c - (i == 2)
         u = t + 2 * k + 3
-        x, y, z = rows[i]
-        if neg:
-            x, y, z = -x, -y, -z
+        x, y, z = negated[i] if neg else rows[i]
         if x:
             out.append((t, x))
         if y:
@@ -92,11 +103,12 @@ def _d_terms(rows, m):
 def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     """The differential on a homogeneous element; degree rises by 1."""
     check_same_field(spec.field, u.field)
-    rows = spec.matrix.entries
+    # the sum is normalized once at the end, so native negatives will do
+    signed = _signed_rows(spec.matrix.entries, None)
     out = {}
     get = out.get
     for m, coeff in u.terms.items():
-        for pos, x in _d_terms(rows, m):
+        for pos, x in _d_terms(signed, m):
             y = get(pos)
             out[pos] = coeff * x if y is None else y + coeff * x
     return GradedElement.from_sparse(spec.field, u.degree + 1, out)
@@ -107,9 +119,8 @@ def d_columns(spec: DGSpec, deg: int, skip=frozenset()):
     j is d of the j-th basis monomial as {row in degree deg+1: nonzero}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
-    F = spec.field
-    rows = spec.matrix.entries
-    return [normalized(F, dict(_d_terms(rows, m)))
+    signed = _signed_rows(spec.matrix.entries, _modulus(spec.field))
+    return [dict(_d_terms(signed, m))
             for j, m in enumerate(basis_monomials(deg)) if j not in skip]
 
 

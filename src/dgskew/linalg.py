@@ -1,22 +1,30 @@
 """Exact linear algebra over a session field, on one sparse echelon kernel.
 
-The kernel is `RowSpan`: a reduced row echelon form kept as sparse rows
+The kernel is `RowSpan`: a row echelon form kept as sparse rows
 (``{column: nonzero}``) indexed by their pivots and grown one vector at a
-time by Gauss-Jordan steps.  Rows and vectors store only their nonzero
-entries, so elimination work follows the nonzeros rather than the shape;
-the matrices this engine meets are mostly ~97% zeros.  Over F_p the rows
-hold ints reduced mod p.  Over Q they are fraction-free (Bareiss 1968): each
-row is a primitive integer row over one positive denominator, vectors are
-cleared of denominators when they come in, and elimination multiplies and
-subtracts ints, so no `Fraction` arithmetic runs inside it.  The scalars
-the span hands back are in the canonical form of `fields`: an int when
-integral, a `Fraction` only when a denominator is left.  The inner loops
-apply the native operators directly, so every step is exact.
+time.  A new vector is cleared only while its leading coordinate is a
+pivot, so the rows stay a forward echelon; they are back-substituted into
+the reduced echelon form only when a caller reads the rows themselves
+(`rows_sparse`, `kernel_sparse`, `express`).  Pivots, ranks, residues and
+membership never need that step, and the largest spans, the boundary
+spaces of `complexes`, are read for nothing else.  Rows and vectors store
+only their nonzero entries, so elimination work follows the nonzeros rather
+than the shape; the matrices this engine meets are mostly ~97% zeros.
+Over F_p the rows hold ints reduced mod p.  Over Q they are fraction-free
+(Bareiss 1968): each row is a primitive integer row over one positive
+denominator, vectors are cleared of denominators when they come in, and
+elimination multiplies and subtracts ints, so no `Fraction` arithmetic runs
+inside it.  The scalars the span hands back are in the canonical form of
+`fields`: an int when integral, a `Fraction` only when a denominator is
+left.  The inner loops apply the native operators directly, so every step
+is exact.
 
 Pivots sit at the first nonzero coordinate, so a span has exactly one
-reduced echelon form.  Echelon rows, kernel bases, residues and coefficient
-vectors are therefore canonical: they depend on the span and the input,
-never on the order of elimination.
+reduced echelon form, and every echelon form of it has the same pivots and
+leaves the same residues.  Echelon rows, kernel bases, residues and
+coefficient vectors are therefore canonical: they depend on the span and
+the input, never on the order of elimination or on whether the rows have
+been reduced yet.
 
 Every vector here is a sparse dict; `Matrix` is the one dense type, an
 immutable value such as the defining matrix M.  `rref`, `rank`,
@@ -36,6 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .fields import _modulus, _rational, check_same_field, normalized
@@ -179,7 +188,7 @@ class Matrix:
         return tuple(out)
 
     def _echelon(self) -> "RowSpan":
-        """The reduced row space of this matrix (pivots from the left)."""
+        """The row space of this matrix (pivots from the left)."""
         span = RowSpan(self.field, self.ncols)
         span.extend(self.entries)
         return span
@@ -225,12 +234,22 @@ class Matrix:
 
 
 class RowSpan:
-    """Incrementally maintained reduced row space, stored sparse.
+    """Incrementally maintained row space, stored sparse as a forward
+    echelon and reduced only when a caller reads its rows.
 
-    Each row is zero at every other row's pivot and 1 at its own, so the
-    rows form the reduced echelon basis of the span and `reduce` residues
-    are canonical.  Pivots sit at the first nonzero coordinate; a caller
-    that wants them at the last one indexes its coordinates in reverse.
+    Each row is 1 at its pivot, the first nonzero coordinate, and no two
+    rows share a pivot.  An insertion clears a new vector only while its
+    leading coordinate is a pivot and leaves the stored rows as they are,
+    so a row's tail may still hold later pivots.  `pivots`, `dim`, `free`,
+    `reduce` and `contains` read that forward echelon as it stands: the
+    pivots, the residues and membership are the same for every echelon
+    form of a span.  `rows_sparse`, `kernel_sparse` and `express` read the
+    rows themselves, so they first back-substitute into the reduced echelon
+    form, where each row is zero at every other row's pivot; the span then
+    counts as reduced until an insertion leaves a pivot in some tail.  A
+    span has exactly one reduced echelon form, so every output is
+    canonical.  A caller that wants pivots at the last nonzero coordinate
+    indexes its coordinates in reverse.
 
     A row is kept as its pivot q plus a tail ``{column: nonzero}``.  Over
     F_p the tail holds ints in [1, p).  Over Q the row is kept
@@ -255,6 +274,7 @@ class RowSpan:
         self._rows = {}       # pivot -> tail
         self._den = {}        # pivot -> denominator c of its row (Q only)
         self._pivots = []     # the pivots, kept sorted as rows are added
+        self._reduced = True  # no tail holds a pivot
 
     @property
     def dim(self) -> int:
@@ -274,28 +294,56 @@ class RowSpan:
             return _integral(vec)
         return 1, normalized(self.field, vec)
 
+    def _clear(self, w, q):
+        """Clear the pivot coordinate q of the loaded vector w with q's row,
+        in place; returns the factor w was scaled by (1 over F_p)."""
+        x = w.pop(q)
+        tail = self._rows[q]
+        if self._p is not None:
+            _axpy(self._p, w, x, tail)
+            return 1
+        # w - x (e_q + tail / c), times c / gcd(x, c) to stay integral
+        c = self._den[q]
+        g = gcd(x, c)
+        f = c // g
+        if f != 1:
+            for j in w:
+                w[j] *= f
+        _axpy(None, w, x // g, tail)
+        return f
+
+    def _clear_leading(self, w):
+        """Clear the loaded vector w in place while its leading coordinate
+        is a pivot; returns that coordinate once it is not, None once w is
+        zero."""
+        rows = self._rows
+        while w:
+            q = min(w)
+            if q not in rows:
+                return q
+            self._clear(w, q)
+        return None
+
     def _reduce(self, w):
         """Reduce the loaded vector w modulo the span in place; returns
         (w, s) with w / s the residue (s = 1 over F_p)."""
         rows = self._rows
-        # a row is zero at every other pivot, so the pivots w hits now are
-        # all it will ever hit, and each is cleared exactly once
-        hits = [q for q in w if q in rows] if len(w) <= len(rows) else [q for q in rows if q in w]
+        hits = list(w.keys() & rows.keys())
         if not hits:
             return w, 1
-        p = self._p
-        if p is not None:
-            for q in hits:
-                _axpy(p, w, w.pop(q), rows[q])
-            return w, 1
-        # scale once so that every row denominator divides its entry
-        den = self._den
-        s = lcm(*(den[q] for q in hits))
-        if s != 1:
-            for j in w:
-                w[j] *= s
-        for q in hits:
-            _axpy(None, w, w.pop(q) // den[q], rows[q])
+        # smallest pivot first: clearing q adds entries only past q, so a
+        # cleared pivot never comes back, and only a forward tail brings new
+        # ones
+        heapify(hits)
+        forward = not self._reduced
+        s = 1
+        while hits:
+            q = heappop(hits)
+            if q in w:
+                if forward:
+                    for r in rows[q].keys() & rows.keys():
+                        heappush(hits, r)
+                s *= self._clear(w, q)
         return w, s
 
     def _scalars(self, w, den):
@@ -307,54 +355,60 @@ class RowSpan:
 
     def _insert(self, w) -> bool:
         """Insert the loaded vector w, which the span may keep and change."""
-        w, _ = self._reduce(w)
-        if not w:
+        q = self._clear_leading(w)
+        if q is None:
             return False
-        p = self._p
-        q = min(w)
         a = w.pop(q)
         rows = self._rows
         order = self._pivots
-        # the rows that meet the new pivot, which back-elimination clears: a
-        # tail holds only columns past its pivot, so only rows pivoted
-        # before q can
-        hit = [r for r in order[:bisect_left(order, q)] if q in rows[r]]
+        if self._reduced:
+            # a tail holds only columns past its pivot, so only rows pivoted
+            # before q can hold q
+            self._reduced = (rows.keys().isdisjoint(w)
+                             and not any(q in rows[r] for r in order[:bisect_left(order, q)]))
+        p = self._p
         if p is not None:
             if a != 1:
                 inv = pow(a, -1, p)
                 w = {j: x * inv % p for j, x in w.items()}
-            for r in hit:
-                tail = rows[r]
-                _axpy(p, tail, tail.pop(q), w)
-            rows[q] = w
         else:
             # the row e_q + w / a, made primitive with a positive denominator
             g = gcd(a, *w.values())
             if a < 0:
                 g = -g
-            c = a // g
             if g != 1:
                 w = {j: x // g for j, x in w.items()}
-            den = self._den
-            for r in hit:
-                tail = rows[r]
-                b = tail.pop(q)
-                # e_r + tail/cr - (b/cr)(e_q + w/c) = e_r + (c tail - b w)/(c cr)
-                if c != 1:
-                    for j in tail:
-                        tail[j] *= c
-                _axpy(None, tail, b, w)
-                cr = den[r] * c
-                h = gcd(cr, *tail.values())
-                if h != 1:
-                    cr //= h
-                    for j in tail:
-                        tail[j] //= h
-                den[r] = cr
-            rows[q] = w
-            den[q] = c
+            self._den[q] = a // g
+        rows[q] = w
         insort(order, q)
         return True
+
+    def _back_substitute(self):
+        """Bring the rows to the reduced echelon form, unless they are in it.
+
+        Largest pivot first: the rows a tail is cleared with are reduced by
+        then, so each pivot in a tail is cleared once and brings no other."""
+        if self._reduced:
+            return
+        rows = self._rows
+        for q in reversed(self._pivots):
+            tail = rows[q]
+            hits = tail.keys() & rows.keys()
+            if not hits:
+                continue
+            s = 1
+            for r in hits:
+                s *= self._clear(tail, r)
+            if self._p is None:
+                # the row e_q + tail / (c s), made primitive again
+                c = self._den[q] * s
+                h = gcd(c, *tail.values())
+                if h != 1:
+                    c //= h
+                    for j in tail:
+                        tail[j] //= h
+                self._den[q] = c
+        self._reduced = True
 
     @property
     def free(self):
@@ -364,6 +418,7 @@ class RowSpan:
     def kernel_sparse(self):
         """Basis of the vectors orthogonal to every row, one per non-pivot
         column f in ascending order: 1 at f, 0 at every other non-pivot."""
+        self._back_substitute()
         one = self.field.one
         p = self._p
         free = self.free
@@ -386,7 +441,7 @@ class RowSpan:
         return self._scalars(w, den * s)
 
     def contains(self, vec) -> bool:
-        return not self._reduce(self._load(vec)[1])[0]
+        return self._clear_leading(self._load(vec)[1]) is None
 
     def add(self, vec) -> bool:
         """Insert vec; True when the span grew."""
@@ -395,11 +450,13 @@ class RowSpan:
     def extend(self, vectors):
         """Insert every vector.
 
-        The span and its echelon rows do not depend on the order of
-        insertion, so the vectors go in with the latest leading coordinate
-        first.  A new pivot then seldom lies in the tail of an older row, and
-        the rows already stored rarely need back-elimination.  Each vector
-        is loaded once.
+        The span does not depend on the order of insertion, so the vectors
+        go in with the latest leading coordinate first.  A new vector's
+        leading coordinate is then seldom a pivot already, and the vector
+        goes in as it is, with no arithmetic.  Nor does a new pivot often
+        lie in an older row's tail: the rows of a reduced echelon form go
+        in this way with no arithmetic and leave the span reduced.  Each
+        vector is loaded once.
         """
         vecs = [w for _, w in map(self._load, vectors) if w]
         vecs.sort(key=min, reverse=True)
@@ -407,15 +464,16 @@ class RowSpan:
             self._insert(w)
 
     def express(self, vec):
-        """Coefficients of vec over the stored rows, or None if outside.
+        """Coefficients of vec over the reduced rows, or None if outside.
 
-        Row order follows `rows_sparse` (sorted by pivot).  Every row is zero
-        at the other rows' pivots, so the coefficient of a row is the entry
-        of vec at its pivot.
+        Row order follows `rows_sparse` (sorted by pivot).  Every reduced
+        row is zero at the other rows' pivots, so the coefficient of a row
+        is the entry of vec at its pivot.
         """
+        self._back_substitute()
         den, w = self._load(vec)
         coeffs = [w.get(q, 0) for q in self.pivots]
-        if self._reduce(w)[0]:
+        if self._clear_leading(w) is not None:
             return None
         if den == 1:
             return coeffs
@@ -423,6 +481,7 @@ class RowSpan:
 
     def rows_sparse(self):
         """The reduced echelon rows, sorted by pivot, as fresh sparse dicts."""
+        self._back_substitute()
         one = self.field.one
         # `_scalars` may hand back the stored tail itself; ** copies it
         return [{q: one, **self._scalars(self._rows[q], self._den.get(q, 1))}

@@ -330,6 +330,49 @@ def test_elimination_of_d_receives_at_most_the_next_cocycle_rank_rows(monkeypatc
         assert br[deg + 1] <= report.cocycle_ranks[deg + 1], deg
 
 
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
+@pytest.mark.parametrize("rank", sorted(RANK_MATRICES))
+def test_boundary_spans_are_never_back_substituted(monkeypatch, field_name, rank):
+    # B^n is read for its pivots, its dim and residues, which its forward
+    # echelon gives as it stands: a full pass with class queries must never
+    # reduce it, while the kernel eliminations, whose rows are read, may be
+    reads = []
+    back_substitute = RowSpan._back_substitute
+
+    def counting(span):
+        reads.append((span, span._reduced))
+        back_substitute(span)
+
+    monkeypatch.setattr(RowSpan, "_back_substitute", counting)
+    F = dgskew.field_from_name(field_name)
+    spec = DGSpec.from_rows(F, RANK_MATRICES[rank])
+    top = 14
+    report = cohomology(spec, top)
+    bases = report.bases
+    rng = random.Random(rank)
+    classes = []
+    for n in range(1, top + 1):
+        # a coboundary plus every representative of the degree
+        u = GradedElement.from_terms(F, n - 1, [(m, rng.randint(-3, 3))
+                                                for m in degree_basis(n - 1)])
+        z = d(spec, u)
+        for rep in bases[n]:
+            z = z.add(rep)
+        cls = report.class_of(z)
+        assert cls.coordinates == (1,) * len(bases[n]), n
+        classes.append(cls)
+    for u, v in product(classes[:4], repeat=2):
+        assert report.class_product(u, v).degree == u.degree + v.degree
+    boundaries = report._complex._boundaries
+    assert len(boundaries) == top + 2
+    assert not [n for n, b in enumerate(boundaries) for span, _ in reads if span is b]
+    # the boundary spans stay forward echelons: some tail holds a pivot
+    forward = [n for n, b in enumerate(boundaries)
+               if any(q in tail for tail in b._rows.values() for q in b.pivots)]
+    assert bool(forward) == (rank > 0)
+    assert any(not reduced for _, reduced in reads) == (rank > 0)
+
+
 def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
     # empty the first nonzero row of d_2, which sits at the first pivot of
     # B^3: the rows of d_2 at those pivots then fall short of its column

@@ -190,25 +190,27 @@ def test_a_negative_degree_is_refused(instance, method):
 
 def _counting_columns(monkeypatch):
     """Wrap the columns callback of every complex built from now on; the
-    Counter returned counts the requests per (complex, degree)."""
-    requests = Counter()
+    Counters returned count the requests per (complex, degree) and the
+    columns handed over per (complex, degree, index)."""
+    requests, indices = Counter(), Counter()
     init = CochainComplex.__init__
 
     def counting(self, field, width, columns):
         def counted(n, skip):
             requests[id(self), n] += 1
+            indices.update((id(self), n, j) for j in range(width(n)) if j not in skip)
             return columns(n, skip)
         init(self, field, width, counted)
 
     monkeypatch.setattr(CochainComplex, "__init__", counting)
-    return requests
+    return requests, indices
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
 def test_cohomology_requests_each_map_once(monkeypatch, field_name):
     # boundaries(n + 1) eliminates the columns of d^n off B^n's pivots and
     # classes(n) reads the same ones: one request per degree, not two
-    requests = _counting_columns(monkeypatch)
+    requests, _ = _counting_columns(monkeypatch)
     top = 8
     spec = DGSpec.from_rows(field_from_name(field_name), [[1, -2, 3], [2, 1, -1], [4, -3, 5]])
     report = cohomology(spec, top)
@@ -220,20 +222,22 @@ def test_cohomology_requests_each_map_once(monkeypatch, field_name):
 
 def test_a_dual_complex_requests_each_map_once(monkeypatch):
     # the one-sided witnesses sit at hom degree 1: the classes of degrees
-    # 0 and 1 read the columns that B^1 and B^2 were built from.  At m = -1
-    # B^1 = 0, so those are all of d^1 and the cocycles of degree 1 read
-    # them too; at m = 0 B^1 != 0 and the cocycles need d^1 at its pivots,
-    # which no boundary space read
-    requests = _counting_columns(monkeypatch)
+    # 0 and 1 read the columns that B^1 and B^2 were built from, those of
+    # d^0 and d^1 off the pivots of B^0 and B^1.  The cocycles of degree 1
+    # read those of d^1 too and ask only for the ones at B^1's pivots: none
+    # at m = -1, where B^1 = 0, and a second request at m = 0
+    requests, indices = _counting_columns(monkeypatch)
     text = "gen x:1, y:1; rel y^2"
     witnesses = gorenstein_certificate(parse_presentation(QQ, text)).witness
     assert {(w.hom_degree, w.internal_degree) for w in witnesses} == {(1, -1), (1, 0)}
     res = minimal_resolution(truncate(parse_presentation(QQ, text), 10), 6)
-    for m, reads in ((-1, ("cocycles", "classes")), (0, ("classes",))):
+    for m in (-1, 0):
         requests.clear()
+        indices.clear()
         cx = res.dual(m)
         assert (cx.boundaries(1).dim == 0) == (m == -1)
-        for read in reads:
-            getattr(cx, read)(1)
-        assert requests == {(id(cx), 0): 1, (id(cx), 1): 1}, m
+        cx.cocycles(1)
+        cx.classes(1)
+        assert requests == {(id(cx), 0): 1, (id(cx), 1): 1 if m == -1 else 2}, m
+        assert indices == {(id(cx), n, j): 1 for n in (0, 1) for j in range(cx.width(n))}, m
         assert cx._columns == {}

@@ -274,14 +274,23 @@ def test_rowspan_back_eliminates_in_ascending_order(F, matrices, data):
 @pytest.mark.parametrize("F", [QQ, FP], ids=str)
 def test_rowspan_back_elimination_clears_new_pivots(F):
     # every row after the first has its pivot in the tails of all rows
-    # before it, so each insertion back-eliminates every stored row
+    # before it, so reading the rows back-substitutes into every stored row
     vectors = [[F.coerce(x) for x in v]
                for v in ([2, 1, 3, 1, 5], [0, 3, 1, -1, 2], [0, 0, 7, 2, -3], [0, 0, 0, 4, 1])]
     span = RowSpan(F, 5)
     for v in vectors:
         assert span.add(v)
-    assert all(q not in tail for tail in span._rows.values() for q in span.pivots)
     probes = [[F.coerce(x) for x in p] for p in ([1, 1, 1, 1, 1], [0, 2, -1, 3, 1])]
+    # before any read the rows are a forward echelon, which already gives
+    # the pivots, the dim and the residues
+    echelon = span_echelon(F, vectors, 5)
+    assert span.pivots == [q for q, _ in echelon]
+    assert span.dim == len(echelon)
+    for vec in probes:
+        residue, _ = span_reduce(F, echelon, vec)
+        assert as_text(F, [dense(F, 5, span.reduce(vec))]) == as_text(F, [residue])
+    span.rows_sparse()
+    assert all(q not in tail for tail in span._rows.values() for q in span.pivots)
     assert_span_matches_reference(F, span, vectors, probes)
 
 
@@ -329,3 +338,68 @@ def test_q_scalars_come_back_canonical(vectors, probe, a, b):
             assert got is None
         else:
             assert_canonical(got, coeffs)
+
+
+# -- reduce on read: a forward echelon between reads -----------------------
+
+READERS = ("reduce", "contains", "rows_sparse", "kernel_sparse", "express")
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_rowspan_reads_between_insertions_match_reference(F, data):
+    # insertions leave the rows a forward echelon and the readers of rows
+    # back-substitute; reads come between insertions in any order, and every
+    # step checks the span against the dense reference elimination of all
+    # the vectors inserted so far
+    width = data.draw(st.integers(1, 6))
+    entries = q_scalars if F == QQ else st.integers(-9, 9)
+    vectors = st.lists(entries, min_size=width, max_size=width).map(
+        lambda v: [F.coerce(x) for x in v])
+    span, inserted, echelon = RowSpan(F, width), [], []
+    for step in data.draw(st.lists(st.sampled_from(("add", "extend") + READERS),
+                                   min_size=1, max_size=12)):
+        dim = len(echelon)
+        if step == "add":
+            inserted.append(data.draw(vectors))
+            grew = span.add(inserted[-1])
+        elif step == "extend":
+            batch = data.draw(st.lists(vectors, max_size=4))
+            inserted.extend(batch)
+            span.extend(batch)
+        echelon = span_echelon(F, inserted, width) if inserted else []
+        pivots = [q for q, _ in echelon]
+        assert span.pivots == pivots
+        assert span.dim == len(echelon)
+        assert span.free == [f for f in range(width) if f not in pivots]
+        if step == "add":
+            assert grew == (len(echelon) > dim)
+        elif step == "rows_sparse":
+            assert (as_text(F, [dense(F, width, r) for r in span.rows_sparse()])
+                    == as_text(F, [r for _, r in echelon]))
+        elif step == "kernel_sparse":
+            assert (as_text(F, [dense(F, width, v) for v in span.kernel_sparse()])
+                    == as_text(F, span_kernel(F, echelon, width)))
+        elif step != "extend":
+            # a member of the span or an arbitrary vector
+            weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(inserted),
+                                         max_size=len(inserted)))
+            member = [F.zero] * width
+            for c, v in zip(weights, inserted):
+                member = [F.add(x, F.mul(F.coerce(c), y)) for x, y in zip(member, v)]
+            vec = data.draw(st.sampled_from([member, data.draw(vectors)]))
+            residue, coeffs = span_reduce(F, echelon, vec)
+            inside = all(F.is_zero(x) for x in residue)
+            if step == "reduce":
+                got = span.reduce(vec)
+                assert as_text(F, [dense(F, width, got)]) == as_text(F, [residue])
+                assert_exact(F, [got])
+            elif step == "contains":
+                assert span.contains(vec) == inside
+            else:
+                got = span.express(vec)
+                assert (got is not None) == inside
+                if inside:
+                    assert as_text(F, [got]) == as_text(F, [coeffs])
+                    assert_exact(F, [got])
