@@ -40,7 +40,7 @@ raises ValueError.
 
 from __future__ import annotations
 
-from .linalg import RowSpan, apply_columns, columns_to_rows
+from .linalg import RowSpan, columns_to_rows, kills
 
 
 def _nonnegative(n: int):
@@ -105,7 +105,7 @@ class CochainComplex:
             raise AssertionError(f"degree {n}: the rows of d^{n} at the pivots of B^{n + 1} "
                                  f"have rank {echelon.dim}, its columns {image.dim}")
         kernel = echelon.kernel_sparse()
-        if any(apply_columns(self.field, columns, v) for v in kernel):
+        if not all(kills(self.field, columns, v) for v in kernel):
             raise AssertionError(f"degree {n}: d^{n} does not kill the kernel of its rows "
                                  f"at the pivots of B^{n + 1}")
         return [{kept[k]: x for k, x in v.items()} for v in kernel]

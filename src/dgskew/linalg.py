@@ -3,13 +3,16 @@
 The kernel is `RowSpan`: a row echelon form kept as sparse rows
 (``{column: nonzero}``) indexed by their pivots and grown one vector at a
 time.  A new vector is cleared only while its leading coordinate is a
-pivot, so the rows stay a forward echelon; they are back-substituted into
-the reduced echelon form only when a caller reads the rows themselves
-(`rows_sparse`, `kernel_sparse`, `express`).  Pivots, ranks, residues and
-membership never need that step, and the largest spans, the boundary
-spaces of `complexes`, are read for nothing else.  Rows and vectors store
-only their nonzero entries, so elimination work follows the nonzeros rather
-than the shape; the matrices this engine meets are mostly ~97% zeros.
+pivot, so the rows stay a forward echelon, and one whose leading
+coordinate is not a pivot is stored in one step, with no arithmetic: most
+of what `RowSpan.extend` inserts goes in that way.  The rows are
+back-substituted into the reduced echelon form only when a caller reads
+the rows themselves (`rows_sparse`, `kernel_sparse`, `express`).
+Pivots, ranks, residues and membership never need that step, and the
+largest spans, the boundary spaces of `complexes`, are read for nothing
+else.  Rows and vectors store only their nonzero entries, so elimination
+work follows the nonzeros rather than the shape; the matrices this engine
+meets are mostly ~97% zeros.
 Over F_p the rows hold ints reduced mod p.  Over Q they are fraction-free
 (Bareiss 1968): each row is a primitive integer row over one positive
 denominator, vectors are cleared of denominators when they come in, and
@@ -32,7 +35,9 @@ immutable value such as the defining matrix M.  `rref`, `rank`,
 densify what it hands back, and `mul` and `apply` visit only nonzero
 entries.  Maps that are built column by column stay sparse:
 `columns_to_rows` turns their columns into the rows a `RowSpan` eliminates,
-and `apply_columns` applies them to a sparse vector.
+and `apply_columns` applies them to a sparse vector.  The checks that a
+composite such as d o d vanishes call `kills`, which tests the same sums
+for zero without building the image.
 Scalars come to normal form through `fields.normalized` (one at a time,
 in `Matrix.mul` and `apply`, through its scalar step `_rational`); the only
 Field methods called here are `coerce`, on the entries `Matrix.from_rows` takes
@@ -41,11 +46,12 @@ from outside, and `to_str`, on output.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import itemgetter
 
 from .fields import _modulus, _rational, check_same_field, normalized
 
@@ -240,7 +246,10 @@ class RowSpan:
     Each row is 1 at its pivot, the first nonzero coordinate, and no two
     rows share a pivot.  An insertion clears a new vector only while its
     leading coordinate is a pivot and leaves the stored rows as they are,
-    so a row's tail may still hold later pivots.  `pivots`, `dim`, `free`,
+    so a row's tail may still hold later pivots.  A vector whose leading
+    coordinate is not a pivot is stored in one step: `extend` finds that
+    coordinate once, as its sort key, and sends only the vectors led at a
+    pivot through the clearing step.  `pivots`, `dim`, `free`,
     `reduce` and `contains` read that forward echelon as it stands: the
     pivots, the residues and membership are the same for every echelon
     form of a span.  `rows_sparse`, `kernel_sparse` and `express` read the
@@ -299,6 +308,9 @@ class RowSpan:
         in place; returns the factor w was scaled by (1 over F_p)."""
         x = w.pop(q)
         tail = self._rows[q]
+        if not tail:
+            # the unit row e_q, whose denominator is 1 over Q
+            return 1
         if self._p is not None:
             _axpy(self._p, w, x, tail)
             return 1
@@ -358,14 +370,21 @@ class RowSpan:
         q = self._clear_leading(w)
         if q is None:
             return False
+        self._place(q, w)
+        return True
+
+    def _place(self, q, w):
+        """Store the loaded nonzero vector w, whose leading coordinate q is
+        not a pivot, as the row of the new pivot q; the span keeps w."""
         a = w.pop(q)
         rows = self._rows
         order = self._pivots
+        i = bisect_left(order, q)
         if self._reduced:
             # a tail holds only columns past its pivot, so only rows pivoted
             # before q can hold q
             self._reduced = (rows.keys().isdisjoint(w)
-                             and not any(q in rows[r] for r in order[:bisect_left(order, q)]))
+                             and not (i and any(q in rows[r] for r in order[:i])))
         p = self._p
         if p is not None:
             if a != 1:
@@ -380,8 +399,7 @@ class RowSpan:
                 w = {j: x // g for j, x in w.items()}
             self._den[q] = a // g
         rows[q] = w
-        insort(order, q)
-        return True
+        order.insert(i, q)
 
     def _back_substitute(self):
         """Bring the rows to the reduced echelon form, unless they are in it.
@@ -452,16 +470,22 @@ class RowSpan:
 
         The span does not depend on the order of insertion, so the vectors
         go in with the latest leading coordinate first.  A new vector's
-        leading coordinate is then seldom a pivot already, and the vector
-        goes in as it is, with no arithmetic.  Nor does a new pivot often
-        lie in an older row's tail: the rows of a reduced echelon form go
-        in this way with no arithmetic and leave the span reduced.  Each
-        vector is loaded once.
+        leading coordinate is then seldom a pivot already, and such a
+        vector is stored in one step, with no arithmetic and no second
+        search for its lead; only a vector whose lead is already a pivot
+        is cleared first.  Nor does a new pivot often lie in an older row's
+        tail: the rows of a reduced echelon form go in this way with no
+        arithmetic and leave the span reduced.  Each vector is loaded once
+        and its leading coordinate found once.
         """
-        vecs = [w for _, w in map(self._load, vectors) if w]
-        vecs.sort(key=min, reverse=True)
-        for w in vecs:
-            self._insert(w)
+        leads = [(min(w), w) for _, w in map(self._load, vectors) if w]
+        leads.sort(key=itemgetter(0), reverse=True)
+        rows = self._rows
+        for q, w in leads:
+            if q in rows:
+                self._insert(w)
+            else:
+                self._place(q, w)
 
     def express(self, vec):
         """Coefficients of vec over the reduced rows, or None if outside.
@@ -508,13 +532,29 @@ def columns_to_rows(columns, nrows):
     return rows
 
 
-def apply_columns(field, columns, vec):
-    """The sparse vector sum_c vec[c] * columns[c], for a sparse vec and
-    sparse columns ``{row: nonzero}``; `columns` is anything indexed by the
-    keys of vec."""
+def _column_sums(columns, vec):
+    """The sums sum_c vec[c] * columns[c] as they come, unnormalized: over
+    Q exact numbers, possibly zero, over F_p unreduced ints."""
     out = {}
     get = out.get
     for c, x in vec.items():
         for r, y in columns[c].items():
             out[r] = get(r, 0) + x * y
-    return normalized(field, out)
+    return out
+
+
+def apply_columns(field, columns, vec):
+    """The sparse vector sum_c vec[c] * columns[c], for a sparse vec and
+    sparse columns ``{row: nonzero}``; `columns` is anything indexed by the
+    keys of vec.  To test only whether it is zero, `kills` does less."""
+    return normalized(field, _column_sums(columns, vec))
+
+
+def kills(field, columns, vec) -> bool:
+    """True when `apply_columns` would give zero: the sums are tested as they
+    come (exactly over Q, mod p over F_p), and no result is built."""
+    p = _modulus(field)
+    sums = _column_sums(columns, vec).values()
+    if p is None:
+        return not any(sums)
+    return not any(x % p for x in sums)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .complexes import CochainComplex
 from .errors import BoundInsufficientError
-from .linalg import RowSpan, apply_columns, columns_to_rows, extend_independent
+from .linalg import RowSpan, columns_to_rows, extend_independent, kills
 from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
 
 
@@ -291,7 +291,7 @@ def _assert_complex(F, i: int, below_maps: dict, maps: dict):
     """d_{i-1} o d_i = 0 within the truncation, per internal degree j: the
     columns below_maps[j] of d_{i-1} applied to every column maps[j] of d_i."""
     for j, cols in maps.items():
-        if any(apply_columns(F, below_maps[j], col) for col in cols):
+        if not all(kills(F, below_maps[j], col) for col in cols):
             raise AssertionError(f"d_{i-1} o d_{i} != 0 at internal degree {j}")
 
 
@@ -458,7 +458,7 @@ def _verify_cocycle(report: ResolutionReport, witnesses):
                     if u and phi_g:
                         prods.append(t.mul(u, j - g, phi_g, m + g))
                 # the sum of the block products: the columns prods applied to all ones
-                if apply_columns(F, prods, dict.fromkeys(range(len(prods)), F.one)):
+                if not kills(F, prods, dict.fromkeys(range(len(prods)), F.one)):
                     raise AssertionError(
                         f"witness at ({i},{m}) fails the cocycle re-verification")
 

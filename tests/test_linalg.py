@@ -7,7 +7,7 @@ from oracles import (dense_inverse, dense_kernel, dense_rref, span_echelon, span
                      span_reduce)
 
 from dgskew.fields import CANDIDATE_PRIMES, QQ, PrimeField, normalized
-from dgskew.linalg import Matrix, RowSpan, dense, extend_independent
+from dgskew.linalg import Matrix, RowSpan, apply_columns, dense, extend_independent, kills
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
 # a small prime, so that integer entries and eliminations often vanish mod p
@@ -373,6 +373,9 @@ def test_rowspan_reads_between_insertions_match_reference(F, data):
         assert span.pivots == pivots
         assert span.dim == len(echelon)
         assert span.free == [f for f in range(width) if f not in pivots]
+        if span._reduced:
+            # the flag both insertion paths keep: no stored tail holds a pivot
+            assert all(span._rows.keys().isdisjoint(tail) for tail in span._rows.values())
         if step == "add":
             assert grew == (len(echelon) > dim)
         elif step == "rows_sparse":
@@ -403,3 +406,68 @@ def test_rowspan_reads_between_insertions_match_reference(F, data):
                 if inside:
                     assert as_text(F, [got]) == as_text(F, [coeffs])
                     assert_exact(F, [got])
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_extend_places_new_leads_without_clearing(F, monkeypatch):
+    # a span with pivots 1 and 4 takes one batch of every kind of vector;
+    # no lead is a multiple of 7, so the leads are the same over F_7
+    base = [[0, 2, 0, 1, -3, 0, 1], [0, 0, 0, 0, 5, 2, 0]]
+    new_leads = [[0, 0, 0, 0, 0, 0, Fraction(-2, 3)],
+                 [0, 0, Fraction(-3, 2), 1, 0, 0, 4],
+                 [-1, 0, 0, 0, Fraction(1, 3), 0, 0]]
+    old_leads = [[0, 4, 1, 0, 0, 0, 0], [0, 0, 0, 0, 3, Fraction(1, 2), 1]]
+    units = [[0, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 0]]
+    zero = [[0] * 7]
+    batch = new_leads + old_leads + units + zero
+    base, batch = ([[F.coerce(x) for x in v] for v in vs] for vs in (base, batch))
+    span = RowSpan(F, 7)
+    span.extend(base)
+    assert span.pivots == [1, 4]
+    inserted = []
+    insert = RowSpan._insert
+
+    def counting(self, w):
+        inserted.append(min(w))
+        return insert(self, w)
+
+    monkeypatch.setattr(RowSpan, "_insert", counting)
+    span.extend(batch)
+    # only the vectors led at a pivot (one at 4, two at 1, the unit e_1
+    # among them) are cleared; the new leads 6, 5, 2 and 0 are stored as
+    # they come
+    assert sorted(inserted) == [1, 1, 4]
+    monkeypatch.undo()
+    one_at_a_time = RowSpan(F, 7)
+    for v in base + batch:
+        one_at_a_time.add(v)
+    assert_span_matches_reference(F, span, base + batch, batch)
+    assert span.pivots == one_at_a_time.pivots
+    assert span.rows_sparse() == one_at_a_time.rows_sparse()
+    assert span.kernel_sparse() == one_at_a_time.kernel_sparse()
+    assert_exact(F, span.rows_sparse() + span.kernel_sparse())
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kills_is_apply_columns_tested_for_zero(F, data):
+    entries = (q_scalars if F == QQ else st.integers(1, 6)).filter(bool)
+    ncols = data.draw(st.integers(1, 4))
+    columns = data.draw(st.lists(st.dictionaries(st.integers(0, 2), entries, max_size=3),
+                                 min_size=ncols, max_size=ncols))
+    vec = data.draw(st.dictionaries(st.integers(0, ncols - 1), entries, max_size=ncols))
+    cancelled = data.draw(st.booleans())
+    if cancelled:
+        # one more column, at weight 1, that cancels every sum: over Q
+        # exactly (1/2 + 1/2 - 1), over F_7 to an int sum that is a nonzero
+        # multiple of 7
+        sums = {}
+        for c, x in vec.items():
+            for r, y in columns[c].items():
+                sums[r] = sums.get(r, 0) + x * y
+        columns.append(normalized(F, {r: -s for r, s in sums.items()}))
+        vec[ncols] = F.one
+    assert kills(F, columns, vec) == (not apply_columns(F, columns, vec))
+    if cancelled:
+        assert kills(F, columns, vec)

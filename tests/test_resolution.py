@@ -228,16 +228,21 @@ def test_sparse_maps_match_dense_products(F, text):
 
 
 def test_assert_complex_sees_a_corrupted_differential():
-    res = resolve(ONE_SIDED, hom_bound=4)
-    maps = _maps(res)
-    j = min(res.steps[3].gen_degrees)
-    d2, d3 = {j: maps[(2, j)]}, {j: maps[(3, j)]}
-    _assert_complex(QQ, 3, d2, d3)
-    # add a term to one column of d_3 where d_2 does not vanish
-    row = next(r for r, col in enumerate(d2[j]) if col)
-    d3[j][0][row] = d3[j][0].get(row, 0) + 1
-    with pytest.raises(AssertionError, match="d_2 o d_3"):
-        _assert_complex(QQ, 3, d2, d3)
+    for F in (QQ, PrimeField(7)):
+        res = minimal_resolution(truncate(parse_presentation(F, ONE_SIDED), 10), 4)
+        maps = _maps(res)
+        j = min(res.steps[3].gen_degrees)
+        d2, d3 = {j: maps[(2, j)]}, {j: maps[(3, j)]}
+        _assert_complex(F, 3, d2, d3)
+        row = next(r for r, col in enumerate(d2[j]) if col)
+        if F != QQ:
+            # adding 7 names the same element of F_7: still a complex
+            d3[j][0][row] = d3[j][0].get(row, 0) + 7
+            _assert_complex(F, 3, d2, d3)
+        # add a term to one column of d_3 where d_2 does not vanish
+        d3[j][0][row] = d3[j][0].get(row, 0) + 1
+        with pytest.raises(AssertionError, match="d_2 o d_3"):
+            _assert_complex(F, 3, d2, d3)
 
 
 def test_independence_check_rejects_a_coboundary_or_zero_witness():
