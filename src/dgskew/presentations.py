@@ -4,14 +4,13 @@ A presentation is a list of generators with positive degrees and a list of
 homogeneous relations (noncommutative polynomials in the generators).  The
 truncation computes, degree by degree, a monomial-word basis of the quotient
 and the "append one generator" maps, the tables of right multiplication by
-one-letter words.  Every product inside the bound reduces to those maps.
-Two caches hold what is built from them, each shared with every caller and
-read-only: the word tables (`word_mul_matrix`), one per word that a
-relation's prefix, a right product, `mul` or `normal_form` asks for, each
-one append step from its prefix's; and the product columns of multiplication by one element on one
-degree (`mul_columns`).  A left product c*u reads no word table: the basis
-is prefix-closed, so c*(b g) = (c*b)*g is one append step on a cached
-column of c*A_(|u|-|g|).
+one-letter words.  Every product inside the bound reduces to those maps,
+one stored per (degree, letter); a longer word's product steps a vector
+through its letters' maps and is not stored.  The only other store is the
+product columns of multiplication by one element on one degree
+(`mul_columns`).  Both are shared with every caller and read-only.  A left
+product c*u reads no word table: the basis is prefix-closed, so
+c*(b g) = (c*b)*g is one append step on a cached column of c*A_(|u|-|g|).
 This stays linear algebra throughout: in degree d
 the relation span is generated by u * r with u running over the degree
 d - |r| quotient basis, because occurrences of a relation anywhere left of
@@ -185,7 +184,7 @@ class TruncatedAlgebra:
         self.basis = [[()]]            # chosen representative words per degree
         # per degree >= 1, (letter, index of the prefix) of each basis word
         self._prefixes: list = [[]]
-        self._word_mul_cache: dict = {}  # (src_degree, word) -> sparse columns
+        self._append_maps: dict = {}  # (src_degree, letter) -> sparse columns
         # (element, its degree, q, left) -> sparse columns
         self._mul_columns_cache: dict = {}
         for d in range(1, bound + 1):
@@ -207,21 +206,23 @@ class TruncatedAlgebra:
         """Basis and append maps of degree d.
 
         The candidates are the words b + (g,) for b a basis word of degree
-        d - |g|, sorted, and indexed latest-first.  Each row of the relation
-        span then pivots on its latest candidate, so the non-pivot
-        candidates are the greedy, lexicographically earliest complement of
-        the span: the basis.  The residue of a candidate modulo the span is
-        its normal form, read off the reduced echelon: a candidate off the
-        pivots is a basis word, one at a pivot is minus its row's tail.
+        d - |g|, each kept with its letter g and the index of b, sorted, and
+        indexed latest-first.  Each row of the relation span then pivots on
+        its latest candidate, so the non-pivot candidates are the greedy,
+        lexicographically earliest complement of the span: the basis, whose
+        words keep the letter and prefix index of their candidates.  The
+        residue of a candidate modulo the span is its normal form, read off
+        the reduced echelon: a candidate off the pivots is a basis word, one
+        at a pivot is minus its row's tail.
         """
         gens = self.presentation.generators
-        candidates = sorted(b + (gi,) for gi, g in enumerate(gens) if g.degree <= d
-                            for b in self.basis[d - g.degree])
+        candidates = sorted((b + (gi,), gi, k) for gi, g in enumerate(gens) if g.degree <= d
+                            for k, b in enumerate(self.basis[d - g.degree]))
         n = len(candidates)
-        pos = {w: n - 1 - i for i, w in enumerate(candidates)}
+        pos = {(gi, k): n - 1 - i for i, (_, gi, k) in enumerate(candidates)}
 
         # u * r for every relation r and basis word u of degree d - |r|: the
-        # prefix of each word of r folds in through the word tables, the last
+        # prefix of each word of r folds in through the append maps, the last
         # letter lands on a candidate
         rel_vecs = []
         for rel in self.presentation.relations:
@@ -230,43 +231,27 @@ class TruncatedAlgebra:
                 continue
             vecs = [{} for _ in self.basis[src]]
             for w, c in rel.items():
-                prefix, last = w[:-1], w[-1]
-                heads = self.basis[d - gens[last].degree]
-                for vec, head in zip(vecs, self.word_mul_matrix(src, prefix)):
+                for vec, head in zip(vecs, self.word_mul_matrix(src, w[:-1])):
                     for i, a in head.items():
-                        p = pos[heads[i] + (last,)]
+                        p = pos[w[-1], i]
                         vec[p] = vec.get(p, 0) + c * a
             rel_vecs.extend(vecs)
         rel_span = RowSpan(self.field, n)
         rel_span.extend(rel_vecs)
         rows = dict(zip(rel_span.pivots, rel_span.rows_sparse()))
 
-        basis = [w for w in candidates if pos[w] not in rows]
-        self.basis.append(basis)
-        sel_pos = {pos[w]: k for k, w in enumerate(basis)}
-
-        # left products build c * (b g) as (c * b) * g (`mul_columns`), so each
-        # basis word's prefix must be a basis word: keep its letter and index
-        index = {}
-        prefixes = []
-        for w in basis:
-            src = d - gens[w[-1]].degree
-            if src not in index:
-                index[src] = {b: k for k, b in enumerate(self.basis[src])}
-            k = index[src].get(w[:-1])
-            if k is None:
-                raise AssertionError(f"the basis of degree {d} is not prefix-closed at {w}")
-            prefixes.append((w[-1], k))
-        self._prefixes.append(prefixes)
+        kept = [(w, gi, k) for w, gi, k in candidates if pos[gi, k] not in rows]
+        self.basis.append([w for w, _, _ in kept])
+        self._prefixes.append([(gi, k) for _, gi, k in kept])
+        sel_pos = {pos[gi, k]: j for j, (_, gi, k) in enumerate(kept)}
 
         F = self.field
         for gi, g in enumerate(gens):
             if g.degree > d:
                 continue
-            src = d - g.degree
             cols = []
-            for b in self.basis[src]:
-                p = pos[b + (gi,)]
+            for k in range(len(self.basis[d - g.degree])):
+                p = pos[gi, k]
                 row = rows.get(p)
                 if row is None:
                     cols.append({sel_pos[p]: F.one})
@@ -274,34 +259,31 @@ class TruncatedAlgebra:
                 if not row.keys() - {p} <= sel_pos.keys():
                     raise AssertionError("reduction left a non-basis candidate")
                 cols.append(normalized(F, {sel_pos[i]: -a for i, a in row.items() if i != p}))
-            self._word_mul_cache[(src, (gi,))] = cols
+            self._append_maps[d - g.degree, gi] = cols
+
+    def _times_word(self, vec, degree: int, word):
+        """vec * word for vec in A_degree: one append step per letter."""
+        gens = self.presentation.generators
+        for g in word:
+            vec = apply_columns(self.field, self._append_maps[degree, g], vec)
+            degree += gens[g].degree
+        return vec
 
     def word_mul_matrix(self, src_degree: int, word):
         """Sparse columns ``{row: nonzero}`` of v |-> v * word from A_src to
         A_(src+|word|), one per basis word of A_src.
 
-        A word's table is its last letter's applied to its prefix's.  The
-        one-letter tables are built with the basis; the others only when a
-        relation's prefix, a right product (`mul_columns`, `mul`) or
-        `normal_form` asks for them.
-        All are cached and shared between callers: read them only."""
-        key = (src_degree, tuple(word))
-        cols = self._word_mul_cache.get(key)
-        if cols is None:
-            word = key[1]
-            if not word:
-                one = self.field.one
-                cols = [{i: one} for i in range(self.dim(src_degree))]
-            else:
-                end = src_degree + self.presentation.word_degree(word)
-                if end > self.bound:
-                    raise BoundInsufficientError("a product", end, self.bound)
-                letter = word[-1:]
-                step = self._word_mul_cache[(end - self.presentation.word_degree(letter), letter)]
-                cols = [apply_columns(self.field, step, col)
-                        for col in self.word_mul_matrix(src_degree, word[:-1])]
-            self._word_mul_cache[key] = cols
-        return cols
+        A one-letter word's table is its append map, built with the basis,
+        stored, and shared between callers: read it only.  Any other word's
+        table is a fresh list, the unit columns stepped through the append
+        maps of its letters in turn."""
+        end = src_degree + self.presentation.word_degree(word)
+        if end > self.bound:
+            raise BoundInsufficientError("a product", end, self.bound)
+        if len(word) == 1:
+            return self._append_maps[src_degree, word[0]]
+        one = self.field.one
+        return [self._times_word({i: one}, src_degree, word) for i in range(self.dim(src_degree))]
 
     def mul_columns(self, coeffs, degree: int, q: int, left: bool):
         """Sparse columns ``{row: nonzero}`` of u |-> c*u (left) or u |-> u*c
@@ -310,8 +292,10 @@ class TruncatedAlgebra:
         Left products need no word table: c*1 = c, and for a basis word
         u = b + (g,), whose prefix b is a basis word, c*u = (c*b)*g is one
         append step on the column of b in c*A_(q-|g|), which is cached too.
-        Right products apply the tables of c's basis words.  The columns are
-        cached and shared between callers: read them only."""
+        Right products apply `word_mul_matrix` of c's basis words: an append
+        map for a letter, a fresh table for a longer word.  These columns
+        are the one store besides the append maps, shared between callers:
+        read them only."""
         key = (tuple(sorted(coeffs.items())), degree, q, left)
         cols = self._mul_columns_cache.get(key)
         if cols is None:
@@ -332,7 +316,7 @@ class TruncatedAlgebra:
                     src = q - gens[g].degree
                     if src not in lower:
                         lower[src] = self.mul_columns(coeffs, degree, src, True)
-                    step = self._word_mul_cache[(degree + src, (g,))]
+                    step = self._append_maps[degree + src, g]
                     cols.append(apply_columns(F, step, lower[src][k]))
             self._mul_columns_cache[key] = cols
         return cols
@@ -343,7 +327,7 @@ class TruncatedAlgebra:
         if p + q > self.bound:
             raise BoundInsufficientError("a product", p + q, self.bound)
         words = self.basis[q]
-        images = {j: apply_columns(self.field, self.word_mul_matrix(p, words[j]), u) for j in v}
+        images = {j: self._times_word(u, p, words[j]) for j in v}
         return apply_columns(self.field, images, v)
 
     def normal_form(self, poly):
@@ -355,7 +339,7 @@ class TruncatedAlgebra:
         if d > self.bound:
             raise BoundInsufficientError("an element", d, self.bound)
         coeffs = {tuple(w): c for w, c in poly.items() if c}
-        images = {w: self.word_mul_matrix(0, w)[0] for w in coeffs}
+        images = {w: self._times_word({0: self.field.one}, 0, w) for w in coeffs}
         return apply_columns(self.field, images, coeffs)
 
     def element_render(self, vec, degree: int) -> str:

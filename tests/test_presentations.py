@@ -4,16 +4,19 @@ two-sided-span oracle in the free algebra."""
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgskew import resolution
 from dgskew.classify import case_presentation
 from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField, normalized
 from dgskew.linalg import apply_columns
 from dgskew.presentations import AlgebraPresentation, Generator, parse_presentation, truncate
+from dgskew.resolution import gorenstein_certificate
 from oracles import (count_words_avoiding, free_normal_forms, free_words,
                      quotient_dims_full_span)
 
@@ -99,11 +102,16 @@ ORACLE_TEXTS = {"one-sided": "gen x:1, y:1; rel y^2",
                 # the lex-largest word y*x, where the relation's echelon rows
                 # pivot, has the coefficient -3: over Q the append maps carry
                 # fractions
-                "non-unit": "gen x:1, y:1; rel 2*x*y - 3*y*x"}
+                "non-unit": "gen x:1, y:1; rel 2*x*y - 3*y*x",
+                # a cubic relation: two-letter relation prefixes and longer
+                # word tables step through more than one append map
+                "computed flagship ring":
+                    "gen a:1, b:1; rel a^2 - a*b - b*a + b^2; rel a^2*b - b*a^2"}
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=["Q", "F7"])
-@pytest.mark.parametrize("name", ["one-sided", "two-sided", "linear", "non-unit", "R1d"])
+@pytest.mark.parametrize("name", ["one-sided", "two-sided", "linear", "non-unit",
+                                  "computed flagship ring", "R1d"])
 def test_word_tables_match_the_free_word_oracle(F, name):
     if name == "R1d":  # a degree-2 generator
         p = rank_one(F, "R1d", (4, 1, 2), 2, 0)
@@ -165,6 +173,33 @@ def test_left_products_match_the_word_tables(F, name):
             for q in range(bound - e + 1):
                 expected = [apply_columns(F, t.word_mul_matrix(e, u), c) for u in t.basis[q]]
                 assert t.mul_columns(c, e, q, True) == expected, (e, q, c)
+
+
+def test_only_the_append_maps_are_stored(monkeypatch):
+    # a certificate multiplies on both sides, and the cubic relation asks
+    # for two-letter prefixes; still only one map per (degree, letter) stays
+    built = []
+
+    def kept_truncate(p, bound):
+        built.append(truncate(p, bound))
+        return built[-1]
+
+    monkeypatch.setattr(resolution, "truncate", kept_truncate)
+    bound = 12
+    gorenstein_certificate(pres(ORACLE_TEXTS["computed flagship ring"]), int_bound=bound)
+    (t,) = built
+    letters = range(len(t.presentation.generators))
+    expected = {(src, g) for g in letters for src in range(bound)}
+    assert set(t._append_maps) == expected
+    for (src, g), cols in t._append_maps.items():
+        assert t.word_mul_matrix(src, (g,)) is cols
+    for src in range(bound - 1):
+        for g, h in product(letters, letters):
+            table = t.word_mul_matrix(src, (g, h))
+            assert table is not t.word_mul_matrix(src, (g, h))
+            step = t.word_mul_matrix(src + 1, (h,))
+            assert table == [apply_columns(QQ, step, col) for col in t.word_mul_matrix(src, (g,))]
+    assert set(t._append_maps) == expected
 
 
 def test_normal_form_examples():
