@@ -34,9 +34,8 @@ from .fields import QQ, normalized
 from .linalg import Matrix, RowSpan
 from .presentations import AlgebraPresentation, Generator, truncate
 from .resolution import GorensteinVerdict, gorenstein_certificate
-from .skew import (GradedElement, Monomial, basis_position, degree_basis, degree_dim,
-                   element_from_linear, element_from_squares, generators,
-                   permute_element)
+from .skew import (GradedElement, Monomial, degree_dim, element_from_linear,
+                   element_from_squares, generators, permute_element)
 
 GORENSTEIN = "Gorenstein"
 NON_GORENSTEIN = "NonGorenstein"
@@ -405,36 +404,27 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     """Treat the rows of a rank-2 matrix as linear forms r_i in commuting
     variables u_j (standing for the squares x_j^2) and verify the quotient by
     (r1, r2, r3) is a univariate polynomial ring: two independent forms, the
-    third dependent, quotient Hilbert function all ones.
+    third dependent, quotient Hilbert function all ones through `bound`.
 
-    The ideal is generated by the two nonzero rows of the reduced echelon
-    form of M, which span the same linear forms as r1, r2, r3.
+    The quotient is presented as `gen u1:1, u2:1, u3:1` with relations the
+    two nonzero rows of rref(M), which span the same forms as r1, r2, r3,
+    and the commutators u_i*u_j - u_j*u_i; its Hilbert function is read off
+    the truncation, to max(bound, 2) since the commutators have degree 2.
+    Raises ValueError for a negative bound or a matrix of rank other than 2.
     """
+    if bound < 0:
+        raise ValueError(f"bound {bound} is negative")
     F = M.field
     rows, pivots = M.rref()
     if len(pivots) != 2:
         raise ValueError("squares_ideal_analysis requires a rank-2 matrix")
     free = next(j for j in range(3) if j not in pivots)
-    forms = rows[:2]
-
-    # the degree-n monomials in u1, u2, u3 are the exponent triples of
-    # degree_basis(n); the ideal in degree n is spanned by m * r for m of
-    # degree n - 1 and r in `forms`
-    dims = []
-    ok = True
-    for n in range(bound + 1):
-        vecs = []
-        for m in degree_basis(n - 1):
-            up = [basis_position([e + (k == j) for k, e in enumerate(m)]) for j in range(3)]
-            vecs += [{up[j]: x for j, x in enumerate(row) if x} for row in forms]
-        span = RowSpan(F, degree_dim(n))
-        span.extend(vecs)
-        q = degree_dim(n) - span.dim
-        dims.append(q)
-        if q != 1:
-            ok = False
-
-    return SquaresIdealReport(dims, f"u{free + 1}", ok)
+    forms = [{(j,): x for j, x in enumerate(row) if x} for row in rows[:2]]
+    commutators = [{(i, j): F.one, (j, i): -F.one} for i in range(3) for j in range(i + 1, 3)]
+    quotient = AlgebraPresentation(F, tuple(Generator(f"u{j + 1}", 1) for j in range(3)),
+                                   (*forms, *commutators))
+    dims = truncate(quotient, max(bound, 2)).dims[:bound + 1]
+    return SquaresIdealReport(dims, f"u{free + 1}", all(q == 1 for q in dims))
 
 
 @dataclass

@@ -8,6 +8,10 @@ whole-criterion runtime budget (or none) and a check(field) returning
 runs over its row's budget.  A budget on each input of a criterion, such
 as 10 s per matrix, is a condition of the check and stays inside it.
 
+Criteria 1-3, 5 and 6 are case-chart laws that `crosscheck` probes: each
+draws its matrices and requires named probes of their crosscheck reports to
+pass (`_probes_pass`).
+
 Exposed through the CLI as the `paper-suite` subcommand and exercised by
 tests/test_acceptance.py.
 """
@@ -19,9 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .classify import (classify, crosscheck, cubic_cocycle_rank, predicted_dims,
-                       predicted_vs_certified, squares_ideal_analysis)
-from .cohomology import cohomology
+from .classify import classify, crosscheck, predicted_vs_certified
 from .dg import DGSpec, verify_dg
 from .fields import CANDIDATE_PRIMES, QQ, PrimeField
 from .linalg import Matrix
@@ -76,34 +78,36 @@ class CriterionResult:
         return f"[{mark}] criterion {self.number:>2}: {self.name} ({self.seconds:.2f}s) {self.detail}"
 
 
+def _probes_pass(matrices, probes, passed_detail, max_degree=8):
+    """Crosscheck each matrix to `max_degree` and require every named probe
+    to pass: (True, passed_detail), or (False, the first failure naming the
+    probe, the matrix and the probe's detail).  A report without a named
+    probe fails too, so a renamed probe cannot pass unchecked."""
+    for M in matrices:
+        found = {p.name: p for p in crosscheck(M, max_degree).probes}
+        for name in probes:
+            probe = found.get(name)
+            if probe is None:
+                return False, f"{name}: no such probe for {M}"
+            if not probe.ok:
+                return False, f"{name} fails for {M}: {probe.detail}"
+    return True, passed_detail
+
+
 def _rank_three_vanishing(field):
     """Invertible defining matrices: cohomology collapses to scalars."""
     rng = random.Random(101)
-    expected = [1] + [0] * 8
-    for _ in range(25):
-        M = random_full_rank(field, rng)
-        dims = cohomology(DGSpec(field, M), 8).dims
-        if dims != expected:
-            return False, f"dims {dims} for {M}"
-    return True, "25 matrices, dims [1,0,...,0], within the 30s budget"
+    return _probes_pass([random_full_rank(field, rng) for _ in range(25)], ("case_dim_formula",),
+                        "25 matrices, dims [1,0,...,0], within the 30s budget")
 
 
 def _rank_two_dimension_law(field):
     """Rank 2: every dimension is 1 and the squared degree-1 class vanishes
     exactly when the kernel pairing does."""
     rng = random.Random(202)
-    for _ in range(25):
-        M = random_rank_two(field, rng)
-        c = classify(M)
-        report = cohomology(DGSpec(field, M), 8)
-        if report.dims != [1] * 9:
-            return False, f"dims {report.dims} for {M}"
-        t_class = report.class_of(dict(c.generator_reps)["x"])
-        square = report.class_product(t_class, t_class)
-        pairing_nonzero = bool(c.parameters["pairing"])
-        if (not square.is_zero) != pairing_nonzero:
-            return False, f"square/pairing mismatch for {M}"
-    return True, "25 matrices, dims all 1, square probe matches pairing"
+    return _probes_pass([random_rank_two(field, rng) for _ in range(25)],
+                        ("case_dim_formula", "square_vs_pairing"),
+                        "25 matrices, dims all 1, square probe matches pairing")
 
 
 def _generic_rank_one(field, rng):
@@ -118,17 +122,10 @@ def _generic_rank_one(field, rng):
 def _rank_one_dimension_law(field):
     """Rank 1: dims are 1,2,3,... and match the presentation's Hilbert function."""
     rng = random.Random(303)
-    expected = list(range(1, 10))
     mats = [Matrix.from_rows(field, rows) for rows in CASE_REPRESENTATIVES.values()]
     mats += [_generic_rank_one(field, rng) for _ in range(10)]
-    for M in mats:
-        c = classify(M)
-        dims = cohomology(DGSpec(field, M), 8).dims
-        if dims != expected:
-            return False, f"dims {dims} for {M}"
-        if predicted_dims(c, 8) != dims:
-            return False, f"presentation Hilbert mismatch for {M} ({c.case_label})"
-    return True, "6 case representatives + 10 random rank-1 matrices"
+    return _probes_pass(mats, ("case_dim_formula", "presentation_hilbert"),
+                        "6 case representatives + 10 random rank-1 matrices")
 
 
 def _relation_probes(field):
@@ -147,27 +144,17 @@ def _relation_probes(field):
 def _constraint_matrix_rank(field):
     """Degree-3 constraint matrix: rank 5 on rank-2 input, 6 on rank-3 input."""
     rng = random.Random(505)
-    for _ in range(50):
-        M = random_rank_two(field, rng)
-        if cubic_cocycle_rank(M) != 5:
-            return False, f"{M}"
-    for _ in range(10):
-        M = random_full_rank(field, rng)
-        if cubic_cocycle_rank(M) != 6:
-            return False, f"{M}"
-    return True, "50 rank-2 -> 5, 10 rank-3 -> 6"
+    mats = [random_rank_two(field, rng) for _ in range(50)]
+    mats += [random_full_rank(field, rng) for _ in range(10)]
+    return _probes_pass(mats, ("cubic_constraint_rank",), "50 rank-2 -> 5, 10 rank-3 -> 6")
 
 
 def _squares_ideal_quotient(field):
     """Squares-ideal quotient of a rank-2 matrix is a univariate polynomial
     ring: Hilbert function all ones through degree 10."""
     rng = random.Random(606)
-    for _ in range(20):
-        M = random_rank_two(field, rng)
-        report = squares_ideal_analysis(M, bound=10)
-        if not report.ok or report.quotient_dims != [1] * 11:
-            return False, f"{M}"
-    return True, "20 rank-2 matrices"
+    return _probes_pass([random_rank_two(field, rng) for _ in range(20)], ("squares_ideal",),
+                        "20 rank-2 matrices", max_degree=10)
 
 
 def _non_gorenstein_trio(field):
@@ -356,6 +343,12 @@ class SuiteReport:
 
 
 def run_suite(field=QQ, numbers=None) -> SuiteReport:
+    """Run the criteria whose numbers are in `numbers` (all of them when it
+    is empty or None) over `field`.  Raises ValueError naming any number
+    that is not a criterion's."""
+    unknown = sorted(set(numbers or ()) - {c.number for c in CRITERIA})
+    if unknown:
+        raise ValueError(f"no criterion numbered {', '.join(map(str, unknown))}")
     results = []
     for c in CRITERIA:
         if numbers and c.number not in numbers:

@@ -176,14 +176,17 @@ def test_squares_ideal_dependency_row():
 
 
 def test_squares_ideal_matches_the_ideal_of_all_three_rows():
-    # the analysis multiplies only the two nonzero rows of rref(M); the
-    # ideal of all three rows of M must have the same quotient dims
+    # the analysis presents the quotient by the two nonzero rows of rref(M)
+    # as a noncommutative algebra with commutators; the ideal of all three
+    # rows of M in the commutative monomials u^e (the exponent triples of
+    # degree_basis) must have the same quotient dims at every bound,
+    # including the bounds 0 and 1 below the commutators' degree
     rng = random.Random(16)
     for F in (QQ, field_from_name("Fp:7")):
         for _ in range(10):
             M = random_rank_two(F, rng)
             want = []
-            for n in range(7):
+            for n in range(11):
                 span = RowSpan(F, degree_dim(n))
                 for m in degree_basis(n - 1):
                     up = [basis_position([e + (k == j) for k, e in enumerate(m)])
@@ -191,7 +194,17 @@ def test_squares_ideal_matches_the_ideal_of_all_three_rows():
                     span.extend({up[j]: x for j, x in enumerate(row) if x}
                                 for row in M.entries)
                 want.append(degree_dim(n) - span.dim)
-            assert squares_ideal_analysis(M, bound=6).quotient_dims == want
+            for bound in range(11):
+                assert squares_ideal_analysis(M, bound=bound).quotient_dims == want[:bound + 1]
+
+
+def test_squares_ideal_rejects_a_negative_bound():
+    # a negative bound would check no degree at all and still report ok
+    M = mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="bound -1"):
+        squares_ideal_analysis(M, bound=-1)
+    assert squares_ideal_analysis(M, bound=0).quotient_dims == [1]
+    assert squares_ideal_analysis(M, bound=1).quotient_dims == [1, 1]
 
 
 def test_crosscheck_passes_on_isotropic_pairing_zero_matrices():
