@@ -4,9 +4,9 @@ bases, class membership and products of classes.
 `cohomology()` is the skew instance of `complexes.CochainComplex`: C^deg is
 A^deg on its monomial basis and d^deg is `d_columns`.  A degree's
 representatives, the complex's `classes` in reduced echelon form, are built
-on first read (`class_of`, `class_product`, `bases`, `to_json`) and must be
-cocycles of `d` itself; reports are byte-identical whatever order the
-degrees are built in.
+on first read by `CohomologyReport.basis`, which `class_of`, `class_product`,
+`bases` and `to_json` go through, and must be cocycles of `d` itself;
+reports are byte-identical whatever order the degrees are built in.
 """
 
 from __future__ import annotations
@@ -39,29 +39,31 @@ class CohomologyReport:
     cocycle_ranks: list
     coboundary_ranks: list
     _complex: CochainComplex = dataclass_field(repr=False, compare=False)
-    # per degree once read: (span of the representatives, the representatives)
-    _classes: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    # degree -> its representatives, once read
+    _bases: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def bases(self) -> list:
         """Per degree, the list of GradedElement representatives; builds
         every degree."""
-        return [self._degree(deg)[1] for deg in range(self.max_degree + 1)]
+        return [self.basis(deg) for deg in range(self.max_degree + 1)]
 
-    def _degree(self, deg: int):
-        """(span of the representatives, the representatives) of one degree,
-        built on first use."""
-        built = self._classes.get(deg)
+    def basis(self, n: int) -> list:
+        """The GradedElement representatives of degree n, the complex's
+        `classes(n)` in reduced echelon order; built on first use and
+        stored, read-only to callers."""
+        if n > self.max_degree:
+            raise BoundInsufficientError("a basis", n, self.max_degree)
+        built = self._bases.get(n)
         if built is None:
-            reps = self._complex.classes(deg)
-            basis = [GradedElement.from_sparse(self.spec.field, deg, row)
-                     for row in reps.rows_sparse()]
+            built = [GradedElement.from_sparse(self.spec.field, n, row)
+                     for row in self._complex.classes(n).rows_sparse()]
             # with the boundaries they span the kernel of the eliminated
-            # rows, so a kernel larger than Z^deg (an elimination that lost a
-            # row) leaves one of them outside Z^deg; d itself decides
-            if not all(d(self.spec, u).is_zero() for u in basis):
-                raise AssertionError(f"degree {deg}: a representative is not a cocycle")
-            built = self._classes[deg] = (reps, basis)
+            # rows, so a kernel larger than Z^n (an elimination that lost a
+            # row) leaves one of them outside Z^n; d itself decides
+            if not all(d(self.spec, u).is_zero() for u in built):
+                raise AssertionError(f"degree {n}: a representative is not a cocycle")
+            self._bases[n] = built
         return built
 
     def class_of(self, z: GradedElement) -> CohomologyClass | None:
@@ -80,7 +82,8 @@ class CohomologyReport:
             return None
         residue = self._complex.boundaries(deg).reduce(
             {basis_position(m): c for m, c in z.terms.items()})
-        coeffs = self._degree(deg)[0].express(residue)
+        self.basis(deg)     # the representatives pass d before their span is read
+        coeffs = self._complex.classes(deg).express(residue)
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")
         # the residue is the combination coeffs of the representatives

@@ -32,10 +32,9 @@ certificate's witnesses are read off.  `classes` takes them last-first: the
 first nonzero of each kernel vector in C^n is then at its free column,
 where every other vector is 0, so the basis is already the reduced echelon
 of the classes and is stored as it comes.  It reads the columns of d^n off
-B^n's pivots that `boundaries(n + 1)` eliminated, kept until then, so each
-is built once.  `cocycles(n)` reads them too while they are kept, and asks
-the callback only for the columns at B^n's pivots.  A negative degree
-raises ValueError.
+B^n's pivots that `boundaries(n + 1)` eliminated, kept until then for it
+alone, so each is built once.  `cocycles(n)` asks the callback for every
+column of d^n.  A negative degree raises ValueError.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class CochainComplex:
         self.columns = columns
         self._boundaries = [RowSpan(field, width(0))]     # B^0 = 0
         # n -> the columns of d^n off B^n's pivots, read by boundaries(n + 1)
-        # and kept until classes(n) reads them
+        # and kept until classes(n), their one other reader, pops them
         self._columns = {}
         self._classes = []
 
@@ -115,19 +114,9 @@ class CochainComplex:
         reduced row echelon."""
         _nonnegative(n)
         kept = range(self.width(n))
-        if not self.boundaries(n + 1).width:
-            # past the last term d^n maps to C^(n+1) = 0: no columns to read
-            columns = [{} for _ in kept]
-        elif n in self._columns:
-            # boundaries(n + 1) read the columns off B^n's pivots, kept for
-            # classes(n): only those at the pivots are still to come
-            pivots = frozenset(self.boundaries(n).pivots)
-            off = iter(self._columns[n])
-            at = iter(self.columns(n, frozenset(j for j in kept if j not in pivots))
-                      if pivots else ())
-            columns = [next(at if j in pivots else off) for j in kept]
-        else:
-            columns = self.columns(n, frozenset())
+        # past the last term d^n maps to C^(n+1) = 0: no columns to read
+        columns = (self.columns(n, frozenset()) if self.boundaries(n + 1).width
+                   else [{} for _ in kept])
         return self._kernel(n, kept, columns)
 
     def classes(self, n: int) -> RowSpan:

@@ -512,16 +512,6 @@ class RowSpan:
                 for q in self.pivots]
 
 
-def extend_independent(span: RowSpan, candidates):
-    """Greedily pick candidates that enlarge `span`; returns the picked ones,
-    as given.
-
-    The span is mutated.  Deterministic: candidates are tried in the order
-    given and the earliest independent ones win.
-    """
-    return [v for v in candidates if span.add(v)]
-
-
 def columns_to_rows(columns, nrows):
     """The rows of the matrix with the given sparse columns ``{row: nonzero}``,
     as sparse ``{column: nonzero}`` dicts."""

@@ -54,6 +54,8 @@ class AlgebraPresentation:
 
     def __post_init__(self):
         for g in self.generators:
+            if type(g.degree) is not int:
+                raise ValueError(f"generator {g.name} has degree {g.degree!r}, not an int")
             if g.degree < 1:
                 raise ValueError(f"generator {g.name} must have positive degree")
         names = [g.name for g in self.generators]
@@ -64,7 +66,8 @@ class AlgebraPresentation:
             raise ValueError("duplicate generator names")
         cleaned = []
         for rel in self.relations:
-            rel = normalized(self.field, {tuple(w): self.field.coerce(c) for w, c in rel.items()})
+            rel = normalized(self.field, {_word(self.generators, w): self.field.coerce(c)
+                                          for w, c in rel.items()})
             if not rel:
                 raise ValueError("zero relation")
             degs = {self.word_degree(w) for w in rel}
@@ -112,6 +115,15 @@ class AlgebraPresentation:
     def to_json(self) -> dict:
         return {"generators": [[g.name, g.degree] for g in self.generators],
                 "relations": [self.render_poly(rel) for rel in self.relations]}
+
+
+def _word(generators, word) -> tuple:
+    """`word` as a tuple, refused unless every letter indexes a generator."""
+    word = tuple(word)
+    if not all(type(g) is int and 0 <= g < len(generators) for g in word):
+        raise ValueError(f"word {word} has a letter that indexes none of the "
+                         f"{len(generators)} generators")
+    return word
 
 
 def parse_presentation(field, text: str) -> AlgebraPresentation:
@@ -332,13 +344,14 @@ class TruncatedAlgebra:
 
     def normal_form(self, poly):
         """The vector of a word combination {word: coeff} over its degree basis."""
+        poly = {_word(self.presentation.generators, w): c for w, c in poly.items()}
         degs = {self.presentation.word_degree(w) for w in poly}
         if len(degs) > 1:
             raise ValueError("inhomogeneous element")
         d = degs.pop() if degs else 0
         if d > self.bound:
             raise BoundInsufficientError("an element", d, self.bound)
-        coeffs = {tuple(w): c for w, c in poly.items() if c}
+        coeffs = {w: c for w, c in poly.items() if c}
         images = {w: self._times_word({0: self.field.one}, 0, w) for w in coeffs}
         return apply_columns(self.field, images, coeffs)
 

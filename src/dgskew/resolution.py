@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from .complexes import CochainComplex
 from .errors import BoundInsufficientError
-from .linalg import RowSpan, columns_to_rows, extend_independent, kills
+from .linalg import RowSpan, columns_to_rows, kills
 from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
 
 
@@ -113,13 +113,10 @@ def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: 
             c = coeff(s, r)
             if c is not None and _block_dim(t, q_dst):
                 parts.append((offsets[r], t.mul_columns(c.vec, c.degree, q, left)))
-        if len(parts) == 1:
-            # one target block: each cached product column, shifted to it
-            off, prods = parts[0]
-            if off:
-                cols.extend({off + k: x for k, x in prods[w].items()} for w in kept)
-            else:
-                cols.extend(prods[w] for w in kept)
+        if len(parts) == 1 and parts[0][0] == 0:
+            # one target block, at row 0: the cached product columns themselves
+            prods = parts[0][1]
+            cols.extend(prods[w] for w in kept)
             continue
         for w in kept:
             col = {}
@@ -253,7 +250,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
                 # j, so a generator is born here only when its rank falls short
                 span = RowSpan(F, len(rows))
                 span.extend(cols)
-                picked = extend_independent(span, below.kernel_sparse())
+                picked = [v for v in below.kernel_sparse() if span.add(v)]
                 if len(picked) != kernel_dim - echelon.dim:
                     raise AssertionError(
                         f"step ({i}, {j}): {len(picked)} new generators, but ker d_{i-1} "

@@ -408,8 +408,21 @@ def test_class_of_rejects_a_negative_degree():
     with pytest.raises(ValueError, match="degree -1 is negative"):
         report.class_of(GradedElement.zero(QQ, -1))
     # the top degree's stored data is untouched
-    assert report._classes == {}
+    assert report._bases == {}
     assert report.class_of(GradedElement.zero(QQ, 3)).is_zero
+
+
+def test_a_basis_read_stores_only_its_degree():
+    report = report_of([[1, 1, 0], [1, 1, 0], [1, 1, 0]], 6)
+    basis = report.basis(3)
+    assert len(basis) == report.dims[3] == 4
+    assert report._bases == {3: basis}
+    assert report.bases[3] is basis
+    assert sorted(report._bases) == list(range(7))
+    with pytest.raises(BoundInsufficientError, match="a basis needs degree 7, beyond bound 6"):
+        report.basis(7)
+    with pytest.raises(ValueError, match="degree -1 is negative"):
+        report.basis(-1)
 
 
 def _short_of_its_last_row(cx, n):

@@ -1,10 +1,12 @@
 """The generic algebra layers know nothing of the case chart: presentations
 and resolutions work over any presented algebra, and the classifier owns
 the case labels, the case presentations and their representatives.  The
-cochain-complex engine sits on the linear algebra alone."""
+cochain-complex engine sits on the linear algebra alone, and the package
+on the standard library alone."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,15 @@ def test_generic_layers_stay_off_the_case_chart(module):
 
 def test_the_complex_engine_imports_only_linear_algebra_and_fields():
     assert _package_imports(ast.parse((SRC / "complexes.py").read_text())) <= {"linalg", "fields"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_the_package_imports_only_the_standard_library_and_itself(module):
+    # pyproject.toml declares no runtime dependency
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+    assert imported - sys.stdlib_module_names - {"dgskew"} == set()

@@ -7,7 +7,7 @@ from oracles import (dense_inverse, dense_kernel, dense_rref, span_echelon, span
                      span_reduce)
 
 from dgskew.fields import CANDIDATE_PRIMES, QQ, PrimeField, normalized
-from dgskew.linalg import Matrix, RowSpan, apply_columns, dense, extend_independent, kills
+from dgskew.linalg import Matrix, RowSpan, apply_columns, dense, kills
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
 # a small prime, so that integer entries and eliminations often vanish mod p
@@ -68,13 +68,6 @@ def test_rowspan_reduce_and_express():
     coeffs = span.express([2, 3, 1])
     assert coeffs is not None and len(coeffs) == 2
     assert span.express([0, 0, 1]) is None
-
-
-def test_extend_independent_is_greedy_and_deterministic():
-    span = RowSpan(QQ, 3)
-    span.add([1, 0, 0])
-    picked = extend_independent(span, [[2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 3]])
-    assert [list(p) for p in picked] == [[0, 1, 0], [0, 0, 3]]
 
 
 # -- the sparse kernel against the dense reference elimination -------------

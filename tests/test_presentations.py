@@ -329,6 +329,29 @@ def test_relation_validation():
                             ({(0,): QQ.one, (1,): QQ.one},))  # inhomogeneous
 
 
+@pytest.mark.parametrize("word", [(-1, -1), (5, 5)], ids=["negative", "past-the-end"])
+def test_relation_words_must_index_generators(word):
+    # (-1, -1) used to be stored and rendered as y^2, then broke truncate
+    # with a KeyError; 5 raised an IndexError
+    gens = (Generator("x", 1), Generator("y", 1))
+    with pytest.raises(ValueError, match=re.escape(f"word {word} has a letter that indexes "
+                                                   "none of the 2 generators")):
+        AlgebraPresentation(QQ, gens, ({word: QQ.one},))
+
+
+@pytest.mark.parametrize("degree", [True, 1.5])
+def test_generator_degrees_must_be_ints(degree):
+    # True rendered as "x:True"; 1.5 failed later with a TypeError
+    with pytest.raises(ValueError, match=f"generator x has degree {degree}, not an int"):
+        AlgebraPresentation(QQ, (Generator("x", degree),), ())
+
+
+def test_normal_form_refuses_a_word_off_the_generators():
+    t = truncate(pres("gen x:1, y:1; rel y^2"), 3)
+    with pytest.raises(ValueError, match=re.escape("word (-1,) has a letter")):
+        t.normal_form({(-1,): QQ.one})
+
+
 def test_bad_exponents_are_rejected_when_parsed():
     # "x^-1*y^3" used to drop the x factor and read as the relation y^3
     for text in ("gen x:1, y:1; rel x^-1*y^3", "gen x:1; rel x^1.5"):

@@ -527,16 +527,16 @@ def test_a_certificate_eliminates_each_dual_map_once(monkeypatch):
 
 def test_generator_count_check_fires(monkeypatch):
     # the picks are counted against dim ker d_{i-1} minus the rank of the
-    # lower generators: let the second call drop its one pick, at (2, 2)
-    pick = resolution.extend_independent
+    # lower generators: let the second kernel read offer no candidates, at
+    # (2, 2), where the one pick is then missing
+    kernel = RowSpan.kernel_sparse
     calls = []
 
-    def drop_from_second_call(span, candidates):
+    def empty_on_second_call(self):
         calls.append(None)
-        picked = pick(span, candidates)
-        return picked if len(calls) == 1 else picked[:-1]
+        return kernel(self) if len(calls) != 2 else []
 
-    monkeypatch.setattr(resolution, "extend_independent", drop_from_second_call)
+    monkeypatch.setattr(RowSpan, "kernel_sparse", empty_on_second_call)
     with pytest.raises(AssertionError, match=r"step \(2, 2\): 0 new generators"):
         resolve(ONE_SIDED, hom_bound=4)
 
