@@ -6,23 +6,25 @@ d(uv) = d(u) v + (-1)^|u| u d(v).  On a normal-form monomial this unfolds
 into three blocks, one per variable, using d(x^e) = 0 for even e and
 d(x^e) = d(x) x^(e-1) for odd e (even powers are central cocycles, which is
 what makes the blockwise formula well defined; verify_dg checks it).
-`d` and `d_columns` share that formula on basis positions: each term's
-index in the next degree is T(b+c) + c of its exponents (see
-`skew.basis_position`), read straight off the monomial's own exponents and
-the matrix entries, with no monomial built per term.  The entries are
-negated once per call: `d_columns` negates them mod p over F_p, so its
-columns hold the entries as they are, in normal form; `d` combines them
-with its coefficients by the native operators and reduces once at the end.
+One kernel applies it on basis positions: `_d_sums` adds coefficient times
+M[i][j] straight into the positions of the next degree that `_blocks`, one
+table per degree, lists for each block.  `d` runs it on an element,
+`d_columns` on unit vectors (M's negated rows are reduced mod p over F_p,
+so the columns come out in normal form), and the cocycle tests of
+`cohomology` through `_d_kills`, which tests the sums for zero as they come
+and builds no element.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 
-from .fields import _modulus, check_same_field
+from .fields import _all_zero, _modulus, check_same_field
 from .linalg import Matrix, apply_columns, kills
-from .skew import GradedElement, Monomial, basis_monomials, degree_basis, degree_dim
+from .skew import (GradedElement, Monomial, basis_monomials, basis_position, degree_basis,
+                   degree_dim)
 
 
 @dataclass(frozen=True)
@@ -52,66 +54,66 @@ def d_generator(spec: DGSpec, i: int) -> GradedElement:
         [(Monomial(2, 0, 0), row[0]), (Monomial(0, 2, 0), row[1]), (Monomial(0, 0, 2), row[2])])
 
 
-def _odd_blocks(a: int, b: int, c: int):
-    """The blocks of d(x1^a x2^b x3^c) as (i, negated) pairs.
-
-    Block i is d(x_i) times the monomial with one x_i less, signed by the
-    parity of the generators before x_i; it is nonzero only when the
-    exponent of x_i is odd (even powers are central cocycles)."""
+@cache
+def _blocks(deg: int) -> tuple:
+    """Per position of degree `deg`, the blocks of d of that basis monomial
+    m as (row, t, u): block i, d(x_i) times m / x_i, is nonzero when the
+    exponent of x_i is odd, and row is i, or i + 3 when the parity of the
+    generators before x_i signs it -1.  If m / x_i has x2,x3-degree k' and
+    x3-exponent e, its products with x1^2, x2^2 and x3^2 sit at
+    t = T(k') + e, u = T(k'+2) + e and u + 2; m itself sits at T(k) + c."""
     out = []
-    if a & 1:
-        out.append((0, False))
-    if b & 1:
-        out.append((1, bool(a & 1)))
-    if c & 1:
-        out.append((2, bool((a + b) & 1)))
-    return out
+    for a, b, c in basis_monomials(deg):
+        k = b + c
+        t = k * (k + 1) // 2 + c
+        blocks = []
+        if a & 1:
+            blocks.append((0, t, t + 2 * k + 3))
+        if b & 1:
+            blocks.append((4 if a & 1 else 1, t - k, t + k + 1))
+        if c & 1:
+            blocks.append((5 if (a + b) & 1 else 2, t - k - 1, t + k))
+        out.append(tuple(blocks))
+    return tuple(out)
 
 
-def _signed_rows(rows, p):
-    """M's rows and their negatives, the scalars of `_d_terms`, built once
-    per call of `d` or `d_columns`.  With p an int they are negated mod p,
-    so that rows in normal form over F_p give negatives in normal form."""
-    if p is None:
-        return rows, [(-x, -y, -z) for x, y, z in rows]
-    return rows, [(-x % p, -y % p, -z % p) for x, y, z in rows]
+def _d_sums(spec: DGSpec, deg: int, vecs):
+    """d of each vector {position in degree deg: coefficient} of vecs, as
+    {position in degree deg + 1: sum}, the native sums of coefficient times
+    +-M[i][j]: possibly zero over Q, unreduced over F_p."""
+    p = _modulus(spec.field)
+    rows = spec.matrix.entries
+    rows += tuple((-x, -y, -z) if p is None else (-x % p, -y % p, -z % p) for x, y, z in rows)
+    blocks = _blocks(deg)
+    for vec in vecs:
+        out = {}
+        get = out.get
+        for j, coeff in vec.items():
+            for i, t, u in blocks[j]:
+                x, y, z = rows[i]
+                if x:
+                    out[t] = get(t, 0) + coeff * x
+                if y:
+                    out[u] = get(u, 0) + coeff * y
+                if z:
+                    u += 2
+                    out[u] = get(u, 0) + coeff * z
+        yield out
 
 
-def _d_terms(signed, m):
-    """Terms of d(m) as (position in the next degree, +-M[i][j]) pairs, at
-    distinct positions, with nonzero scalars taken from signed, the pair
-    of `_signed_rows`."""
-    a, b, c = m
-    rows, negated = signed
-    out = []
-    for i, neg in _odd_blocks(a, b, c):
-        # m / x_i has x2,x3-degree k and x3-exponent e; times x1^2, x2^2
-        # and x3^2 it sits at T(k) + e, T(k+2) + e and T(k+2) + e + 2
-        k = b + c - (i > 0)
-        t = k * (k + 1) // 2 + c - (i == 2)
-        u = t + 2 * k + 3
-        x, y, z = negated[i] if neg else rows[i]
-        if x:
-            out.append((t, x))
-        if y:
-            out.append((u, y))
-        if z:
-            out.append((u + 2, z))
-    return out
+def _d_kills(spec: DGSpec, deg: int, vecs) -> bool:
+    """True when d is zero on every vector {position in degree deg:
+    coefficient} of vecs; the sums are tested as they come (exactly over Q,
+    mod p over F_p), and no element is built."""
+    return all(_all_zero(spec.field, sums.values()) for sums in _d_sums(spec, deg, vecs))
 
 
 def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     """The differential on a homogeneous element; degree rises by 1."""
     check_same_field(spec.field, u.field)
-    # the sum is normalized once at the end, so native negatives will do
-    signed = _signed_rows(spec.matrix.entries, None)
-    out = {}
-    get = out.get
-    for m, coeff in u.terms.items():
-        for pos, x in _d_terms(signed, m):
-            y = get(pos)
-            out[pos] = coeff * x if y is None else y + coeff * x
-    return GradedElement.from_sparse(spec.field, u.degree + 1, out)
+    vec = {basis_position(m): x for m, x in u.terms.items()}
+    return GradedElement.from_sparse(spec.field, u.degree + 1,
+                                     next(_d_sums(spec, u.degree, (vec,))))
 
 
 def d_columns(spec: DGSpec, deg: int, skip=frozenset()):
@@ -119,9 +121,7 @@ def d_columns(spec: DGSpec, deg: int, skip=frozenset()):
     j is d of the j-th basis monomial as {row in degree deg+1: nonzero}."""
     if deg < 0:
         raise ValueError("degree must be >= 0")
-    signed = _signed_rows(spec.matrix.entries, _modulus(spec.field))
-    return [dict(_d_terms(signed, m))
-            for j, m in enumerate(basis_monomials(deg)) if j not in skip]
+    return list(_d_sums(spec, deg, ({j: 1} for j in range(degree_dim(deg)) if j not in skip)))
 
 
 def d_matrix(spec: DGSpec, deg: int) -> Matrix:

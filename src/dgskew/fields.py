@@ -243,6 +243,15 @@ def normalized(field, vec):
     return {j: y for j, x in items if (y := x % p)}
 
 
+def _all_zero(field, values) -> bool:
+    """True when every scalar of values is zero in field, taken as native
+    arithmetic leaves it: exactly over Q, mod p over F_p."""
+    p = _modulus(field)
+    if p is None:
+        return not any(values)
+    return not any(x % p for x in values)
+
+
 def check_same_field(a, b):
     if a != b:
         raise FieldMismatchError(f"mixed session fields: {a!r} and {b!r}")

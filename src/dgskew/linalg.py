@@ -53,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import itemgetter
 
-from .fields import _modulus, _rational, check_same_field, normalized
+from .fields import _all_zero, _modulus, _rational, check_same_field, normalized
 
 
 def _integral(vec):
@@ -543,8 +543,4 @@ def apply_columns(field, columns, vec):
 def kills(field, columns, vec) -> bool:
     """True when `apply_columns` would give zero: the sums are tested as they
     come (exactly over Q, mod p over F_p), and no result is built."""
-    p = _modulus(field)
-    sums = _column_sums(columns, vec).values()
-    if p is None:
-        return not any(sums)
-    return not any(x % p for x in sums)
+    return _all_zero(field, _column_sums(columns, vec).values())

@@ -60,7 +60,7 @@ class AlgebraPresentation:
                 raise ValueError(f"generator {g.name} must have positive degree")
         names = [g.name for g in self.generators]
         for name in names:
-            if not name.isidentifier():
+            if not (isinstance(name, str) and name.isidentifier()):
                 raise ValueError(f"generator name {name!r} is not an identifier")
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")

@@ -168,13 +168,16 @@ class GradedElement:
     @classmethod
     def from_vector(cls, field, degree: int, vec) -> "GradedElement":
         """The element with coefficients vec over degree_basis(degree); each
-        coefficient is anything `field.coerce` accepts."""
+        coefficient is anything `field.coerce` accepts.  An int 0 is skipped
+        before `coerce`; any other value, 0.0 and None included, goes
+        through it."""
         basis = basis_monomials(degree)
         if len(vec) != len(basis):
             raise ValueError(f"vector of length {len(vec)} in degree {degree}, "
                              f"whose basis has {len(basis)} monomials")
         coerce = field.coerce
-        return cls(field, degree, normalized(field, {m: coerce(c) for m, c in zip(basis, vec)}))
+        return cls(field, degree, normalized(field, {m: coerce(c) for m, c in zip(basis, vec)
+                                                     if c or type(c) is not int}))
 
     @classmethod
     def from_sparse(cls, field, degree: int, vec: dict) -> "GradedElement":

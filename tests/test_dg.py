@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import leibniz_d
 
-from dgskew.dg import DGSpec, d, d_generator, d_matrix, verify_dg
+import dgskew
+from dgskew.cohomology import cohomology
+from dgskew.dg import DGSpec, d, d_columns, d_generator, d_matrix, verify_dg
 from dgskew.fields import QQ, PrimeField
 from dgskew.linalg import Matrix
 from dgskew.sampling import random_full_rank
-from dgskew.skew import (GradedElement, Monomial, degree_basis, generators,
+from dgskew.skew import (GradedElement, Monomial, basis_position, degree_basis, generators,
                          parse_element)
 
 int_matrices = st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
@@ -160,38 +163,100 @@ LEIBNIZ_MATRICES = {
 }
 
 
+BENCH_PRIME = PrimeField(2147483659)
+
+
 @pytest.mark.parametrize("name", sorted(LEIBNIZ_MATRICES))
-@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+@pytest.mark.parametrize("F", [QQ, PrimeField(7), BENCH_PRIME], ids=str)
 def test_d_matches_the_leibniz_unfolding(F, name):
-    # the blockwise d against the letter-by-letter Leibniz rule, on every
-    # monomial up to degree 8, on every column of d_matrix and on random
-    # elements
+    # d and d_columns against the letter-by-letter Leibniz rule, on every
+    # monomial and every column, in normal form, and on random elements:
+    # through degree 16 (the benchmark's depth) over Q and its prime, through
+    # degree 8 over F_7
     spec = DGSpec.from_rows(F, LEIBNIZ_MATRICES[name])
     rng = random.Random(16)
-    for deg in range(9):
+    for deg in range(9 if F == PrimeField(7) else 17):
         want = [leibniz_d(spec, m) for m in degree_basis(deg)]
         for m, w in zip(degree_basis(deg), want):
             assert d(spec, GradedElement.monomial(F, m)).terms == w.terms, m
+        columns = [{basis_position(m): c for m, c in w.terms.items()} for w in want]
+        assert d_columns(spec, deg) == columns
+        skip = frozenset(range(0, len(columns), 3))
+        assert d_columns(spec, deg, skip) == [c for j, c in enumerate(columns) if j not in skip]
         D = d_matrix(spec, deg)
         assert [D.col(j) for j in range(D.ncols)] == [w.vector() for w in want]
-        u = GradedElement.from_terms(F, deg, [(m, rng.randint(-30, 30))
-                                              for m in degree_basis(deg)])
+        coeffs = [rng.randint(-30, 30) for _ in want]
+        u = GradedElement.from_terms(F, deg, zip(degree_basis(deg), coeffs))
         expected = GradedElement.zero(F, deg + 1)
-        for m, c in u.terms.items():
-            expected = expected.add(leibniz_d(spec, m).scale(c))
+        for w, c in zip(want, coeffs):
+            expected = expected.add(w.scale(c))
         assert d(spec, u).terms == expected.terms
 
 
-def _odd_blocks_unsigned_x2(a, b, c):
-    # `dg._odd_blocks` with block x2 left unsigned: d(x1 x2) comes out as
-    # d(x1) x2 + x1 d(x2), which is not a derivation of the skew algebra
-    return [(i, neg) for i, odd, neg in ((0, a & 1, False), (1, b & 1, False),
-                                         (2, c & 1, bool((a + b) & 1))) if odd]
+def test_a_sum_that_is_zero_mod_p_is_a_cocycle():
+    # over F_p the kernel's sums are unreduced ints; d(d(w)) sums to
+    # nonzero multiples of p, which the cocycle tests read as zero
+    spec = DGSpec.from_rows(BENCH_PRIME, [[1, -2, 3], [2, 1, -1], [4, -3, 5]])
+    w = GradedElement.from_terms(BENCH_PRIME, 3, [(m, 1000003 * (j + 1))
+                                                  for j, m in enumerate(degree_basis(3))])
+    z = d(spec, w)
+    vec = {basis_position(m): c for m, c in z.terms.items()}
+    sums = next(dgskew.dg._d_sums(spec, 4, (vec,))).values()
+    assert any(sums) and not any(x % BENCH_PRIME.p for x in sums)
+    assert dgskew.dg._d_kills(spec, 4, (vec,))
+    assert d(spec, z).is_zero()
+    cls = cohomology(spec, 6).class_of(z)
+    assert cls is not None and cls.is_zero
+
+
+def test_a_cancelling_fraction_sum_is_a_cocycle():
+    # over Q the sums are exact; Fraction(1, 2) - Fraction(1, 2) is a
+    # Fraction that is zero
+    spec = DGSpec.from_rows(QQ, LEIBNIZ_MATRICES["rank-3"])
+    w = GradedElement.from_terms(QQ, 3, [(m, Fraction(j + 1, 7))
+                                         for j, m in enumerate(degree_basis(3))])
+    z = d(spec, w)
+    vec = {basis_position(m): c for m, c in z.terms.items()}
+    sums = next(dgskew.dg._d_sums(spec, 4, (vec,))).values()
+    assert any(type(x) is Fraction for x in sums) and not any(sums)
+    assert dgskew.dg._d_kills(spec, 4, (vec,))
+    cls = cohomology(spec, 6).class_of(z)
+    assert cls is not None and cls.is_zero
+
+
+@pytest.mark.parametrize("F", [QQ, BENCH_PRIME], ids=str)
+def test_class_of_refuses_a_non_cocycle(F):
+    # a boundary plus 5 times a monomial is a cocycle exactly when the
+    # monomial is one (all its exponents even); for this rank-2 matrix
+    # every even monomial of degree 4 has a nonzero class
+    spec = DGSpec.from_rows(F, [[1, -2, 3], [2, 1, -1], [4, -3, 5]])
+    report = cohomology(spec, 6)
+    boundary = d(spec, GradedElement.from_terms(F, 3, [(m, j - 4) for j, m in
+                                                       enumerate(degree_basis(3))]))
+    refused = 0
+    for m in degree_basis(4):
+        cls = report.class_of(boundary.add(GradedElement.monomial(F, m, 5)))
+        if any(e % 2 for e in m):
+            assert cls is None, m
+            refused += 1
+        else:
+            assert cls is not None and not cls.is_zero, m
+    assert refused == 9
+    assert report.class_of(GradedElement.monomial(F, (1, 0, 0))) is None
+
+
+def _blocks_unsigned_x2(blocks):
+    # `dg._blocks` with block x2 left unsigned (row 4, -d(x2), read as row
+    # 1): d(x1 x2) comes out as d(x1) x2 + x1 d(x2), which is not a
+    # derivation of the skew algebra
+    return lambda deg: tuple(tuple((1 if i == 4 else i, t, u) for i, t, u in row)
+                             for row in blocks(deg))
 
 
 # sha256 of the JSON of `failures` for the corrupted differential below,
-# recorded before verify_dg composed sparse columns; the failure strings
-# render the same witnesses either way
+# recorded before verify_dg composed sparse columns and before d and
+# d_columns read one block table; the failure strings render the same
+# witnesses either way
 BROKEN_D_FAILURES = {
     "Q": "530683e98b4a67596e0b85a7b3b1dbabe6d7571703faf532518476d7cf5336be",
     "Fp:2147483659": "cedf1ba6d5c459c62e328103c3e1df794d88be033e0bfcef042ea6c5fecbe7d1",
@@ -200,8 +265,9 @@ BROKEN_D_FAILURES = {
 
 @pytest.mark.parametrize("field_name", sorted(BROKEN_D_FAILURES))
 def test_verify_dg_catches_a_broken_differential(monkeypatch, field_name):
-    import dgskew
-    monkeypatch.setattr(dgskew.dg, "_odd_blocks", _odd_blocks_unsigned_x2)
+    # the one table `d` and `d_columns` both read, so the Leibniz samples
+    # and the d o d check see the same broken map
+    monkeypatch.setattr(dgskew.dg, "_blocks", _blocks_unsigned_x2(dgskew.dg._blocks))
     F = dgskew.field_from_name(field_name)
     spec = DGSpec.from_rows(F, [[1, 2, 3], [0, 1, 4], [5, 6, 0]])
     report = verify_dg(spec, max_degree=5, samples=10, rng=random.Random(0))

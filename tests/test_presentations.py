@@ -339,6 +339,13 @@ def test_relation_words_must_index_generators(word):
         AlgebraPresentation(QQ, gens, ({word: QQ.one},))
 
 
+@pytest.mark.parametrize("name", [5, None, b"x"])
+def test_generator_names_must_be_strings(name):
+    # an int name used to raise AttributeError from name.isidentifier()
+    with pytest.raises(ValueError, match=f"^generator name {name!r} is not an identifier$"):
+        AlgebraPresentation(QQ, (Generator(name, 1),), ())
+
+
 @pytest.mark.parametrize("degree", [True, 1.5])
 def test_generator_degrees_must_be_ints(degree):
     # True rendered as "x:True"; 1.5 failed later with a TypeError

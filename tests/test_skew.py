@@ -127,6 +127,31 @@ def test_from_vector_coerces_each_coefficient(F):
     assert u.vector() == (F.one, F.coerce("1/2"), F.zero)
 
 
+@pytest.mark.parametrize("bad", [0.0, None, "x"], ids=repr)
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_from_vector_checks_every_coefficient(F, bad):
+    # int zeros skip `coerce`; no other value does, in any position, also
+    # in a vector that is otherwise zero.  A malformed string fails as
+    # `Fraction` does, with ValueError
+    error = ValueError if isinstance(bad, str) else TypeError
+    for others in (0, 3):
+        for j in range(6):
+            vec = [others] * 6
+            vec[j] = bad
+            with pytest.raises(error):
+                GradedElement.from_vector(F, 2, vec)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_from_vector_zeros_of_every_form_drop_out(F):
+    want = GradedElement.from_terms(F, 2, [((1, 1, 0), 2), ((0, 0, 2), "-1/3")])
+    for zero in (0, "0", Fraction(0), " 0 ", False):
+        u = GradedElement.from_vector(F, 2, [zero, 2, zero, zero, zero, "-1/3"])
+        assert u == want
+    assert GradedElement.from_vector(F, 2, ["0", 0, Fraction(0), 0, 0, 8]).terms == {
+        Monomial(0, 0, 2): F.coerce(8)}
+
+
 def test_every_word_reduces_into_the_basis():
     # exhaustively to degree 7: the rewriting reaches every exponent triple
     for d in range(8):
