@@ -3,6 +3,13 @@
 A complex gives `width(n)`, the dimension of C^n (zero past its last
 term), and `columns(n, skip)`: the sparse columns ``{row: nonzero}`` of
 d^n: C^n -> C^(n+1) in index order, less those whose index is in `skip`.
+A callback may return any nonzero multiple of d^n, one multiple per call:
+the resolution's dual complexes over Q hand over integral columns, S times
+d^n.  That is safe because every use of a call's columns is invariant under
+one nonzero scalar: the span they give B^(n+1), the kernel of their rows,
+the test that they kill a vector.  So every rank, boundary space, kernel
+basis, class and witness is the same whichever multiple comes back, and
+two calls for the same degree may return different multiples.
 
 `CochainComplex` stores each boundary space B^n = im d^(n-1) as a
 `RowSpan`, built once from B^0 = 0 upwards from only the columns of

@@ -35,7 +35,10 @@ immutable value such as the defining matrix M.  `rref`, `rank`,
 densify what it hands back, and `mul` and `apply` visit only nonzero
 entries.  Maps that are built column by column stay sparse:
 `columns_to_rows` turns their columns into the rows a `RowSpan` eliminates,
-and `apply_columns` applies them to a sparse vector.  The checks that a
+and `apply_columns` applies them to a sparse vector.  `integral_columns`
+brings a map's columns over Q to ints over one least denominator, the form
+of the product tables that the resolution's maps are built from, so those
+maps load and are checked with no `Fraction`.  The checks that a
 composite such as d o d vanishes call `kills`, which tests the same sums
 for zero without building the image.
 Scalars come to normal form through `fields.normalized` (one at a time,
@@ -50,6 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -520,6 +524,34 @@ def columns_to_rows(columns, nrows):
         for i, x in col.items():
             rows[i][j] = x
     return rows
+
+
+def integral_columns(columns, dens):
+    """(den, cols) for the map over Q whose column c is columns[c] /
+    dens[c], for sparse columns of rationals and a list of positive ints
+    dens: cols are integral columns and den > 0 is the least denominator
+    with cols / den the map.  Where no denominator occurs (every dens[c]
+    is 1 and every entry an int, as over F_p) cols is `columns` itself,
+    else a list of fresh columns."""
+    if max(dens, default=1) == 1 and Fraction not in set(
+            map(type, chain.from_iterable(map(dict.values, columns)))):
+        return 1, columns
+    loaded = [(d * e, w) for d, (e, w) in zip(dens, map(_integral, columns))]
+    den = lcm(*(d for d, _ in loaded))
+    common = den
+    for d, w in loaded:
+        f = den // d
+        if f != 1:
+            for j in w:
+                w[j] *= f
+        if common != 1:
+            common = gcd(common, *w.values())
+    if common != 1:
+        den //= common
+        for _, w in loaded:
+            for j in w:
+                w[j] //= common
+    return den, [w for _, w in loaded]
 
 
 def _column_sums(columns, vec):

@@ -7,10 +7,11 @@ and the "append one generator" maps, the tables of right multiplication by
 one-letter words.  Every product inside the bound reduces to those maps,
 one stored per (degree, letter); a longer word's product steps a vector
 through its letters' maps and is not stored.  The only other store is the
-product columns of multiplication by one element on one degree
-(`mul_columns`).  Both are shared with every caller and read-only.  A left
-product c*u reads no word table: the basis is prefix-closed, so
-c*(b g) = (c*b)*g is one append step on a cached column of c*A_(|u|-|g|).
+product table of multiplication by one element on one degree
+(`mul_columns`), kept as integral columns over one denominator.  Both are
+shared with every caller and read-only.  A left product c*u reads no word
+table: the basis is prefix-closed, so c*(b g) = (c*b)*g is one append step
+on a cached column of c*A_(|u|-|g|).
 This stays linear algebra throughout: in degree d
 the relation span is generated by u * r with u running over the degree
 d - |r| quotient basis, because occurrences of a relation anywhere left of
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import BoundInsufficientError
 from .fields import normalized, parse_scalar, render_sum, split_sum
-from .linalg import RowSpan, apply_columns
+from .linalg import RowSpan, apply_columns, integral_columns
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class TruncatedAlgebra:
         # per degree >= 1, (letter, index of the prefix) of each basis word
         self._prefixes: list = [[]]
         self._append_maps: dict = {}  # (src_degree, letter) -> sparse columns
-        # (element, its degree, q, left) -> sparse columns
+        # (element, its degree, q, left) -> (den, integral sparse columns)
         self._mul_columns_cache: dict = {}
         for d in range(1, bound + 1):
             self._build_degree(d)
@@ -298,19 +299,22 @@ class TruncatedAlgebra:
         return [self._times_word({i: one}, src_degree, word) for i in range(self.dim(src_degree))]
 
     def mul_columns(self, coeffs, degree: int, q: int, left: bool):
-        """Sparse columns ``{row: nonzero}`` of u |-> c*u (left) or u |-> u*c
-        on A_q, one per basis word u, for the element c = coeffs of A_degree.
+        """The product table of u |-> c*u (left) or u |-> u*c on A_q, for
+        the element c = coeffs of A_degree, as (den, columns): one sparse
+        column ``{row: nonzero}`` per basis word u, integral with den > 0,
+        so that columns / den are the products (see `integral_columns`;
+        den is 1 over F_p and wherever no denominator occurs).
 
         Left products need no word table: c*1 = c, and for a basis word
         u = b + (g,), whose prefix b is a basis word, c*u = (c*b)*g is one
         append step on the column of b in c*A_(q-|g|), which is cached too.
         Right products apply `word_mul_matrix` of c's basis words: an append
-        map for a letter, a fresh table for a longer word.  These columns
+        map for a letter, a fresh table for a longer word.  These tables
         are the one store besides the append maps, shared between callers:
         read them only."""
         key = (tuple(sorted(coeffs.items())), degree, q, left)
-        cols = self._mul_columns_cache.get(key)
-        if cols is None:
+        table = self._mul_columns_cache.get(key)
+        if table is None:
             if degree + q > self.bound:
                 raise BoundInsufficientError("a product", degree + q, self.bound)
             F = self.field
@@ -318,20 +322,24 @@ class TruncatedAlgebra:
                 rights = {k: self.word_mul_matrix(q, self.basis[degree][k]) for k in coeffs}
                 cols = [apply_columns(F, {k: t[w] for k, t in rights.items()}, coeffs)
                         for w in range(len(self.basis[q]))]
+                dens = [1] * len(cols)
             elif q == 0:
-                cols = [normalized(F, coeffs)]
+                cols, dens = [normalized(F, coeffs)], [1]
             else:
                 gens = self.presentation.generators
-                lower = {}   # q - |g| -> the columns of c*A_(q-|g|)
-                cols = []
+                lower = {}   # q - |g| -> the table of c*A_(q-|g|)
+                cols, dens = [], []   # cols[w] / dens[w]: the products of basis word w
                 for g, k in self._prefixes[q]:
                     src = q - gens[g].degree
                     if src not in lower:
                         lower[src] = self.mul_columns(coeffs, degree, src, True)
                     step = self._append_maps[degree + src, g]
-                    cols.append(apply_columns(F, step, lower[src][k]))
-            self._mul_columns_cache[key] = cols
-        return cols
+                    den, prods = lower[src]
+                    cols.append(apply_columns(F, step, prods[k]))
+                    dens.append(den)
+            table = integral_columns(cols, dens)
+            self._mul_columns_cache[key] = table
+        return table
 
     def mul(self, u, p: int, v, q: int):
         """u * v for u in A_p and v in A_q, as a vector of A_(p+q): the sum

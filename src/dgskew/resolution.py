@@ -24,9 +24,13 @@ and their independence.
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
 functional on Hom(F_i, A).  Every map of free modules (d_i and its dual) is
-a list of sparse columns ``{row: nonzero}``, one per basis word of the
-source, read off the algebra's cached word products; d_i is stored only as
-the entries of F_i, from which `_map_columns` builds it at each degree.
+built as a list of sparse columns ``{row: nonzero}`` of S times the map, one
+per basis word of the source, read off the algebra's cached product tables;
+S is the lcm of those tables' denominators, so over Q the columns are
+integral and the eliminations and d o d checks on them run on ints (S is 1
+over F_p and wherever no table has a denominator).  One multiple of a map
+has the map's span, kernel and rank.  d_i is stored only as the entries of
+F_i, from which `_map_columns` builds it at each degree.
 
 All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate, islice
+from math import lcm
 from typing import NamedTuple
 
 from .complexes import CochainComplex
@@ -88,19 +93,24 @@ def _segments(t: TruncatedAlgebra, degrees, vec):
 
 def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: bool,
                     skip=frozenset()):
-    """Sparse columns of a map of free modules, block by block, leaving out
-    the columns whose index is in `skip`, in a fresh list.
+    """(S, columns): the sparse columns of S times a map of free modules,
+    block by block, leaving out the columns whose index is in `skip`, in a
+    fresh list.
 
     Source block s is A_q for q = src_degrees[s], target block r is A_q for
     q = dst_degrees[r]; the map multiplies block s into block r by the
-    element coeff(s, r) (None when zero), on the left or on the right.
-    Where block s meets one target block and that block starts at row 0,
-    its columns are the cached product columns of
-    `TruncatedAlgebra.mul_columns` themselves, shared with the cache and
-    every other map that reads them: read them only.
+    element coeff(s, r) (None when zero), on the left or on the right.  S
+    is the lcm of the denominators of the product tables the call reads
+    (`TruncatedAlgebra.mul_columns`), so the columns are integral over Q;
+    it is 1 over F_p and wherever no table has a denominator.  Where block
+    s meets one target block, which starts at row 0 and whose table's
+    denominator is S, its columns are the cached table's columns
+    themselves, shared with the cache and every other map that reads them:
+    read them only.  Any other column is built in one pass over its parts.
     """
     offsets = list(accumulate((_block_dim(t, q) for q in dst_degrees), initial=0))
-    cols = []
+    S = 1
+    blocks = []  # (kept, parts) per source block with a kept column
     start = 0  # the index of block s's first column
     for s, q in enumerate(src_degrees):
         n = _block_dim(t, q)
@@ -108,26 +118,33 @@ def _module_columns(t: TruncatedAlgebra, src_degrees, dst_degrees, coeff, left: 
         start += n
         if not kept:
             continue
-        parts = []
+        parts = []  # (row offset, den, table) per target block
         for r, q_dst in enumerate(dst_degrees):
             c = coeff(s, r)
             if c is not None and _block_dim(t, q_dst):
-                parts.append((offsets[r], t.mul_columns(c.vec, c.degree, q, left)))
-        if len(parts) == 1 and parts[0][0] == 0:
-            # one target block, at row 0: the cached product columns themselves
-            prods = parts[0][1]
+                den, prods = t.mul_columns(c.vec, c.degree, q, left)
+                S = lcm(S, den)
+                parts.append((offsets[r], den, prods))
+        blocks.append((kept, parts))
+    cols = []
+    for kept, parts in blocks:
+        if len(parts) == 1 and parts[0][0] == 0 and parts[0][1] == S:
+            # one target block, at row 0, over S: the table's columns themselves
+            prods = parts[0][2]
             cols.extend(prods[w] for w in kept)
             continue
         for w in kept:
             col = {}
-            for off, prods in parts:
-                col.update((off + k, x) for k, x in prods[w].items())
+            for off, den, prods in parts:
+                f = S // den
+                col.update({off + k: f * x for k, x in prods[w].items()})
             cols.append(col)
-    return cols
+    return S, cols
 
 
 def _map_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int):
-    """d at internal degree j: columns index (F_i)_j, rows (F_{i-1})_j."""
+    """(S, S times d at internal degree j): columns index (F_i)_j, rows
+    (F_{i-1})_j."""
     return _module_columns(t, [j - g for g in step.gen_degrees], [j - h for h in prev_gens],
                            lambda a, b: step.entries[a][b], left=False)
 
@@ -172,7 +189,7 @@ class ResolutionReport:
 
             self._duals[m] = CochainComplex(
                 t.field, width,
-                lambda i, skip: _dual_columns(t, steps[i + 1], steps[i].gen_degrees, m, skip))
+                lambda i, skip: _dual_columns(t, steps[i + 1], steps[i].gen_degrees, m, skip)[1])
         return self._duals[m]
 
     def euler_defect(self, n: int) -> int:
@@ -214,7 +231,10 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     When the rank is below dim ker d_{i-1} at j, the kernel vectors outside
     the column span of the same columns become F_i's degree-j generators and
     complete d_i at j; an AssertionError naming (i, j) is raised unless they
-    number exactly the shortfall.
+    number exactly the shortfall.  The columns are those of S d_i for the S
+    of `_map_columns` at j, the new ones too, so over Q they hold ints but
+    where a new generator's kernel vector has a denominator S does not
+    clear; the generators' entries are d_i's own.
 
     The count check is also the row restriction's rank oracle: as d_{i-1}
     d_i = 0, the picks number dim ker d_{i-1} minus the column rank and the
@@ -236,7 +256,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
         step, maps = FreeStep([], []), {}
         for j in range(min(prev) + 1, D + 1):
             # d_i of the generators chosen so far spans (A+ . ker d_{i-1})_j
-            cols = _map_columns(t, step, prev, j)
+            S, cols = _map_columns(t, step, prev, j)
             below = report.echelons[(i - 1, j)]
             kernel_dim = below.width - below.dim
             # eliminated on its rows at the free coordinates of d_{i-1}'s
@@ -260,7 +280,8 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
                     step.entries.append(
                         [AlgElt(j - h, seg) if seg else None
                          for h, seg in zip(prev, _segments(t, [j - h for h in prev], v))])
-                    cols.append(v)
+                    # times S, as the lower columns: maps[j] is one multiple of d_i
+                    cols.append({k: S * x for k, x in v.items()} if S != 1 else v)
             if not step.gen_degrees:
                 continue
             maps[j] = cols
@@ -286,7 +307,8 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
 
 def _assert_complex(F, i: int, below_maps: dict, maps: dict):
     """d_{i-1} o d_i = 0 within the truncation, per internal degree j: the
-    columns below_maps[j] of d_{i-1} applied to every column maps[j] of d_i."""
+    columns below_maps[j] of d_{i-1} applied to every column maps[j] of d_i,
+    each one nonzero multiple of its map."""
     for j, cols in maps.items():
         if not all(kills(F, below_maps[j], col) for col in cols):
             raise AssertionError(f"d_{i-1} o d_{i} != 0 at internal degree {j}")
@@ -325,8 +347,8 @@ class ExtTable:
 
 
 def _dual_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, m: int, skip=frozenset()):
-    """The dual of d_i at m, Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m, for
-    step = F_i, less the columns whose index is in `skip`.
+    """(S, S times the dual of d_i at m), Hom(F_{i-1}, A)_m -> Hom(F_i, A)_m,
+    for step = F_i, less the columns whose index is in `skip`.
 
     A functional is a block vector (phi_b in A_{m + g_b}); composing with d_i
     left-multiplies by the entries: (d_i^* phi)_a = sum_b c_{ab} phi_b.

@@ -133,6 +133,27 @@ def test_ranks_boundaries_and_classes(complex_data):
 
 
 @given(complexes(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_multiple_of_the_map_per_call_changes_nothing(complex_data, data):
+    # a callback may hand back any nonzero multiple of d^n, a different one
+    # on each call, as the resolution's dual complexes do over Q
+    F, widths, ranks, maps = complex_data
+    plain = _engine(F, widths, maps)
+    scales = st.integers(-6, 6).filter(lambda s: F.coerce(s) != F.zero)
+
+    def scaled_columns(n, skip):
+        s = F.coerce(data.draw(scales))
+        return [{i: F.mul(s, x) for i, x in col.items()} for col in plain.columns(n, skip)]
+
+    scaled = CochainComplex(F, plain.width, scaled_columns)
+    for n in range(len(widths)):
+        assert scaled.rank(n) == plain.rank(n)
+        assert scaled.boundaries(n).rows_sparse() == plain.boundaries(n).rows_sparse()
+        assert scaled.cocycles(n) == plain.cocycles(n)
+        assert scaled.classes(n).rows_sparse() == plain.classes(n).rows_sparse()
+
+
+@given(complexes(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_shared_columns_are_read_only_to_every_receiver(complex_data, data):
     # the resolution hands the cached product columns themselves to the

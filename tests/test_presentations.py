@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -159,20 +160,40 @@ LEFT_PRODUCT_TEXTS = {"degree-2 generator": "gen x:1, y:1, z:2; rel x*y + y*x; r
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=["Q", "F7"])
-@pytest.mark.parametrize("name", sorted(LEFT_PRODUCT_TEXTS))
+@pytest.mark.parametrize("name", sorted(LEFT_PRODUCT_TEXTS) + ["R1d"])
 def test_left_products_match_the_word_tables(F, name):
     # mul_columns builds c * (b g) as (c * b) * g, stepping down by |g|; the
-    # oracle applies the table of each whole basis word u to c
+    # oracle applies the table of each whole basis word u to c.  The table
+    # comes back as (den, columns): den times the products, integral with
+    # the least such den over Q, and den = 1 over F_p; over Q a denominator
+    # comes from the algebra (R1d) or from c (a coefficient 1/2)
     bound = 8
-    t = truncate(parse_presentation(F, LEFT_PRODUCT_TEXTS[name]), bound)
+    if name == "R1d":  # y^2 = -x^2 / 2 over Q: the products carry denominators
+        p = rank_one(F, "R1d", (4, 1, 2), 2, 0)
+    else:
+        p = parse_presentation(F, LEFT_PRODUCT_TEXTS[name])
+    t = truncate(p, bound)
     rng = random.Random(7)
+    dens = {False: set(), True: set()}   # by whether c has the coefficient 1/2
     for e in range(4):
-        for _ in range(2):
+        for half in (False, False, True):
             c = normalized(F, [rng.randint(-3, 3) for _ in t.basis[e]])
-            c[rng.randrange(t.dim(e))] = F.one
+            c[rng.randrange(t.dim(e))] = F.coerce("1/2") if half else F.one
             for q in range(bound - e + 1):
                 expected = [apply_columns(F, t.word_mul_matrix(e, u), c) for u in t.basis[q]]
-                assert t.mul_columns(c, e, q, True) == expected, (e, q, c)
+                den, cols = t.mul_columns(c, e, q, True)
+                assert type(den) is int and den > 0
+                assert cols == [{k: den * x for k, x in col.items()} for col in expected], \
+                    (e, q, c)
+                if F == QQ:
+                    entries = [x for col in cols for x in col.values()]
+                    assert all(type(x) is int for x in entries)
+                    assert gcd(den, *entries) == 1
+                dens[half].add(den)
+    if F == QQ:
+        assert max(dens[True]) > 1 and (max(dens[False]) > 1) == (name == "R1d")
+    else:
+        assert dens[False] | dens[True] == {1}
 
 
 def test_only_the_append_maps_are_stored(monkeypatch):

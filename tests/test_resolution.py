@@ -36,9 +36,10 @@ def _kernel(res, i, j):
 
 
 def _maps(res):
-    """d_i at j, rebuilt from the entries of F_i, keyed (i, j) for every
+    """d_i at j, rebuilt from the entries of F_i as one multiple S d_i (S = 1
+    unless a product table over Q has a denominator), keyed (i, j) for every
     i >= 1 and every j from F_i's lowest generator degree through the bound."""
-    return {(i, j): _map_columns(res.algebra, step, res.steps[i - 1].gen_degrees, j)
+    return {(i, j): _map_columns(res.algebra, step, res.steps[i - 1].gen_degrees, j)[1]
             for i, step in enumerate(res.steps[1:], start=1)
             for j in range(step.gen_degrees[0], res.int_bound + 1)}
 
@@ -100,7 +101,7 @@ def test_exactness_per_internal_degree():
         for j in range(min(nxt.gen_degrees), res.int_bound + 1):
             rows = res.steps[i].gen_degrees
             image = RowSpan(t.field, _module_dim(t, [j - h for h in rows]))
-            image.extend(_map_columns(t, nxt, rows, j))
+            image.extend(_map_columns(t, nxt, rows, j)[1])
             echelon = res.echelons[(i, j)]
             assert echelon.width - echelon.dim == len(echelon.kernel_sparse()) == image.dim
 
@@ -206,25 +207,69 @@ def _unit_products(t, src_degrees, dst_degrees, coeff, left):
     return cols
 
 
+def _scale_of(F, scaled, cols):
+    """The S of `scaled` = (S, columns), after checking that the columns
+    are S times `cols` for one positive int S, every entry an int over Q
+    and S = 1 over F_p."""
+    S, scaled_cols = scaled
+    assert type(S) is int and S > 0
+    assert scaled_cols == [{k: S * x for k, x in col.items()} for col in cols]
+    if F == QQ:
+        assert all(type(x) is int for col in scaled_cols for x in col.values())
+    else:
+        assert S == 1
+    return S
+
+
 @pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
 @pytest.mark.parametrize("text", [ONE_SIDED, TWO_SIDED, "gen x:1, y:1; rel x^2 - 2*y*x"])
 def test_sparse_maps_match_dense_products(F, text):
-    # the stored d_i and the dual maps against unit vectors through mul
+    # the stored d_i and the dual maps against unit vectors through mul: each
+    # call hands back one integral multiple S of the map, S read from it
     res = minimal_resolution(truncate(parse_presentation(F, text), 7), 4)
     t = res.algebra
-    maps = _maps(res)
-    assert maps
-    for (i, j), cols in maps.items():
-        step, prev = res.steps[i], res.steps[i - 1].gen_degrees
-        assert cols == _unit_products(
-            t, [j - g for g in step.gen_degrees], [j - h for h in prev],
-            lambda a, b: step.entries[a][b], left=False)
+    scales = set()
     for i in range(1, len(res.steps)):
         step, prev = res.steps[i], res.steps[i - 1].gen_degrees
+        for j in range(step.gen_degrees[0], res.int_bound + 1):
+            scales.add(_scale_of(F, _map_columns(t, step, prev, j), _unit_products(
+                t, [j - g for g in step.gen_degrees], [j - h for h in prev],
+                lambda a, b: step.entries[a][b], left=False)))
         for m in range(-max(step.gen_degrees), res.window(i - 1) + 1):
-            assert _dual_columns(t, step, prev, m) == _unit_products(
+            scales.add(_scale_of(F, _dual_columns(t, step, prev, m), _unit_products(
                 t, [m + h for h in prev], [m + g for g in step.gen_degrees],
-                lambda b, a: step.entries[a][b], left=True)
+                lambda b, a: step.entries[a][b], left=True)))
+    # y*x = x^2 / 2 puts denominators into the products over Q
+    assert max(scales) > 1 if F == QQ and "2*y*x" in text else scales == {1}
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("text", ["R1d", "gen x:1, y:1; rel x^2 - 2*y*x"])
+def test_each_checked_map_is_one_multiple_of_d(F, text, monkeypatch):
+    # minimal_resolution keeps d_i at j, the new generators' columns too, as
+    # one multiple s of d_i, the d o d check reading it as d_i and as d_(i-1)
+    checked = {}
+    check = resolution._assert_complex
+
+    def record(field, i, below_maps, maps):
+        checked.update(((i, j), cols) for j, cols in maps.items())
+        check(field, i, below_maps, maps)
+
+    monkeypatch.setattr(resolution, "_assert_complex", record)
+    pres = (case_presentation(F, "R1d", R1D_PARAMS)[0] if text == "R1d"
+            else parse_presentation(F, text))
+    res = minimal_resolution(truncate(pres, 8), 4)
+    t = res.algebra
+    scales = set()
+    for (i, j), cols in checked.items():
+        step, prev = res.steps[i], res.steps[i - 1].gen_degrees
+        true = _unit_products(t, [j - g for g in step.gen_degrees], [j - h for h in prev],
+                              lambda a, b: step.entries[a][b], left=False)
+        x, y = next((col[k], d[k]) for col, d in zip(cols, true) for k in d)
+        s = F.div(x, y)
+        assert cols == [{k: F.mul(s, z) for k, z in d.items()} for d in true], (i, j)
+        scales.add(s)
+    assert max(scales) > 1 if F == QQ else scales == {1}
 
 
 def test_assert_complex_sees_a_corrupted_differential():
@@ -253,7 +298,7 @@ def test_independence_check_rejects_a_coboundary_or_zero_witness():
     assert (low.internal_degree, high.internal_degree) == (-1, 0)
     _verify_independent(res, [low, high])
     # d_1^* of the unit functional on F_0: a coboundary at (1, 0)
-    coboundary = _dual_columns(res.algebra, res.steps[1], res.steps[0].gen_degrees, 0)[0]
+    coboundary = _dual_columns(res.algebra, res.steps[1], res.steps[0].gen_degrees, 0)[1][0]
     assert coboundary
     for group in ([low, WitnessClass(1, 0, coboundary, "")],
                   [WitnessClass(1, -1, {}, ""), high],
@@ -456,7 +501,7 @@ def _full_dual_rank(res, i, m):
     if not 1 <= i < len(res.steps):
         return 0
     span = RowSpan(res.algebra.field, _hom_dim(res, i, m))
-    span.extend(_dual_columns(res.algebra, res.steps[i], res.steps[i - 1].gen_degrees, m))
+    span.extend(_dual_columns(res.algebra, res.steps[i], res.steps[i - 1].gen_degrees, m)[1])
     return span.dim
 
 
@@ -575,6 +620,12 @@ def test_a_report_is_freed_without_the_cycle_collector():
 
 
 FLAGSHIPS = {"R1c": [[1, 1, 0], [1, 1, 0], [1, 1, 0]], "R1a": [[0, 1, 1], [0, 1, 1], [0, 1, 1]]}
+# predicted presentations whose normal forms over Q carry denominators
+# (y^2 = -x^2/2 for R1d, -x^2/3 for R1e)
+GORENSTEIN_SIDE = {"R1d": [[4, 1, 2], [8, 2, 4], [0, 0, 0]],
+                   "R1e": [[4, 3, 1], [0, 0, 0], [8, 6, 2]]}
+# a NonGorenstein quadratic whose append maps over Q carry denominators
+DENOMINATORS = "gen x:1, y:1; rel x^2 - 2*x*y - 2*y*x + 4*y^2"
 
 # sha256 of gorenstein_certificate(...).to_json(), recorded before the
 # resolution's maps became sparse columns; hom_bound 6, int_bound 10
@@ -588,14 +639,21 @@ CERTIFICATE_DIGESTS = {
     ("R1c", "Q"): "5aabeef125d95feb6084f922c625a1272951634b463f42ca7699ab1b7614c52e",
     ("R1a", "Q"): "4f1785e4cc331ef1b97425cdbf29195786c29249141025cb256581c4b8fa9e45",
     ("R1a", "Fp:2147483659"): "bbe946bfe33df5ec26d8db88ec87ed42c34d31834931c36c4d44302d273f8606",
+    # recorded before the module maps over Q became integer multiples
+    (DENOMINATORS, "Q"): "4b49389427ffd7269c8f926c85b20a581d7fda2c05722feb8f1f9d113db5a75f",
+    (DENOMINATORS, "Fp:2147483659"):
+        "7dc11c7f44b4fe6be003d97cf8d3dbb5d042b7d0ac3f05a91c6a9bdb86a48c52",
+    ("R1d", "Q"): "0d87280e45df20ac542ff31764102c85db489be694bb11e5cefb904c9c101c12",
+    ("R1e", "Q"): "0d87280e45df20ac542ff31764102c85db489be694bb11e5cefb904c9c101c12",
 }
 
 
 @pytest.mark.parametrize("name,field_name", sorted(CERTIFICATE_DIGESTS))
 def test_certificate_bytes_are_pinned(name, field_name):
     F = field_from_name(field_name)
-    if name in FLAGSHIPS:
-        pres = classify(Matrix.from_rows(F, FLAGSHIPS[name])).predicted_presentation
+    rows = {**FLAGSHIPS, **GORENSTEIN_SIDE}.get(name)
+    if rows is not None:
+        pres = classify(Matrix.from_rows(F, rows)).predicted_presentation
     else:
         pres = parse_presentation(F, name)
     text = json.dumps(gorenstein_certificate(pres).to_json(), indent=2, sort_keys=True)
@@ -645,3 +703,25 @@ def test_resolution_internals_are_pinned(field_name):
                         for (i, j), cols in sorted(_maps(res).items())]}
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RESOLUTION_DIGESTS[field_name]
+
+
+# sha256 of the key-sorted JSON of the betti numbers, the differential
+# entries of every F_i and every stored kernel basis of
+# minimal_resolution(truncate(R1d over Q, 10), 6), recorded before the
+# module maps over Q became integer multiples; the map columns are left
+# out, as they are pinned only up to one scalar per map
+R1D_RESOLUTION_DIGEST = "f75a0201789a0d23f0a1226d0ace56286f00b6dbb7b0eff44eb0a9aa96efc099"
+
+
+def test_resolution_internals_with_denominators_are_pinned():
+    pres = classify(Matrix.from_rows(QQ, GORENSTEIN_SIDE["R1d"])).predicted_presentation
+    res = minimal_resolution(truncate(pres, 10), 6)
+    entries = [[i, [[None if e is None else [e.degree, _sparse_items(e.vec)] for e in row]
+                    for row in step.entries]]
+               for i, step in enumerate(res.steps) if step.entries is not None]
+    payload = {"betti": res.betti, "entries": entries,
+               "kernels": [[i, j, [_sparse_items(v) for v in _kernel(res, i, j)]]
+                           for i, j in sorted(res.echelons)]}
+    text = json.dumps(payload, sort_keys=True)
+    assert any("/" in x for _i, _j, vecs in payload["kernels"] for v in vecs for _k, x in v)
+    assert hashlib.sha256(text.encode()).hexdigest() == R1D_RESOLUTION_DIGEST
