@@ -10,6 +10,9 @@ reports are byte-identical whatever order the degrees are built in.  Both
 cocycle tests, of the representatives and of a `class_of` input, run the
 differential's kernel on the sparse vectors and test its sums for zero
 (exactly over Q, mod p over F_p), without building d(z) as an element.
+The representatives and a class's representative are built straight from
+the rows and residues the `RowSpan`s hand back, whose scalars are in normal
+form already.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from .complexes import CochainComplex
 from .dg import DGSpec, _d_kills, d_columns
 from .errors import BoundInsufficientError
 from .fields import check_same_field
-from .skew import GradedElement, basis_position, degree_dim
+from .skew import GradedElement, basis_monomials, basis_position, degree_dim
+
+
+def _element(field, degree: int, vec: dict) -> GradedElement:
+    """The element with coefficients vec, a sparse vector on degree_basis(degree)
+    whose scalars a `RowSpan` handed back, so already in normal form."""
+    basis = basis_monomials(degree)
+    return GradedElement(field, degree, {basis[j]: x for j, x in vec.items()})
 
 
 @dataclass
@@ -65,7 +75,7 @@ class CohomologyReport:
             # row) leaves one of them outside Z^n; d itself decides
             if not _d_kills(self.spec, n, rows):
                 raise AssertionError(f"degree {n}: a representative is not a cocycle")
-            built = [GradedElement.from_sparse(self.spec.field, n, row) for row in rows]
+            built = [_element(self.spec.field, n, row) for row in rows]
             self._bases[n] = built
         return built
 
@@ -90,8 +100,7 @@ class CohomologyReport:
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")
         # the residue is the combination coeffs of the representatives
-        return CohomologyClass(deg, GradedElement.from_sparse(self.spec.field, deg, residue),
-                               tuple(coeffs))
+        return CohomologyClass(deg, _element(self.spec.field, deg, residue), tuple(coeffs))
 
     def class_product(self, u: CohomologyClass, v: CohomologyClass) -> CohomologyClass:
         """Class of representative(u) * representative(v)."""

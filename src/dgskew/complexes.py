@@ -42,6 +42,18 @@ of the classes and is stored as it comes.  It reads the columns of d^n off
 B^n's pivots that `boundaries(n + 1)` eliminated, kept until then for it
 alone, so each is built once.  `cocycles(n)` asks the callback for every
 column of d^n.  A negative degree raises ValueError.
+
+A caller may name the maps, `key(n)` a hashable name of d^n, and own a
+dict `store` of boundary spaces by name, shared by every complex it gives
+it.  B^(n+1) = im d^n depends on the map alone, not on the complex around
+it nor on B^n, and every read of a boundary space (its dim, its pivots,
+`reduce`) is canonical for the subspace: so a complex whose d^n has a name
+in the store takes that span and eliminates nothing.  A reused span is
+checked, raising AssertionError that names the degree, unless its width is
+dim C^(n+1) and its dim at most dim C^n - dim B^n, the highest rank of a
+map that kills B^n; `classes` then checks it against this complex's own
+d^n as it checks every B^(n+1).  No columns of d^n were read for a reused
+span, so `classes(n)` asks the callback for those off B^n's pivots.
 """
 
 from __future__ import annotations
@@ -59,10 +71,14 @@ class CochainComplex:
     """One complex: its boundaries and classes, each built once, and its
     cocycles on demand."""
 
-    def __init__(self, field, width, columns):
+    def __init__(self, field, width, columns, key=None, store=None):
         self.field = field
         self.width = width
         self.columns = columns
+        # key(n) names the map d^n; store, a dict the caller owns, keeps
+        # B^(n+1) = im d^n under that name for every complex given it
+        self._key = key
+        self._store = store
         self._boundaries = [RowSpan(field, width(0))]     # B^0 = 0
         # n -> the columns of d^n off B^n's pivots, read by boundaries(n + 1)
         # and kept until classes(n), their one other reader, pops them
@@ -76,10 +92,23 @@ class CochainComplex:
         built = self._boundaries
         while len(built) <= n:
             k = len(built) - 1
-            span = RowSpan(self.field, self.width(k + 1))
-            if span.width:
-                columns = self._columns[k] = self.columns(k, frozenset(built[k].pivots))
-                span.extend(columns)
+            name = None if self._key is None else self._key(k)
+            span = None if name is None else self._store.get(name)
+            if span is None:
+                span = RowSpan(self.field, self.width(k + 1))
+                if span.width:
+                    columns = self._columns[k] = self.columns(k, frozenset(built[k].pivots))
+                    span.extend(columns)
+                if name is not None:
+                    self._store[name] = span
+            else:
+                # d^k kills B^k: its rank is at most dim C^k - dim B^k
+                width, most = self.width(k + 1), self.width(k) - built[k].dim
+                if span.width != width or span.dim > most:
+                    raise AssertionError(
+                        f"degree {k}: the stored image of d^{k} has width {span.width} "
+                        f"and dim {span.dim}, but C^{k + 1} has width {width} and d^{k} "
+                        f"rank at most {most}")
             built.append(span)
         return built[n]
 
@@ -136,9 +165,14 @@ class CochainComplex:
             k = len(built)
             skip = frozenset(self.boundaries(k).pivots)
             kept = [j for j in range(self.width(k)) if j not in skip]
-            # past the last term no columns were read: d^k maps to C^(k+1) = 0
-            columns = (self._columns.pop(k) if self.boundaries(k + 1).width
-                       else [{} for _ in kept])
+            # past the last term no columns were read: d^k maps to C^(k+1) = 0;
+            # a B^(k+1) from the store left none to read, so they are asked for
+            if not self.boundaries(k + 1).width:
+                columns = [{} for _ in kept]
+            elif k in self._columns:
+                columns = self._columns.pop(k)
+            else:
+                columns = self.columns(k, skip)
             span = RowSpan(self.field, self.width(k))
             span.extend(self._kernel(k, kept[::-1], columns[::-1]))
             built.append(span)

@@ -309,9 +309,12 @@ class TruncatedAlgebra:
         u = b + (g,), whose prefix b is a basis word, c*u = (c*b)*g is one
         append step on the column of b in c*A_(q-|g|), which is cached too.
         Right products apply `word_mul_matrix` of c's basis words: an append
-        map for a letter, a fresh table for a longer word.  These tables
-        are the one store besides the append maps, shared between callers:
-        read them only."""
+        map for a letter, a fresh table for a longer word.  When c is one
+        basis word w with coefficient 1, u*c = u*w and the table is w's
+        word table itself, with no product built: for a letter the stored
+        append map, handed back uncopied where it holds no denominator
+        (always over F_p).  These tables are the one store besides the
+        append maps, shared between callers: read them only."""
         key = (tuple(sorted(coeffs.items())), degree, q, left)
         table = self._mul_columns_cache.get(key)
         if table is None:
@@ -319,9 +322,15 @@ class TruncatedAlgebra:
                 raise BoundInsufficientError("a product", degree + q, self.bound)
             F = self.field
             if not left:
-                rights = {k: self.word_mul_matrix(q, self.basis[degree][k]) for k in coeffs}
-                cols = [apply_columns(F, {k: t[w] for k, t in rights.items()}, coeffs)
-                        for w in range(len(self.basis[q]))]
+                if len(coeffs) == 1 and 1 in coeffs.values():
+                    # one basis word w: the table is w's own, for a letter
+                    # its stored append map
+                    [k] = coeffs
+                    cols = self.word_mul_matrix(q, self.basis[degree][k])
+                else:
+                    rights = {k: self.word_mul_matrix(q, self.basis[degree][k]) for k in coeffs}
+                    cols = [apply_columns(F, {k: t[w] for k, t in rights.items()}, coeffs)
+                            for w in range(len(self.basis[q]))]
                 dens = [1] * len(cols)
             elif q == 0:
                 cols, dens = [normalized(F, coeffs)], [1]

@@ -19,7 +19,12 @@ Ext against the algebra is the cohomology of the dual complex at each
 internal degree m, Hom(F_i, A)_m with d^i the dual of d_{i+1}: one
 `complexes.CochainComplex` per m, kept on the report as
 `ResolutionReport.dual(m)` and read by the certificate for its witnesses
-and their independence.
+and their independence.  The dual complexes of one report share one store
+of boundary spaces, keyed by the map: B^(i+1) = im d^i depends on d^i
+alone.  The resolution of k<x,y>/(q^2), q a linear form (the degenerate
+quadratics and the NonGorenstein flagships' presentations), has the one
+entry q at every step from 3 on, so there d^i at m is d^(i-1) at m + 1 and
+is eliminated once (see `ResolutionReport.dual` and `complexes`).
 
 Every vector is a sparse dict ``{index: nonzero}``: a differential entry
 on its degree's algebra basis, a kernel element on a free module, a
@@ -49,7 +54,7 @@ from typing import NamedTuple
 
 from .complexes import CochainComplex
 from .errors import BoundInsufficientError
-from .linalg import RowSpan, columns_to_rows, kills
+from .linalg import RowSpan, columns_to_rows, integral_columns, kills
 from .presentations import AlgebraPresentation, TruncatedAlgebra, truncate
 
 
@@ -69,6 +74,12 @@ class FreeStep:
 
     gen_degrees: list
     entries: list | None
+
+
+def _entries_key(step: FreeStep):
+    """F_i's entries as one hashable value, equal for equal entries."""
+    return tuple(tuple(None if e is None else (e.degree, tuple(sorted(e.vec.items())))
+                       for e in row) for row in step.entries)
 
 
 def _block_dim(t: TruncatedAlgebra, j: int) -> int:
@@ -164,6 +175,11 @@ class ResolutionReport:
     echelons: dict = dataclass_field(default_factory=dict, repr=False)
     stopped_at: int | None = None    # first i with no kernel generators <= bound
     _duals: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    # map name -> B^(n+1) = im d^n, shared by every dual complex with that d^n
+    _spans: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
+    # i -> the hashable form of F_i's entries, part of every name of d_i^*
+    _entry_keys: dict = dataclass_field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     @property
     def betti(self):
@@ -177,19 +193,40 @@ class ResolutionReport:
 
     def dual(self, m: int) -> CochainComplex:
         """Hom(F_., A)_m: C^i is Hom(F_i, A)_m, d^i the dual of d_{i+1}.
-        Built on first use and kept on the report."""
+        Built on first use and kept on the report.
+
+        Every dual complex of the report shares one store of boundary
+        spaces, keyed by the map: d^i is named by its source block degrees
+        m + h, h in F_i's generator degrees, its target block degrees
+        m + g, g in F_(i+1)'s, each clipped to the truncation (an empty
+        block is None), and F_(i+1)'s entries.  Equal names are equal maps,
+        and B^(i+1) = im d^i depends on the map alone, so it is eliminated
+        once per name: where two steps have the same entries and generator
+        degrees one apart, d^i at m is d^(i-1) at m + 1."""
         if m not in self._duals:
-            # the callbacks hold the algebra and the steps, not the report, so
-            # that no reference cycle keeps a report alive past its last use
-            t, steps = self.algebra, self.steps
+            # the callbacks hold the algebra, the steps and the two stores,
+            # not the report, so that no reference cycle keeps a report alive
+            # past its last use
+            t, steps, entry_keys = self.algebra, self.steps, self._entry_keys
 
             def width(i):
                 gens = steps[i].gen_degrees if i < len(steps) else []
                 return _module_dim(t, [m + g for g in gens])
 
+            def blocks(i):
+                gens = steps[i].gen_degrees if i < len(steps) else []
+                return tuple(m + g if 0 <= m + g <= t.bound else None for g in gens)
+
+            def key(i):
+                if i + 1 not in entry_keys:
+                    entry_keys[i + 1] = (_entries_key(steps[i + 1]) if i + 1 < len(steps)
+                                         else None)
+                return blocks(i), blocks(i + 1), entry_keys[i + 1]
+
             self._duals[m] = CochainComplex(
                 t.field, width,
-                lambda i, skip: _dual_columns(t, steps[i + 1], steps[i].gen_degrees, m, skip)[1])
+                lambda i, skip: _dual_columns(t, steps[i + 1], steps[i].gen_degrees, m, skip)[1],
+                key, self._spans)
         return self._duals[m]
 
     def euler_defect(self, n: int) -> int:
@@ -232,9 +269,10 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
     the column span of the same columns become F_i's degree-j generators and
     complete d_i at j; an AssertionError naming (i, j) is raised unless they
     number exactly the shortfall.  The columns are those of S d_i for the S
-    of `_map_columns` at j, the new ones too, so over Q they hold ints but
-    where a new generator's kernel vector has a denominator S does not
-    clear; the generators' entries are d_i's own.
+    of `_map_columns` at j, the new ones too; where a new generator's
+    kernel vector has a denominator S does not clear, every column of the
+    degree is scaled by the least one that does, so over Q they hold ints.
+    The generators' entries are d_i's own.
 
     The count check is also the row restriction's rank oracle: as d_{i-1}
     d_i = 0, the picks number dim ker d_{i-1} minus the column rank and the
@@ -280,8 +318,15 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
                     step.entries.append(
                         [AlgElt(j - h, seg) if seg else None
                          for h, seg in zip(prev, _segments(t, [j - h for h in prev], v))])
-                    # times S, as the lower columns: maps[j] is one multiple of d_i
-                    cols.append({k: S * x for k, x in v.items()} if S != 1 else v)
+                # times S, as the lower columns, and then every column times
+                # the least den that clears the new ones: maps[j] is one
+                # integral multiple of d_i
+                den, new = integral_columns(
+                    [{k: S * x for k, x in v.items()} if S != 1 else v for v in picked],
+                    [1] * len(picked))
+                if den != 1:
+                    cols = [{k: den * x for k, x in col.items()} for col in cols]
+                cols.extend(new)
             if not step.gen_degrees:
                 continue
             maps[j] = cols

@@ -7,7 +7,9 @@ rank d^n = r_n and dim H^n = dim C^n - r_(n-1) - r_n are then known.
 
 The engine's two instances, the skew cohomology and the dual of a minimal
 resolution, are checked for a negative degree and for the column requests
-a full read of their classes makes.
+a full read of their classes makes.  Complexes that share a store of
+boundary spaces are checked against the same complexes without one, and a
+stored span of the wrong shape must be refused.
 """
 
 from collections import Counter
@@ -24,7 +26,7 @@ from dgskew.dg import DGSpec
 from dgskew.fields import QQ, PrimeField, field_from_name
 from dgskew.linalg import Matrix, RowSpan, apply_columns, columns_to_rows, dense
 from dgskew.presentations import parse_presentation, truncate
-from dgskew.resolution import gorenstein_certificate, minimal_resolution
+from dgskew.resolution import ext_against_algebra, gorenstein_certificate, minimal_resolution
 
 
 def _invertible(draw, F, n):
@@ -191,6 +193,63 @@ def test_shared_columns_are_read_only_to_every_receiver(complex_data, data):
     assert snapshot() == before
 
 
+@given(complexes())
+@settings(max_examples=60, deadline=None)
+def test_a_shared_store_changes_nothing(complex_data):
+    # the complex and its shift by one degree name each d^n by its matrix
+    # and share one store, so the second to reach a map reuses the first's
+    # B^(n+1): every boundary space, cocycle basis and class must be those
+    # of the same complex built with no store
+    F, widths, ranks, maps = complex_data
+    store = {}
+    keyed, plain = [], []
+    for shift in (0, 1):
+        ws, ms = widths[shift:], maps[shift:]
+        cx = _engine(F, ws, ms)
+        plain.append(cx)
+        # past the last map d^n is the zero map to C^(n+1) = 0
+        keyed.append(CochainComplex(F, cx.width, cx.columns,
+                                    lambda n, ms=ms, cx=cx: ms[n] if n < len(ms) else cx.width(n),
+                                    store))
+    for cx, ref in zip(keyed, plain):
+        for n in range(len(widths)):
+            assert cx.boundaries(n).pivots == ref.boundaries(n).pivots
+            assert cx.boundaries(n).rows_sparse() == ref.boundaries(n).rows_sparse()
+            assert cx.dim(n) == ref.dim(n)
+            assert cx.cocycles(n) == ref.cocycles(n)
+            assert cx.classes(n).rows_sparse() == ref.classes(n).rows_sparse()
+    # each matrix was eliminated once, by whichever complex read it first
+    if len(maps) > 1:
+        assert keyed[0].boundaries(2) is keyed[1].boundaries(1)
+
+
+def _two_maps(store):
+    """Q -> Q^2 -> Q, d^0 = (1, 0), d^1 = (0 1), both named "d"."""
+    F = QQ
+    maps = [Matrix.from_rows(F, [[1], [0]]), Matrix.from_rows(F, [[0, 1]])]
+    cx = _engine(F, [1, 2, 1], maps)
+    return CochainComplex(F, cx.width, cx.columns, lambda n: "d", store)
+
+
+def test_a_reused_span_of_the_wrong_width_is_refused():
+    # B^1 = im d^0, of width 2, is stored under "d" and offered as B^2
+    cx = _two_maps({})
+    assert cx.boundaries(1).dim == 1
+    with pytest.raises(AssertionError, match=r"^degree 1: the stored image of d\^1 has width 2 "
+                                             r"and dim 1, but C\^2 has width 1"):
+        cx.boundaries(2)
+
+
+def test_a_reused_span_of_too_high_a_rank_is_refused():
+    # d^0 on C^0 = Q has rank at most 1: a stored image of dim 2 is refused
+    span = RowSpan(QQ, 2)
+    span.extend([{0: 1}, {1: 1}])
+    with pytest.raises(AssertionError, match=r"^degree 0: the stored image of d\^0 has width 2 "
+                                             r"and dim 2, but C\^1 has width 2 and d\^0 rank "
+                                             r"at most 1$"):
+        _two_maps({"d": span}).rank(0)
+
+
 NEGATIVE_DEGREE_COMPLEXES = {
     "cohomology": lambda: cohomology(DGSpec.from_rows(QQ, [[1, 2, 3], [0, 1, 4], [5, 6, 0]]),
                                      4)._complex,
@@ -216,12 +275,12 @@ def _counting_columns(monkeypatch):
     requests, indices = Counter(), Counter()
     init = CochainComplex.__init__
 
-    def counting(self, field, width, columns):
+    def counting(self, field, width, columns, *store):
         def counted(n, skip):
             requests[id(self), n] += 1
             indices.update((id(self), n, j) for j in range(width(n)) if j not in skip)
             return columns(n, skip)
-        init(self, field, width, counted)
+        init(self, field, width, counted, *store)
 
     monkeypatch.setattr(CochainComplex, "__init__", counting)
     return requests, indices
@@ -266,3 +325,32 @@ def test_a_dual_complex_requests_each_map_once(monkeypatch):
         cx.cocycles(1)
         assert requests == {(id(cx), 1): 1}, m
         assert indices == {(id(cx), 1, j): 1 for j in range(cx.width(1))}, m
+    # the whole table asks once for each distinct dual map into a nonzero
+    # C^(i+1): 33 requests, not one per complex and degree (65 of the 75
+    # B^i, i >= 1, that the report's 15 complexes read): d^i at m is
+    # d^(i-1) at m + 1 for i >= 3, where every entry is y
+    res = minimal_resolution(truncate(parse_presentation(QQ, text), 10), 6)
+    requests.clear()
+    ext_against_algebra(res)
+    assert set(requests.values()) == {1}
+    assert len(requests) == sum(1 for s in res._spans.values() if s.width) == 33
+    assert len(res._spans) == 36
+    read = [b for cx in res._duals.values() for b in cx._boundaries[1:]]
+    assert (len(read), sum(1 for b in read if b.width)) == (75, 65)
+    # at m = 0, B^4 = im d^3 came from the store, from d^2 at m = 1, so
+    # classes(3) asks for the columns of d^3 off B^3's pivots, which no
+    # elimination read, once, and the cocycles of degree 3 for all of d^3
+    cx = res.dual(0)
+    assert sorted(cx._columns) == [0, 1, 2]
+    requests.clear()
+    indices.clear()
+    cx.classes(3)
+    assert requests == {(id(cx), 3): 1}
+    assert indices == {(id(cx), 3, j): 1 for j in range(cx.width(3))
+                       if j not in cx.boundaries(3).pivots}
+    assert cx._columns == {}
+    requests.clear()
+    indices.clear()
+    cx.cocycles(3)
+    assert requests == {(id(cx), 3): 1}
+    assert indices == {(id(cx), 3, j): 1 for j in range(cx.width(3))}

@@ -196,6 +196,34 @@ def test_left_products_match_the_word_tables(F, name):
         assert dens[False] | dens[True] == {1}
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=["Q", "F7"])
+@pytest.mark.parametrize("name", sorted(LEFT_PRODUCT_TEXTS) + ["R1d"])
+def test_right_products_by_a_basis_word_are_its_word_table(F, name):
+    # for c one basis word w with coefficient 1, u * c is u * w: the table
+    # is w's word table, for a letter its stored append map itself over
+    # F_p; over Q an append map with denominators comes back integral
+    bound = 8
+    if name == "R1d":  # a degree-2 generator; y^2 = -x^2 / 2 over Q
+        p = rank_one(F, "R1d", (4, 1, 2), 2, 0)
+    else:
+        p = parse_presentation(F, LEFT_PRODUCT_TEXTS[name])
+    t = truncate(p, bound)
+    stored, dens = 0, set()
+    for e in range(1, bound + 1):
+        for k, w in enumerate(t.basis[e]):
+            for q in range(bound - e + 1):
+                den, cols = t.mul_columns({k: F.one}, e, q, False)
+                assert type(den) is int and den > 0
+                dens.add(den)
+                assert cols == [{r: den * x for r, x in t.mul({j: F.one}, q, {k: F.one}, e).items()}
+                                for j in range(t.dim(q))], (e, k, q)
+                if F != QQ and len(w) == 1:
+                    assert den == 1 and cols is t._append_maps[q, w[0]]
+                    stored += 1
+    assert stored or F == QQ
+    assert (max(dens) > 1) == (F == QQ and name == "R1d")
+
+
 def test_only_the_append_maps_are_stored(monkeypatch):
     # a certificate multiplies on both sides, and the cubic relation asks
     # for two-letter prefixes; still only one map per (degree, letter) stays

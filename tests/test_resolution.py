@@ -1,7 +1,9 @@
+import ast
 import gc
 import hashlib
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -526,8 +528,9 @@ def test_ext_dims_match_ranks_of_the_full_dual_maps(F, text):
 
 def test_a_certificate_eliminates_each_dual_map_once(monkeypatch):
     # every RowSpan the engine makes is a stored B^n, one column elimination
-    # of d^(n-1) at m for each n up to the highest rank the table reads at
-    # m, or the one row elimination behind the cocycles at a witness bidegree
+    # per distinct map d^(n-1) that the table reads (B^0 = 0 is made by each
+    # complex), or the one row elimination behind the cocycles at a witness
+    # bidegree
     made = []
 
     class CountingRowSpan(RowSpan):
@@ -566,7 +569,12 @@ def test_a_certificate_eliminates_each_dual_map_once(monkeypatch):
     # the independence check builds the classes of every degree up to the
     # witness's at its m: one row elimination and one span each
     assert len(classes) == sum(i + 1 for i, _m in witnessed)
-    assert len(made) == len(stored) + len(witnessed) + 2 * len(classes)
+    # B^i at m + 1 is B^(i+1) at m for i >= 3 (every entry is y there): 90
+    # reads of 51 spans, 15 B^0 and one per name in the report's store
+    distinct = list({id(b): b for b in stored}.values())
+    assert (len(stored), len(distinct)) == (90, 51)
+    assert len(distinct) == len(read) + len(res._spans)
+    assert len(made) == len(distinct) + len(witnessed) + 2 * len(classes)
     assert all(any(s is b for b in made) for s in stored + classes)
 
 
@@ -658,6 +666,73 @@ def test_certificate_bytes_are_pinned(name, field_name):
         pres = parse_presentation(F, name)
     text = json.dumps(gorenstein_certificate(pres).to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[(name, field_name)]
+
+
+def _bench_certificate_sources():
+    """The matrices (as rows) and presentation texts of the benchmark's
+    eight certificate jobs, read from bench/workloads.py, by job name."""
+    constants = {node.targets[0].id: ast.literal_eval(node.value)
+                 for node in ast.parse(BENCH_WORKLOADS.read_text()).body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and getattr(node.targets[0], "id", None) in
+                 ("FLAGSHIPS", "DEGENERATE_QUADRATICS", "GORENSTEIN_SIDE")}
+    sources = {f"flagship{k + 1}": rows for k, (_, rows) in enumerate(constants["FLAGSHIPS"])}
+    sources.update((f"degenerate{k + 1}", text)
+                   for k, text in enumerate(constants["DEGENERATE_QUADRATICS"]))
+    sources.update(constants["GORENSTEIN_SIDE"])
+    return sources
+
+
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+# the entries of F_i alternate between diag(y, x) and diag(x, y): d^i at m
+# and d^(i-1) at m + 1 have the same block degrees but are different maps
+ALTERNATING = "gen x:1, y:1; rel x*y; rel y*x"
+SHARED_SPAN_SOURCES = {**_bench_certificate_sources(),
+                       **{name: {**FLAGSHIPS, **GORENSTEIN_SIDE}.get(name, name)
+                          for name, _ in CERTIFICATE_DIGESTS},
+                       ALTERNATING: ALTERNATING}
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2147483659"])
+@pytest.mark.parametrize("name", sorted(SHARED_SPAN_SOURCES))
+def test_shared_dual_spans_match_complexes_without_a_store(monkeypatch, name, field_name):
+    # each dual map is eliminated once per report and its B^(n+1) shared by
+    # every dual complex with the same map: every B^n the certificate reads
+    # must have the dim and pivots of the same complex built with no store,
+    # and the Ext table must be the one those complexes give
+    F = field_from_name(field_name)
+    source = SHARED_SPAN_SOURCES[name]
+    if isinstance(source, str):
+        pres = parse_presentation(F, source)
+    else:
+        pres = classify(Matrix.from_rows(F, source)).predicted_presentation
+    kept = []
+    ext = resolution.ext_against_algebra
+
+    def keep(report):
+        kept.append((report, ext(report)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(resolution, "ext_against_algebra", keep)
+    gorenstein_certificate(pres)
+    [(res, table)] = kept
+    # every resolution here but the skew plane's, which stops at F_2,
+    # repeats its entries from step 3 on, and some spans are then shared
+    reads = sum(len(cx._boundaries) - 1 for cx in res._duals.values())
+    assert (len(res._spans) < reads) == (source != SKEW_PLANE), (len(res._spans), reads)
+    plain = {m: complexes.CochainComplex(cx.field, cx.width, cx.columns)
+             for m, cx in res._duals.items()}
+    for m, cx in res._duals.items():
+        for n, span in enumerate(cx._boundaries):
+            want = plain[m].boundaries(n)
+            assert (span.width, span.dim, span.pivots) == (want.width, want.dim, want.pivots), \
+                (m, n)
+    dims = {}
+    for i, step in enumerate(res.steps[:res.hom_bound]):
+        for m in range(-max(step.gen_degrees), table.windows[i] + 1):
+            if _hom_dim(res, i, m) and plain[m].dim(i):
+                dims[(i, m)] = plain[m].dim(i)
+    assert table.dims == dims
 
 
 # sha256 of gorenstein_certificate(R1c flagship, 6, 14).to_json(), recorded
