@@ -58,8 +58,12 @@ class CohomologyReport:
     @property
     def bases(self) -> list:
         """Per degree, the list of GradedElement representatives; builds
-        every degree."""
-        return [self.basis(deg) for deg in range(self.max_degree + 1)]
+        every degree on first read."""
+        degrees = range(self.max_degree + 1)
+        if len(self._bases) < len(degrees):
+            for deg in degrees:
+                self.basis(deg)
+        return [self._bases[deg] for deg in degrees]
 
     def basis(self, n: int) -> list:
         """The GradedElement representatives of degree n, the complex's

@@ -38,10 +38,19 @@ takes the columns in the order of C^n: its basis is the one the
 certificate's witnesses are read off.  `classes` takes them last-first: the
 first nonzero of each kernel vector in C^n is then at its free column,
 where every other vector is 0, so the basis is already the reduced echelon
-of the classes and is stored as it comes.  It reads the columns of d^n off
-B^n's pivots that `boundaries(n + 1)` eliminated, kept until then for it
-alone, so each is built once.  `cocycles(n)` asks the callback for every
-column of d^n.  A negative degree raises ValueError.
+of the classes: the class span takes it over (`extend` with ``adopt``),
+and a reduced echelon goes in with no arithmetic.  `classes(n)` reads the
+columns of d^n off B^n's pivots that `boundaries(n + 1)` eliminated, kept
+until then for it alone, so each is built once.  `cocycles(n)` asks the
+callback for every column of d^n.  A negative degree raises ValueError.
+
+Who owns a vector: the engine copies what the callback hands it (the
+columns it eliminates for B^(n+1), keeps for `classes(n)` and tests with
+`kills`), so a callback may hand over columns it keeps, such as cached
+product tables.  What the engine builds only to hand over, it hands over
+without a copy: the rows of d^n at B^(n+1)'s pivots, built for the kernel
+elimination alone, and the kernel vectors `classes` turns into its span,
+which the elimination builds indexed in C^n (`kernel_sparse(kept)`).
 
 A caller may name the maps, `key(n)` a hashable name of d^n, and own a
 dict `store` of boundary spaces by name, shared by every complex it gives
@@ -123,7 +132,7 @@ class CochainComplex:
 
     def _kernel(self, n: int, kept, columns):
         """A basis of the kernel of d^n on `columns`, the columns of the
-        indices `kept` of C^n in that order, indexed as in C^n.
+        indices `kept` of C^n in that order, built indexed as in C^n.
 
         Pivots sit at the first nonzero in the order of `kept`, so the
         vector of each free index f is 1 at f, 0 at every other free index
@@ -134,16 +143,16 @@ class CochainComplex:
         image = self.boundaries(n + 1)
         echelon = RowSpan(self.field, len(kept))
         if image.dim:
-            rows = columns_to_rows(columns, image.width)
-            echelon.extend(rows[q] for q in image.pivots)
+            echelon.extend(columns_to_rows(columns, image.pivots), adopt=True)
         if echelon.dim != image.dim:
             raise AssertionError(f"degree {n}: the rows of d^{n} at the pivots of B^{n + 1} "
                                  f"have rank {echelon.dim}, its columns {image.dim}")
-        kernel = echelon.kernel_sparse()
-        if not all(kills(self.field, columns, v) for v in kernel):
+        kernel = echelon.kernel_sparse(kept)
+        by_index = dict(zip(kept, columns))
+        if not all(kills(self.field, by_index, v) for v in kernel):
             raise AssertionError(f"degree {n}: d^{n} does not kill the kernel of its rows "
                                  f"at the pivots of B^{n + 1}")
-        return [{kept[k]: x for k, x in v.items()} for v in kernel]
+        return kernel
 
     def cocycles(self, n: int) -> list:
         """The kernel basis of d^n, one vector per free column of its
@@ -174,6 +183,6 @@ class CochainComplex:
             else:
                 columns = self.columns(k, skip)
             span = RowSpan(self.field, self.width(k))
-            span.extend(self._kernel(k, kept[::-1], columns[::-1]))
+            span.extend(self._kernel(k, kept[::-1], columns[::-1]), adopt=True)
             built.append(span)
         return built[n]

@@ -300,13 +300,12 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
             # eliminated on its rows at the free coordinates of d_{i-1}'s
             # echelon: the columns lie in ker d_{i-1}, where a vector is fixed
             # by those coordinates, so these rows have the full kernel
-            rows = columns_to_rows(cols, _module_dim(t, [j - h for h in prev]))
             echelon = RowSpan(F, len(cols))
-            echelon.extend(rows[f] for f in below.free)
+            echelon.extend(columns_to_rows(cols, below.free), adopt=True)
             if echelon.dim < kernel_dim:
                 # by exactness below j the old image lies in ker d_{i-1} at
                 # j, so a generator is born here only when its rank falls short
-                span = RowSpan(F, len(rows))
+                span = RowSpan(F, _module_dim(t, [j - h for h in prev]))
                 span.extend(cols)
                 picked = [v for v in below.kernel_sparse() if span.add(v)]
                 if len(picked) != kernel_dim - echelon.dim:

@@ -268,7 +268,7 @@ def test_one_elimination_per_differential_in_any_order(monkeypatch, field_name, 
 
 def _full_row_echelon(F, spec, deg):
     echelon = RowSpan(F, degree_dim(deg))
-    echelon.extend(columns_to_rows(d_columns(spec, deg), degree_dim(deg + 1)))
+    echelon.extend(columns_to_rows(d_columns(spec, deg), range(degree_dim(deg + 1))))
     return echelon
 
 
@@ -309,10 +309,10 @@ def test_elimination_of_d_receives_at_most_the_next_cocycle_rank_rows(monkeypatc
     received = []
 
     class CountingRowSpan(RowSpan):
-        def extend(self, vectors):
+        def extend(self, vectors, adopt=False):
             vectors = list(vectors)
             received.append((self.width, len(vectors)))
-            super().extend(vectors)
+            super().extend(vectors, adopt)
 
     monkeypatch.setattr(complexes, "RowSpan", CountingRowSpan)
     F = dgskew.field_from_name(field_name)
@@ -377,14 +377,19 @@ def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
     # empty the first nonzero row of d_2, which sits at the first pivot of
     # B^3: the rows of d_2 at those pivots then fall short of its column
     # rank.  Over rank 1 the classes of degree 2 are not empty: the check
-    # fires on the last-first elimination before any of them is served
+    # fires on the last-first elimination before any of them is served.
+    # The kernel asks for the rows at B^3's pivots; the double counts the
+    # calls it empties, so a double that never fires fails on that count
     full = complexes.columns_to_rows
+    b3_pivots = []
+    emptied = []
 
-    def lossy(columns, nrows):
-        rows = full(columns, nrows)
-        if nrows == degree_dim(3):
-            rows[min(i for i, row in enumerate(rows) if row)] = {}
-        return rows
+    def lossy(columns, indices):
+        out = full(columns, indices)
+        if list(indices) == b3_pivots[-1]:
+            out[0] = {}
+            emptied.append(len(b3_pivots))
+        return out
 
     monkeypatch.setattr(complexes, "columns_to_rows", lossy)
     for field_name, (rank, dims, dim_b3) in product(("Q", "Fp:2147483659"),
@@ -392,12 +397,14 @@ def test_an_elimination_that_lost_a_row_is_caught(monkeypatch):
                                                      (1, [1, 2, 3, 4, 5], 2)]):
         F = dgskew.field_from_name(field_name)
         report = cohomology(DGSpec.from_rows(F, RANK_MATRICES[rank]), 4)
+        b3_pivots.append(list(report._complex.boundaries(3).pivots))
         assert report.dims == dims
         assert report.unit_class().coordinates == (1,)
         with pytest.raises(AssertionError, match=rf"degree 2: the rows of d\^2 at the pivots "
                                                  rf"of B\^3 have rank {dim_b3 - 1}, its columns "
                                                  rf"{dim_b3}$"):
             report.to_json()
+        assert emptied == list(range(1, len(b3_pivots) + 1))
 
 
 def test_class_of_rejects_a_negative_degree():
@@ -454,3 +461,46 @@ def test_boundary_span_above_the_queried_degree_is_checked():
     _short_of_its_last_row(report._complex, 4)
     with pytest.raises(AssertionError, match=r"degree 3: d\^3 does not kill the kernel"):
         report.class_of(d(spec, parse_element(QQ, "x1 x2")))
+
+
+def _spoiled_classes(F, n, spoil):
+    """A rank-1 report to degree 4 whose kernel basis for the classes of
+    degree n is passed through spoil, and the representatives of a report
+    left as it is."""
+    spec = DGSpec.from_rows(F, [[1, 1, 0], [1, 1, 0], [1, 1, 0]])
+    report = cohomology(spec, 4)
+    cx = report._complex
+    kernel = cx._kernel
+
+    def spoiled(k, kept, columns):
+        vectors = kernel(k, kept, columns)
+        return spoil(vectors) if k == n else vectors
+
+    cx._kernel = spoiled
+    return report, cohomology(spec, 4).basis(n)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_a_class_span_that_lost_a_vector_is_caught_by_class_of(F):
+    # the classes of degree 2 short of one vector still pass d; the
+    # missing representative then lies outside the boundaries plus the
+    # representatives, and class_of refuses it
+    report, reps = _spoiled_classes(F, 2, lambda vectors: vectors[1:])
+    assert len(report.basis(2)) == len(reps) - 1
+    with pytest.raises(AssertionError, match="cocycle outside boundary\\+representative span"):
+        for rep in reps:
+            report.class_of(rep)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_representatives_that_are_not_cocycles_are_caught(F):
+    # each kernel vector cut down to its first coordinate: still a reduced
+    # echelon basis, which the class span stores as it is, but d refuses
+    # the representatives
+    def units(vectors):
+        assert any(len(v) > 1 for v in vectors)
+        return [{min(v): F.one} for v in vectors]
+
+    report, _ = _spoiled_classes(F, 2, units)
+    with pytest.raises(AssertionError, match="^degree 2: a representative is not a cocycle$"):
+        report.basis(2)

@@ -70,14 +70,16 @@ def _engine(F, widths, maps):
 
 def recording_kernels(cx):
     """Wrap the kernel elimination of cx; the dict returned then holds, per
-    degree, the (indices of C^n in elimination order, kernel vectors) that
-    its last call handed over."""
+    degree, the (indices of C^n in elimination order, copies of the kernel
+    vectors) that its last call handed over: `classes` adopts the vectors
+    themselves."""
     handed = {}
     kernel = cx._kernel
 
     def record(n, kept, columns):
-        handed[n] = (list(kept), kernel(n, kept, columns))
-        return handed[n][1]
+        vectors = kernel(n, kept, columns)
+        handed[n] = (list(kept), [dict(v) for v in vectors])
+        return vectors
 
     cx._kernel = record
     return handed
@@ -161,10 +163,15 @@ def test_shared_columns_are_read_only_to_every_receiver(complex_data, data):
     # the resolution hands the cached product columns themselves to the
     # engine and to the linear algebra: none of them may change a column,
     # whatever form its scalars come in (over Q a Fraction, integral or
-    # not; over F_p an int outside [0, p))
+    # not; over F_p an int outside [0, p)).  The columns of d^n that
+    # boundaries(n + 1) keeps are the callback's own, and classes(n) reads
+    # them with the rows and kernel vectors it adopts; `extend` without
+    # `adopt`, `reduce`, `add` and `express` copy what they are given
     F, widths, ranks, maps = complex_data
     if F is QQ:
-        raw = Fraction
+        # Fractions throughout, or the canonical scalars, which the span
+        # could take over as they are wherever a column is integral
+        raw = data.draw(st.sampled_from([Fraction, QQ.coerce]))
     else:
         def raw(x):
             return x + F.p * data.draw(st.integers(-3, 3))
@@ -179,14 +186,19 @@ def test_shared_columns_are_read_only_to_every_receiver(complex_data, data):
                         lambda n, skip: [c for j, c in enumerate(stored[n]) if j not in skip])
     for n, c in enumerate(widths):
         assert cx.dim(n) == c - (ranks[n - 1] if n else 0) - ranks[n]
+        kept = cx._columns.get(n, [])
+        assert all(any(col is own for own in stored[n]) for col in kept)
         cx.cocycles(n)
         cx.classes(n)
+        assert n not in cx._columns
+    assert snapshot() == before
     for n, cols in enumerate(stored):
-        rows = columns_to_rows(cols, widths[n + 1])
+        rows = columns_to_rows(cols, range(widths[n + 1]))
         span = RowSpan(F, widths[n + 1])
         span.extend(cols)
         for col in cols:
             span.reduce(col)
+            span.express(col)
             span.add(col)
         for row in rows:
             apply_columns(F, cols, row)
@@ -248,6 +260,34 @@ def test_a_reused_span_of_too_high_a_rank_is_refused():
                                              r"and dim 2, but C\^1 has width 2 and d\^0 rank "
                                              r"at most 1$"):
         _two_maps({"d": span}).rank(0)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+@pytest.mark.parametrize("spoil", ["scaled", "summed"])
+def test_classes_span_any_basis_of_the_kernel(F, spoil):
+    # classes(n) hands its kernel basis to `extend`, which takes the last-
+    # first reduced echelon with no arithmetic; any other basis of the same
+    # kernel (a vector times 2, a vector plus another) gives the same span
+    M = [[1, 1, 0], [1, 1, 0], [1, 1, 0]]
+    clean = cohomology(DGSpec.from_rows(F, M), 4)._complex
+    cx = cohomology(DGSpec.from_rows(F, M), 4)._complex
+    kernel = cx._kernel
+
+    def spoiled(n, kept, columns):
+        vectors = kernel(n, kept, columns)
+        if n == 2:
+            first, second = vectors[0], vectors[1]
+            if spoil == "scaled":
+                vectors[0] = {j: F.add(x, x) for j, x in first.items()}
+            else:
+                vectors[0] = {j: F.add(first.get(j, F.zero), second.get(j, F.zero))
+                              for j in first.keys() | second.keys()}
+        return vectors
+
+    cx._kernel = spoiled
+    assert cx.classes(2).dim == clean.classes(2).dim == 3
+    assert cx.classes(2).pivots == clean.classes(2).pivots
+    assert cx.classes(2).rows_sparse() == clean.classes(2).rows_sparse()
 
 
 NEGATIVE_DEGREE_COMPLEXES = {

@@ -210,6 +210,11 @@ def test_rowspan_matches_reference(F, matrices, data):
     assert (as_text(F, [dense(F, width, v) for v in kernel])
             == as_text(F, span_kernel(F, echelon, width)))
     assert_exact(F, rows + kernel)
+    # with labels each coordinate k is keyed labels[k], in the same order
+    labels = [3 * (width - k) for k in range(width)]
+    labelled = span.kernel_sparse(labels)
+    assert ([list(v.items()) for v in labelled]
+            == [[(labels[k], x) for k, x in v.items()] for v in kernel])
     # members of the span, then arbitrary vectors
     members = [[F.add(x, y) for x, y in zip(v, w)] for v, w in zip(vectors, vectors[1:])]
     for vec in members + probes:
@@ -464,3 +469,78 @@ def test_kills_is_apply_columns_tested_for_zero(F, data):
     assert kills(F, columns, vec) == (not apply_columns(F, columns, vec))
     if cancelled:
         assert kills(F, columns, vec)
+
+
+# -- the adopting path: the span owns the vectors it is handed ---------------
+
+def _handed_vectors(F, width):
+    """Sparse vectors in the forms callers build them: over Q ints,
+    `Fraction`s (integral ones among them) and zero entries, over F_p ints
+    in [1, p), unreduced ones and multiples of p; nonzero ints in [1, p) on
+    their own too, the working form the span adopts as it is."""
+    if F == QQ:
+        raw = st.one_of(st.integers(-9, 9),
+                        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+        working = st.integers(-9, 9).filter(bool)
+    else:
+        raw = st.one_of(st.integers(1, F.p - 1), st.integers(-2 * F.p, 3 * F.p),
+                        st.integers(-2, 2).map(lambda k: k * F.p))
+        working = st.integers(1, F.p - 1)
+    keys = st.integers(0, width - 1)
+    return st.one_of(st.dictionaries(keys, raw, max_size=width),
+                     st.dictionaries(keys, working, max_size=width))
+
+
+def _typed(vectors):
+    """Each vector's entries with their types, to compare forms exactly."""
+    return [None if v is None else [(j, type(x), x) for j, x in
+                                    (sorted(v.items()) if isinstance(v, dict) else enumerate(v))]
+            for v in vectors]
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7), FP], ids=str)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_the_adopting_path_reads_as_the_copying_path(F, data):
+    # a span that adopts its vectors has the pivots, rows, residues and
+    # coefficients of one that copies them, in the same normal form; the
+    # copying entry points leave every input as it was
+    width = data.draw(st.integers(1, 6))
+    vectors = st.lists(_handed_vectors(F, width), max_size=6)
+    inserted, probes = data.draw(vectors), data.draw(vectors)
+    if inserted:
+        # a member of the span, as unreduced sums that may cancel to zero
+        member = dict(inserted[0])
+        for j, x in inserted[-1].items():
+            member[j] = member.get(j, 0) + x
+        probes.append(member)
+    before = _typed(inserted + probes)
+    copying = RowSpan(F, width)
+    copying.extend(inserted)
+    adopting = RowSpan(F, width)
+    adopting.extend([dict(v) for v in inserted], adopt=True)
+    assert adopting.pivots == copying.pivots
+    for vec in probes:
+        assert _typed([adopting.reduce(vec)]) == _typed([copying.reduce(vec)])
+        assert _typed([adopting.express(vec)]) == _typed([copying.express(vec)])
+    assert _typed(adopting.rows_sparse()) == _typed(copying.rows_sparse())
+    for vec in probes:
+        copying.add(vec)
+        copying.contains(vec)
+    assert _typed(inserted + probes) == before
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_only_a_vector_in_working_form_is_adopted(F):
+    span = RowSpan(F, 4)
+    own = {0: 3, 2: 5}
+    assert span._adopt(own) == (1, own) and span._adopt(own)[1] is own
+    # a Fraction or a zero entry over Q, an entry outside [1, p) over F_p;
+    # a dense list is always loaded
+    bad = ([{0: Fraction(4, 2)}, {0: 1, 3: Fraction(1, 2)}, {0: 2, 1: 0}] if F == QQ
+           else [{0: 7}, {0: -1}, {0: 2, 1: 0}])
+    for vec in bad + [[3, 0, 5, 0]]:
+        den, w = span._adopt(vec)
+        assert w is not vec
+        assert (den, w) == span._load(vec)
+

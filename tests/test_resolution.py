@@ -484,7 +484,7 @@ def test_kernels_and_generator_counts_match_the_full_map(F, text):
     for (i, j), cols in maps.items():
         full = RowSpan(F, len(cols))
         prev = res.steps[i - 1].gen_degrees
-        full.extend(columns_to_rows(cols, _module_dim(t, [j - h for h in prev])))
+        full.extend(columns_to_rows(cols, range(_module_dim(t, [j - h for h in prev]))))
         assert _kernel(res, i, j) == full.kernel_sparse(), (i, j)
     resolved = len(res.steps) + (res.stopped_at is not None)
     for i in range(1, resolved):
@@ -600,9 +600,9 @@ def test_generator_count_check_refuses_a_lossy_row_restriction(F, monkeypatch):
     # at j = 2, which step 1 keeps, is refused at that step
     to_rows = resolution.columns_to_rows
 
-    def lossy(columns, nrows):
-        rows = to_rows(columns, nrows)
-        if nrows == 3 and len(columns) == 4:      # d_1 at j = 2
+    def lossy(columns, indices):
+        rows = to_rows(columns, indices)
+        if len(indices) == 3 and len(columns) == 4:   # d_1 at j = 2
             rows[0] = {}
         return rows
 
