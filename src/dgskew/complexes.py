@@ -38,19 +38,15 @@ takes the columns in the order of C^n: its basis is the one the
 certificate's witnesses are read off.  `classes` takes them last-first: the
 first nonzero of each kernel vector in C^n is then at its free column,
 where every other vector is 0, so the basis is already the reduced echelon
-of the classes: the class span takes it over (`extend` with ``adopt``),
-and a reduced echelon goes in with no arithmetic.  `classes(n)` reads the
-columns of d^n off B^n's pivots that `boundaries(n + 1)` eliminated, kept
-until then for it alone, so each is built once.  `cocycles(n)` asks the
-callback for every column of d^n.  A negative degree raises ValueError.
+of the classes, and it goes into the class span with no arithmetic.
+`classes(n)` reads the columns of d^n off B^n's pivots that
+`boundaries(n + 1)` eliminated, kept until then for it alone, so each is
+built once.  `cocycles(n)` asks the callback for every column of d^n.  A
+negative degree raises ValueError.
 
-Who owns a vector: the engine copies what the callback hands it (the
-columns it eliminates for B^(n+1), keeps for `classes(n)` and tests with
-`kills`), so a callback may hand over columns it keeps, such as cached
-product tables.  What the engine builds only to hand over, it hands over
-without a copy: the rows of d^n at B^(n+1)'s pivots, built for the kernel
-elimination alone, and the kernel vectors `classes` turns into its span,
-which the elimination builds indexed in C^n (`kernel_sparse(kept)`).
+The engine only reads what the callback hands it, and every `RowSpan`
+copies what it is given, so a callback may hand over columns it keeps,
+such as cached product tables.
 
 A caller may name the maps, `key(n)` a hashable name of d^n, and own a
 dict `store` of boundary spaces by name, shared by every complex it gives
@@ -143,7 +139,7 @@ class CochainComplex:
         image = self.boundaries(n + 1)
         echelon = RowSpan(self.field, len(kept))
         if image.dim:
-            echelon.extend(columns_to_rows(columns, image.pivots), adopt=True)
+            echelon.extend(columns_to_rows(columns, image.pivots))
         if echelon.dim != image.dim:
             raise AssertionError(f"degree {n}: the rows of d^{n} at the pivots of B^{n + 1} "
                                  f"have rank {echelon.dim}, its columns {image.dim}")
@@ -183,6 +179,6 @@ class CochainComplex:
             else:
                 columns = self.columns(k, skip)
             span = RowSpan(self.field, self.width(k))
-            span.extend(self._kernel(k, kept[::-1], columns[::-1]), adopt=True)
+            span.extend(self._kernel(k, kept[::-1], columns[::-1]))
             built.append(span)
         return built[n]

@@ -23,13 +23,7 @@ left.  The inner loops apply the native operators directly, so every step
 is exact.
 
 A span copies every vector it is given and leaves the caller's as it was,
-unless the caller hands the vectors over with ``extend(vectors,
-adopt=True)``: a dict already over the working scalars (nonzero ints over
-Q, ints in [1, p) over F_p) is then kept or changed in place, with no copy,
-and any other vector is copied as before.  A caller adopts only what it
-built to hand over and no longer reads, such as the fresh rows of
-`columns_to_rows`; columns, product tables and vectors a caller keeps go
-through the copying path.
+and every vector it hands back is a fresh one.
 
 Pivots sit at the first nonzero coordinate, so a span has exactly one
 reduced echelon form, and every echelon form of it has the same pivots and
@@ -44,12 +38,12 @@ immutable value such as the defining matrix M.  `rref`, `rank`,
 densify what it hands back, and `mul` and `apply` visit only nonzero
 entries.  Maps that are built column by column stay sparse:
 `columns_to_rows` turns their columns into the rows a `RowSpan` eliminates,
-building only the rows asked for, and `apply_columns` applies them to a
-sparse vector.  `integral_columns` brings a map's columns over Q to ints
-over one least denominator, the form of the product tables that the
-resolution's maps are built from, so those maps load and are checked with
-no `Fraction`.  The checks that a composite such as d o d vanishes call
-`kills`, which tests the same sums for zero without building the image.
+and `apply_columns` applies them to a sparse vector.  `integral_columns`
+brings a map's columns over Q to ints over one least denominator, the form
+of the product tables that the resolution's maps are built from, so those
+maps load and are checked with no `Fraction`.  The checks that a
+composite such as d o d vanishes call `kills`, which tests the same sums
+for zero without building the image.
 Scalars come to normal form through `fields.normalized` (one at a time,
 in `Matrix.mul` and `apply`, through its scalar step `_rational`); the only
 Field methods called here are `coerce`, on the entries `Matrix.from_rows` takes
@@ -59,6 +53,7 @@ from outside, and `to_str`, on output.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -284,13 +279,10 @@ class RowSpan:
 
     Vectors are sparse ``{index: nonzero}`` dicts; the dense rows of a
     `Matrix` load as well.  A vector handed in is copied and left as it
-    was, unless the caller passes ``adopt=True`` to `extend`: the span then
-    owns the vectors, and keeps or changes a dict that is over the working
-    scalars already (nonzero ints over Q, ints in [1, p) over F_p) instead
-    of copying it; any other vector is copied all the same.  Every vector
-    handed back is a fresh sparse dict holding normalized scalars (over Q
-    an int when integral, else a `Fraction`; over F_p ints in [1, p));
-    `express` hands back a list of coefficients, one per row.
+    was.  Every vector handed back is a fresh sparse dict holding
+    normalized scalars (over Q an int when integral, else a `Fraction`;
+    over F_p ints in [1, p)); `express` hands back a list of coefficients,
+    one per row.
     """
 
     def __init__(self, field, width: int):
@@ -319,27 +311,6 @@ class RowSpan:
         if self._p is None:
             return _integral(vec)
         return 1, normalized(self.field, vec)
-
-    def _adopt(self, vec):
-        """(den, w) as `_load` gives it, but w is vec itself, with den 1, when
-        vec is a dict over the working scalars already (nonzero ints over Q,
-        ints in [1, p) over F_p): the span then owns vec and may keep or
-        change it.  Any other vec is loaded, a fresh copy."""
-        if type(vec) is dict:
-            p = self._p
-            if p is None:
-                for x in vec.values():
-                    if type(x) is not int or not x:
-                        break
-                else:
-                    return 1, vec
-            else:
-                for x in vec.values():
-                    if type(x) is not int or not 0 < x < p:
-                        break
-                else:
-                    return 1, vec
-        return self._load(vec)
 
     def _clear(self, w, q):
         """Clear the pivot coordinate q of the loaded vector w with q's row,
@@ -507,9 +478,8 @@ class RowSpan:
         """Insert vec; True when the span grew."""
         return self._insert(self._load(vec)[1])
 
-    def extend(self, vectors, adopt=False):
-        """Insert every vector; with `adopt` the span owns them (see the
-        class docstring).
+    def extend(self, vectors):
+        """Insert every vector.
 
         The span does not depend on the order of insertion, so the vectors
         go in with the latest leading coordinate first.  A new vector's
@@ -518,11 +488,10 @@ class RowSpan:
         search for its lead; only a vector whose lead is already a pivot
         is cleared first.  Nor does a new pivot often lie in an older row's
         tail: the rows of a reduced echelon form go in this way with no
-        arithmetic and leave the span reduced.  Each vector is loaded (or
-        adopted) once and its leading coordinate found once.
+        arithmetic and leave the span reduced.  Each vector is loaded once
+        and its leading coordinate found once.
         """
-        load = self._adopt if adopt else self._load
-        leads = [(min(w), w) for _, w in map(load, vectors) if w]
+        leads = [(min(w), w) for _, w in map(self._load, vectors) if w]
         leads.sort(key=itemgetter(0), reverse=True)
         rows = self._rows
         for q, w in leads:
@@ -559,15 +528,12 @@ class RowSpan:
 def columns_to_rows(columns, indices):
     """The rows at `indices`, in that order, of the matrix with the given
     sparse columns ``{row: nonzero}``, as fresh sparse ``{column: nonzero}``
-    dicts; entries in other rows are skipped, not built."""
-    out = [{} for _ in indices]
-    at = dict(zip(indices, out)).get
+    dicts."""
+    rows = defaultdict(dict)
     for j, col in enumerate(columns):
         for i, x in col.items():
-            row = at(i)
-            if row is not None:
-                row[j] = x
-    return out
+            rows[i][j] = x
+    return [rows[i] for i in indices]
 
 
 def integral_columns(columns, dens):

@@ -301,7 +301,7 @@ def minimal_resolution(t: TruncatedAlgebra, hom_bound: int) -> ResolutionReport:
             # echelon: the columns lie in ker d_{i-1}, where a vector is fixed
             # by those coordinates, so these rows have the full kernel
             echelon = RowSpan(F, len(cols))
-            echelon.extend(columns_to_rows(cols, below.free), adopt=True)
+            echelon.extend(columns_to_rows(cols, below.free))
             if echelon.dim < kernel_dim:
                 # by exactness below j the old image lies in ker d_{i-1} at
                 # j, so a generator is born here only when its rank falls short

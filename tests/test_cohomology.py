@@ -309,10 +309,10 @@ def test_elimination_of_d_receives_at_most_the_next_cocycle_rank_rows(monkeypatc
     received = []
 
     class CountingRowSpan(RowSpan):
-        def extend(self, vectors, adopt=False):
+        def extend(self, vectors):
             vectors = list(vectors)
             received.append((self.width, len(vectors)))
-            super().extend(vectors, adopt)
+            super().extend(vectors)
 
     monkeypatch.setattr(complexes, "RowSpan", CountingRowSpan)
     F = dgskew.field_from_name(field_name)

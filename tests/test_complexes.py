@@ -70,15 +70,15 @@ def _engine(F, widths, maps):
 
 def recording_kernels(cx):
     """Wrap the kernel elimination of cx; the dict returned then holds, per
-    degree, the (indices of C^n in elimination order, copies of the kernel
-    vectors) that its last call handed over: `classes` adopts the vectors
-    themselves."""
+    degree, the (indices of C^n in elimination order, kernel vectors) that
+    its last call handed over; the class span copies them, so they stay as
+    the elimination built them."""
     handed = {}
     kernel = cx._kernel
 
     def record(n, kept, columns):
         vectors = kernel(n, kept, columns)
-        handed[n] = (list(kept), [dict(v) for v in vectors])
+        handed[n] = (list(kept), list(vectors))
         return vectors
 
     cx._kernel = record
@@ -165,12 +165,12 @@ def test_shared_columns_are_read_only_to_every_receiver(complex_data, data):
     # whatever form its scalars come in (over Q a Fraction, integral or
     # not; over F_p an int outside [0, p)).  The columns of d^n that
     # boundaries(n + 1) keeps are the callback's own, and classes(n) reads
-    # them with the rows and kernel vectors it adopts; `extend` without
-    # `adopt`, `reduce`, `add` and `express` copy what they are given
+    # them again; `extend`, `reduce`, `add` and `express` copy what they
+    # are given
     F, widths, ranks, maps = complex_data
     if F is QQ:
-        # Fractions throughout, or the canonical scalars, which the span
-        # could take over as they are wherever a column is integral
+        # Fractions throughout, or the canonical scalars, the span's own
+        # working form wherever a column is integral
         raw = data.draw(st.sampled_from([Fraction, QQ.coerce]))
     else:
         def raw(x):

@@ -471,13 +471,13 @@ def test_kills_is_apply_columns_tested_for_zero(F, data):
         assert kills(F, columns, vec)
 
 
-# -- the adopting path: the span owns the vectors it is handed ---------------
+# -- the copy rule: a span copies what it is given, hands back fresh ones --
 
 def _handed_vectors(F, width):
     """Sparse vectors in the forms callers build them: over Q ints,
     `Fraction`s (integral ones among them) and zero entries, over F_p ints
     in [1, p), unreduced ones and multiples of p; nonzero ints in [1, p) on
-    their own too, the working form the span adopts as it is."""
+    their own too, the span's own working form."""
     if F == QQ:
         raw = st.one_of(st.integers(-9, 9),
                         st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
@@ -501,10 +501,11 @@ def _typed(vectors):
 @pytest.mark.parametrize("F", [QQ, PrimeField(7), FP], ids=str)
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_the_adopting_path_reads_as_the_copying_path(F, data):
-    # a span that adopts its vectors has the pivots, rows, residues and
-    # coefficients of one that copies them, in the same normal form; the
-    # copying entry points leave every input as it was
+def test_a_span_leaves_every_vector_it_is_handed_unchanged(F, data):
+    # `extend`, `add`, `reduce`, `contains` and `express` copy what they are
+    # given, in whatever form it comes, the span's working form included:
+    # the inputs stay as they were, and a caller that later changes them,
+    # or the vectors handed back, leaves the span as it was
     width = data.draw(st.integers(1, 6))
     vectors = st.lists(_handed_vectors(F, width), max_size=6)
     inserted, probes = data.draw(vectors), data.draw(vectors)
@@ -514,33 +515,24 @@ def test_the_adopting_path_reads_as_the_copying_path(F, data):
         for j, x in inserted[-1].items():
             member[j] = member.get(j, 0) + x
         probes.append(member)
-    before = _typed(inserted + probes)
-    copying = RowSpan(F, width)
-    copying.extend(inserted)
-    adopting = RowSpan(F, width)
-    adopting.extend([dict(v) for v in inserted], adopt=True)
-    assert adopting.pivots == copying.pivots
+    handed = inserted + probes
+    before = _typed(handed)
+    span = RowSpan(F, width)
+    span.extend(inserted)
     for vec in probes:
-        assert _typed([adopting.reduce(vec)]) == _typed([copying.reduce(vec)])
-        assert _typed([adopting.express(vec)]) == _typed([copying.express(vec)])
-    assert _typed(adopting.rows_sparse()) == _typed(copying.rows_sparse())
+        residue = span.reduce(vec)
+        assert all(residue is not v for v in handed)
+        residue[0] = F.one
+        span.contains(vec)
+        span.express(vec)
+    for row in span.rows_sparse():
+        row.clear()
     for vec in probes:
-        copying.add(vec)
-        copying.contains(vec)
-    assert _typed(inserted + probes) == before
-
-
-@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
-def test_only_a_vector_in_working_form_is_adopted(F):
-    span = RowSpan(F, 4)
-    own = {0: 3, 2: 5}
-    assert span._adopt(own) == (1, own) and span._adopt(own)[1] is own
-    # a Fraction or a zero entry over Q, an entry outside [1, p) over F_p;
-    # a dense list is always loaded
-    bad = ([{0: Fraction(4, 2)}, {0: 1, 3: Fraction(1, 2)}, {0: 2, 1: 0}] if F == QQ
-           else [{0: 7}, {0: -1}, {0: 2, 1: 0}])
-    for vec in bad + [[3, 0, 5, 0]]:
-        den, w = span._adopt(vec)
-        assert w is not vec
-        assert (den, w) == span._load(vec)
-
+        span.add(vec)
+    assert _typed(handed) == before
+    reference = RowSpan(F, width)
+    reference.extend([dict(v) for v in handed])
+    for vec in handed:
+        vec.clear()
+    assert span.pivots == reference.pivots
+    assert _typed(span.rows_sparse()) == _typed(reference.rows_sparse())
