@@ -536,3 +536,25 @@ def test_a_span_leaves_every_vector_it_is_handed_unchanged(F, data):
         vec.clear()
     assert span.pivots == reference.pivots
     assert _typed(span.rows_sparse()) == _typed(reference.rows_sparse())
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_every_form_of_a_vector_loads_to_one_fresh_working_vector(F):
+    # the one load path copies a vector already in working form as it
+    # copies any other: each form of {0: 3, 2: 5} below loads to the same
+    # (den, w), and w is never the vector handed in
+    span = RowSpan(F, 4)
+    own = {0: 3, 2: 5}
+    # a Fraction or a zero entry over Q, an entry outside [1, p) over F_p;
+    # a dense list too
+    forms = ([{0: Fraction(6, 2), 2: 5}, {0: 3, 1: 0, 2: 5}, {0: 3, 2: 5, 3: Fraction(0)}]
+             if F == QQ else [{0: 10, 2: -2}, {0: 3, 1: 7, 2: 5}, {0: -4, 2: 12}])
+    for vec in [own] + forms + [[3, 0, 5, 0]]:
+        before = _typed([vec])
+        den, w = span._load(vec)
+        assert w is not vec
+        assert (den, w) == (1, own)
+        assert _typed([vec]) == before
+    # a Fraction with a denominator over Q loads scaled to integers
+    if F == QQ:
+        assert span._load({0: Fraction(3, 2), 2: Fraction(5, 2)}) == (2, own)
