@@ -11,10 +11,8 @@ two-generator presentation over-counts the computed cohomology from degree
 Usage: python scripts/certify_flagships.py
 """
 
-from dgskew import (QQ, DGSpec, Matrix, classify, cohomology,
-                    gorenstein_certificate, minimal_resolution, predicted_dims,
-                    truncate)
-from dgskew.resolution import ext_against_algebra
+from dgskew import (QQ, DGSpec, Matrix, certify, classify, cohomology,
+                    minimal_resolution, predicted_dims, truncate)
 from dgskew.transform import apply_transform, permutation_matrix
 
 FLAGSHIPS = (
@@ -37,15 +35,14 @@ def main():
         print("presentation Hilbert:  ", predicted_dims(c, 8),
               " <- over-counts from degree 3 (degenerate quadratic)")
 
-        t = truncate(c.predicted_presentation, 10)
-        res = minimal_resolution(t, 6)
+        res = minimal_resolution(truncate(c.predicted_presentation, 10), 6)
         print(res.render_betti())
-        cert = gorenstein_certificate(c.predicted_presentation, 6, 10)
+        cert = certify(res)
         print("certificate:", cert.verdict, "--", cert.detail)
         for w in cert.witness or ():
             print(f"  witness (hom {w.hom_degree}, internal {w.internal_degree}):",
                   w.rendered)
-        print(ext_against_algebra(res).render())
+        print(cert.table.render())
 
     print("=" * 64)
     P = permutation_matrix(QQ, (2, 0, 1))

@@ -12,7 +12,7 @@ from .fields import CANDIDATE_PRIMES, QQ, FieldMismatchError, PrimeField, field_
 from .linalg import Matrix, RowSpan
 from .presentations import (AlgebraPresentation, Generator, TruncatedAlgebra,
                             parse_presentation, truncate)
-from .resolution import (ExtTable, GorensteinVerdict, ResolutionReport,
+from .resolution import (ExtTable, GorensteinVerdict, ResolutionReport, certify,
                          ext_against_algebra, gorenstein_certificate, minimal_resolution)
 from .skew import (GradedElement, Monomial, degree_basis, generators,
                    mul_monomials, parse_element)
@@ -24,7 +24,7 @@ __all__ = [
     "ExtTable", "FieldMismatchError", "Generator",
     "GorensteinVerdict", "GradedElement", "Matrix", "Monomial", "PrimeField",
     "QQ", "ResolutionReport", "RowSpan", "TruncatedAlgebra", "apply_transform",
-    "case_presentation", "classify", "cohomology", "crosscheck",
+    "case_presentation", "certify", "classify", "cohomology", "crosscheck",
     "cubic_cocycle_rank", "d", "d_generator", "d_matrix", "degree_basis",
     "ext_against_algebra", "field_from_name", "generators",
     "gorenstein_certificate", "invariance_check", "minimal_resolution",

@@ -37,6 +37,16 @@ over F_p and wherever no table has a denominator).  One multiple of a map
 has the map's span, kernel and rank.  d_i is stored only as the entries of
 F_i, from which `_map_columns` builds it at each degree.
 
+The stages read six things from an algebra, a `TruncatedAlgebra` or any
+object with the same names: `field`; `bound`, the top internal degree;
+`basis`, read only for its per-degree lengths; `mul(u, p, v, q)`, the
+vector of u v for u in A_p and v in A_q; `mul_columns(coeffs, degree, q,
+left)`, the table of c u (left) or u c on A_q for the element c = coeffs of
+A_degree, as `(den, columns)` with columns / den the products; and
+`element_render(vec, degree)`, for the witnesses.  So
+`certify(minimal_resolution(algebra, hom_bound))` certifies any such
+algebra; `gorenstein_certificate` is that of a truncated presentation.
+
 All positive statements are relative to the truncation: a report records,
 per homological degree, the window of internal degrees where its data is
 complete.  NonGorenstein verdicts are finitely witnessed (two classes
@@ -459,7 +469,14 @@ def gorenstein_certificate(presentation: AlgebraPresentation, hom_bound: int = 6
     globally.  This is the left-module certificate; the right-module one is
     that of `presentation.opposite()`.
     """
-    report = minimal_resolution(truncate(presentation, int_bound), hom_bound)
+    return certify(minimal_resolution(truncate(presentation, int_bound), hom_bound))
+
+
+def certify(report: ResolutionReport) -> GorensteinVerdict:
+    """The certificate of `gorenstein_certificate`, read off a resolution
+    already built, of any algebra with the six names of the module
+    docstring: its Ext table within the windows, then two witnesses or
+    ConsistentUpToCutoff."""
     table = ext_against_algebra(report)
 
     witnesses = list(islice((WitnessClass(i, m, phi, _render_functional(report, i, m, phi))

@@ -28,7 +28,7 @@ from .dg import DGSpec, verify_dg
 from .fields import CANDIDATE_PRIMES, QQ, PrimeField
 from .linalg import Matrix
 from .presentations import parse_presentation, truncate
-from .resolution import ext_against_algebra, gorenstein_certificate, minimal_resolution
+from .resolution import certify, ext_against_algebra, gorenstein_certificate, minimal_resolution
 from .sampling import (random_full_rank, random_matrix, random_monomial_matrix,
                        random_rank_one, random_rank_two)
 from .transform import invariance_check
@@ -179,15 +179,15 @@ def _non_gorenstein_trio(field):
 
 
 def _betti_and_entries(pres_text, field, hom_bound, int_bound):
-    pres = parse_presentation(field, pres_text)
-    return pres, minimal_resolution(truncate(pres, int_bound), hom_bound)
+    return minimal_resolution(truncate(parse_presentation(field, pres_text), int_bound),
+                              hom_bound)
 
 
 def _one_sided_degenerate_quadratic(field):
     """Degenerate quadratic y^2: resolution has F_1 of rank 2, then rank-1
     steps with differential 'multiply by y'; Ext vanishes outside homological
     degree 1 inside the window and Ext^1 is spread over >= 2 internal degrees."""
-    _, res = _betti_and_entries("gen x:1, y:1; rel y^2", field, 6, 10)
+    res = _betti_and_entries("gen x:1, y:1; rel y^2", field, 6, 10)
     t = res.algebra
     y_vec = t.normal_form({(1,): field.one})
     if res.betti[1] != [1, 1]:
@@ -217,7 +217,7 @@ def _two_sided_degenerate_quadratic(field):
     """Fully degenerate quadratic (x+y)^2 shape: rank-1 tail with
     differential 'multiply by x+y', non-Gorenstein certificate, Hilbert
     function 1,2,3,5,8,13."""
-    pres, res = _betti_and_entries("gen x:1, y:1; rel x^2 + x*y + y*x + y^2", field, 6, 10)
+    res = _betti_and_entries("gen x:1, y:1; rel x^2 + x*y + y*x + y^2", field, 6, 10)
     t = res.algebra
     if t.dims[:6] != [1, 2, 3, 5, 8, 13]:
         return False, f"Hilbert {t.dims[:6]}"
@@ -235,7 +235,7 @@ def _two_sided_degenerate_quadratic(field):
         scaled = _proportional(field, entries[0].vec if len(entries) == 1 else None, xy_vec)
         if not scaled:
             return False, f"d_{n} is not multiplication by x+y"
-    cert = gorenstein_certificate(pres, hom_bound=6, int_bound=10)
+    cert = certify(res)
     if not cert.is_refuted:
         return False, f"certificate says {cert.verdict}"
     return True, ("betti shape, x+y differentials, NonGorenstein certificate, "

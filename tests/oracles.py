@@ -6,11 +6,17 @@ avoiding the package's normal-form, incremental-quotient and sparse
 elimination code paths.  The differential is unfolded letter by letter
 through the Leibniz rule instead of the package's blockwise formula; those
 products use `GradedElement.mul`, which the free-word oracle checks.
+
+`CohomologyAlgebra` is the one oracle built on the engine: it hands H(A)
+to the resolution and the certificate directly, through a cohomology
+report's representatives and `class_of`, so that their verdicts on H(A)
+can be checked against those on a presentation of it.
 """
 
 from itertools import product
 
 from dgskew.dg import d_generator
+from dgskew.linalg import apply_columns, integral_columns
 from dgskew.skew import GradedElement, Monomial, generators
 
 
@@ -270,3 +276,39 @@ def leibniz_d(spec, m):
             dword = dword.sub(step) if word.degree % 2 else dword.add(step)
             word = word.mul(xs[i])
     return dword
+
+
+class CohomologyAlgebra:
+    """H(A) of a cohomology report, with the six names the stages of
+    `dgskew.resolution` read from an algebra.  Degree n has the basis
+    `report.basis(n)`, and h u, for representatives h and u, is the class
+    of their product: vectors are sparse coordinates over those bases."""
+
+    def __init__(self, report):
+        self.report = report
+        self.field = report.spec.field
+        self.bound = report.max_degree
+        self.basis = [report.basis(n) for n in range(self.bound + 1)]
+        self._tables = {}  # (p, q) -> {(i, j): the coordinates of basis[p][i] basis[q][j]}
+
+    def _table(self, p, q):
+        # past the bound, class_of raises BoundInsufficientError
+        if (p, q) not in self._tables:
+            self._tables[p, q] = {
+                (i, j): dict(enumerate(self.report.class_of(u.mul(v)).coordinates))
+                for i, u in enumerate(self.basis[p]) for j, v in enumerate(self.basis[q])}
+        return self._tables[p, q]
+
+    def mul(self, u, p, v, q):
+        return apply_columns(self.field, self._table(p, q),
+                             {(i, j): a * b for i, a in u.items() for j, b in v.items()})
+
+    def mul_columns(self, coeffs, degree, q, left):
+        one = self.field.one
+        cols = [self.mul(coeffs, degree, {w: one}, q) if left
+                else self.mul({w: one}, q, coeffs, degree) for w in range(len(self.basis[q]))]
+        return integral_columns(cols, [1] * len(cols))
+
+    def element_render(self, vec, degree):
+        return " + ".join(f"{self.field.to_str(c)}*h{degree}.{k}"
+                          for k, c in sorted(vec.items())) or "0"

@@ -8,15 +8,19 @@ from pathlib import Path
 import pytest
 
 from dgskew.classify import case_presentation, classify, predicted_vs_certified
+from dgskew.cohomology import cohomology
+from dgskew.dg import DGSpec
 from dgskew.errors import BoundInsufficientError
 from dgskew.fields import QQ, PrimeField, field_from_name
 from dgskew import complexes, resolution
 from dgskew.linalg import Matrix, RowSpan, columns_to_rows
 from dgskew.presentations import parse_presentation, truncate
-from dgskew.resolution import (WitnessClass, ext_against_algebra, gorenstein_certificate,
-                               minimal_resolution,
+from dgskew.resolution import (WitnessClass, certify, ext_against_algebra,
+                               gorenstein_certificate, minimal_resolution,
                                _assert_complex, _block_dim, _dual_columns, _map_columns,
                                _module_dim, _segments, _verify_cocycle, _verify_independent)
+from dgskew.suite import NON_GORENSTEIN_TRIO
+from oracles import CohomologyAlgebra
 
 ONE_SIDED = "gen x:1, y:1; rel y^2"
 TWO_SIDED = "gen x:1, y:1; rel x^2 + x*y + y*x + y^2"
@@ -636,7 +640,8 @@ GORENSTEIN_SIDE = {"R1d": [[4, 1, 2], [8, 2, 4], [0, 0, 0]],
 DENOMINATORS = "gen x:1, y:1; rel x^2 - 2*x*y - 2*y*x + 4*y^2"
 
 # sha256 of gorenstein_certificate(...).to_json(), recorded before the
-# resolution's maps became sparse columns; hom_bound 6, int_bound 10
+# resolution's maps became sparse columns; hom_bound 6, int_bound 10.  The
+# certificate of the resolution itself, `certify`, must give the same bytes
 CERTIFICATE_DIGESTS = {
     (ONE_SIDED, "Q"): "f4f014cd505ee5d390e9c817976071f608b556454f458482ce70972967b730fd",
     (ONE_SIDED, "Fp:2147483659"): "f4f014cd505ee5d390e9c817976071f608b556454f458482ce70972967b730fd",
@@ -664,8 +669,49 @@ def test_certificate_bytes_are_pinned(name, field_name):
         pres = classify(Matrix.from_rows(F, rows)).predicted_presentation
     else:
         pres = parse_presentation(F, name)
-    text = json.dumps(gorenstein_certificate(pres).to_json(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[(name, field_name)]
+    for cert in (gorenstein_certificate(pres), certify(minimal_resolution(truncate(pres, 10), 6))):
+        text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[(name, field_name)]
+
+
+# the computed cohomology ring of each flagship, k<a,b>/(b^2, a^2 b - b a^2)
+FLAGSHIP_RING = "gen a:1, b:1; rel b^2; rel a^2*b - b*a^2"
+# Gorenstein-side matrices whose predicted presentation is H(A)
+PRESENTED_RINGS = {"R1f": [[0, 1, 1], [0, 0, 0], [0, 0, 0]],
+                   "R1b": [[1, 2, 3], [1, 2, 3], [0, 0, 0]]}
+
+
+def _direct_and_presented(F, rows, pres):
+    """The certificates and resolutions of H(A), resolved directly from the
+    cohomology report of `rows` to degree 10, and of `pres` truncated at 10."""
+    direct = minimal_resolution(CohomologyAlgebra(cohomology(DGSpec.from_rows(F, rows), 10)), 6)
+    presented = minimal_resolution(truncate(pres, 10), 6)
+    return certify(direct), direct, certify(presented), presented
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:7", "Fp:2147483659"])
+@pytest.mark.parametrize("rows", NON_GORENSTEIN_TRIO)
+def test_the_flagship_cohomology_rings_certified_directly(rows, field_name):
+    # H(A) itself, not the predicted presentation, is certified: one Ext
+    # class at (2, -2), which refutes nothing
+    F = field_from_name(field_name)
+    cert, direct, ring_cert, ring = _direct_and_presented(
+        F, rows, parse_presentation(F, FLAGSHIP_RING))
+    assert cert.verdict == "ConsistentUpToCutoff"
+    assert cert.table.classes() == [(2, -2, 1)]
+    assert direct.betti == ring.betti
+    assert cert.table.to_json() == ring_cert.table.to_json()
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:7"])
+@pytest.mark.parametrize("name", sorted(PRESENTED_RINGS))
+def test_presented_cohomology_rings_certify_as_their_presentations(name, field_name):
+    F = field_from_name(field_name)
+    rows = PRESENTED_RINGS[name]
+    pres = classify(Matrix.from_rows(F, rows)).predicted_presentation
+    cert, direct, pred_cert, pred = _direct_and_presented(F, rows, pres)
+    assert direct.betti == pred.betti
+    assert cert.to_json() == pred_cert.to_json()
 
 
 def _bench_certificate_sources():

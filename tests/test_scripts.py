@@ -1,15 +1,24 @@
 """The example scripts and `python -m dgskew` run end to end on the library
 as it stands."""
 
+import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from dgskew import QQ, Matrix, classify
+
 ROOT = Path(__file__).resolve().parent.parent
+# sha256 of the standard output, recorded while the script still resolved
+# each flagship twice and built its Ext table twice
+STDOUT_SHA256 = {
+    "certify_flagships.py": "fcd1faa7dd779157a15b12a5c1cf60e22ff401998f5da134f53eb82f886c73b1",
+}
 
 
 def _run(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
@@ -35,6 +44,15 @@ def _run_closed(*args, stream):
 def test_script_exits_cleanly(script, args):
     proc = _run(str(ROOT / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stderr
+    if script in STDOUT_SHA256:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[script]
+
+
+def test_certify_flagships_resolves_each_flagship_once(resolutions):
+    namespace = runpy.run_path(str(ROOT / "scripts" / "certify_flagships.py"),
+                               run_name="__main__")
+    assert resolutions == [classify(Matrix.from_rows(QQ, rows)).predicted_presentation.render()
+                           for rows in namespace["FLAGSHIPS"]]
 
 
 def test_python_m_dgskew_classifies_a_flagship():

@@ -1,11 +1,12 @@
-"""The suite's plumbing: criterion selection, and the criteria that read
-crosscheck's probes fail on a failing or a missing probe."""
+"""The suite's plumbing: criterion selection, the criteria that read
+crosscheck's probes fail on a failing or a missing probe, and a criterion
+that certifies a resolution it built resolves it once."""
 
 import pytest
 
 from dgskew import suite
 from dgskew.classify import Probe
-from dgskew.fields import QQ
+from dgskew.fields import QQ, PrimeField
 
 # the criteria that crosscheck drawn matrices, with the probes each requires
 PROBE_CRITERIA = {
@@ -57,3 +58,9 @@ def test_run_suite_rejects_unknown_criterion_numbers():
     with pytest.raises(ValueError, match="0, 13"):
         suite.run_suite(numbers={0, 5, 13})
 
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2147483659)], ids=["Q", "Fp:2147483659"])
+def test_the_two_sided_quadratic_criterion_resolves_once(field, resolutions):
+    passed, detail = _check(9)(field)
+    assert passed, detail
+    assert resolutions == ["gen x:1, y:1; rel x^2 + x*y + y*x + y^2"]
