@@ -25,7 +25,6 @@ presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .cohomology import cohomology
@@ -43,29 +42,32 @@ NON_GORENSTEIN = "NonGorenstein"
 RANK_ONE_LABELS = ("R1a", "R1b", "R1c", "R1d", "R1e", "R1f")
 
 
-@dataclass
 class RankOneForm:
     """M after the variable permutation making the left factor's first entry
     nonzero: row = first row of the permuted matrix, (l1, l2) the multipliers
     of rows two and three, permutation the 0-based variable images."""
 
-    row: tuple
-    l1: object
-    l2: object
-    permutation: tuple
-    matrix: Matrix
+    def __init__(self, row: tuple, l1, l2, permutation: tuple, matrix: Matrix):
+        self.row = row
+        self.l1 = l1
+        self.l2 = l2
+        self.permutation = permutation
+        self.matrix = matrix
 
 
-@dataclass
 class Classification:
-    field: object
-    matrix: Matrix
-    rank: int
-    case_label: str
-    parameters: dict
-    predicted_presentation: AlgebraPresentation
-    predicted_gorenstein: str
-    generator_reps: list  # [(name, GradedElement)] in the original variables
+    def __init__(self, field, matrix: Matrix, rank: int, case_label: str, parameters: dict,
+                 predicted_presentation: AlgebraPresentation, predicted_gorenstein: str,
+                 generator_reps: list):
+        self.field = field
+        self.matrix = matrix
+        self.rank = rank
+        self.case_label = case_label
+        self.parameters = parameters
+        self.predicted_presentation = predicted_presentation
+        self.predicted_gorenstein = predicted_gorenstein
+        # [(name, GradedElement)] in the original variables
+        self.generator_reps = generator_reps
 
     def to_json(self) -> dict:
         # the permutation holds indices and F_p scalars are ints, both JSON
@@ -248,19 +250,20 @@ def predicted_dims(c: Classification, max_degree: int):
     return truncate(c.predicted_presentation, max_degree).dims
 
 
-@dataclass
 class Probe:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class CrosscheckReport:
-    classification: Classification
-    max_degree: int
-    computed_dims: list
-    probes: list
+    def __init__(self, classification: Classification, max_degree: int, computed_dims: list,
+                 probes: list):
+        self.classification = classification
+        self.max_degree = max_degree
+        self.computed_dims = computed_dims
+        self.probes = probes
 
     @property
     def ok(self) -> bool:
@@ -389,11 +392,11 @@ def cubic_cocycle_rank(M: Matrix) -> int:
     return X.rank()
 
 
-@dataclass
 class SquaresIdealReport:
-    quotient_dims: list
-    free_variable: str
-    ok: bool
+    def __init__(self, quotient_dims: list, free_variable: str, ok: bool):
+        self.quotient_dims = quotient_dims
+        self.free_variable = free_variable
+        self.ok = ok
 
     def to_json(self):
         return {"quotient_dims": self.quotient_dims, "free_variable": self.free_variable,
@@ -427,12 +430,13 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     return SquaresIdealReport(dims, f"u{free + 1}", all(q == 1 for q in dims))
 
 
-@dataclass
 class CertificateComparison:
-    classification: Classification
-    certificate: GorensteinVerdict
-    consistent: bool
-    detail: str
+    def __init__(self, classification: Classification, certificate: GorensteinVerdict,
+                 consistent: bool, detail: str):
+        self.classification = classification
+        self.certificate = certificate
+        self.consistent = consistent
+        self.detail = detail
 
     def to_json(self) -> dict:
         return {"classification": self.classification.to_json(),

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .classify import classify, crosscheck, predicted_vs_certified
 from .cohomology import cohomology
 from .dg import DGSpec, verify_dg
 from .errors import BoundInsufficientError
-from .fields import field_from_name, parse_scalar
+from .fields import Frozen, field_from_name, parse_scalar
 from .linalg import Matrix
 from .suite import CRITERIA, run_suite
 from .transform import invariance_check, validate_monomial
@@ -37,15 +36,13 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(Frozen):
     """--help text; the type of a value read as it is (None when parsed
     later or never read from a config file); an int's default and minimum."""
 
-    help: str | None = None
-    type: type | None = None
-    default: int | None = None
-    low: int | None = None
+    def __init__(self, help: str | None = None, type: type | None = None,
+                 default: int | None = None, low: int | None = None):
+        vars(self).update(help=help, type=type, default=default, low=low)
 
 
 # every option a subcommand may take, by its dest (the flag is --dest with
@@ -69,17 +66,19 @@ def _source(name: str, from_config) -> str:
     return f"config {name}" if name in from_config else "--" + name.replace("_", "-")
 
 
-@dataclass
 class JobConfig:
-    field: object
-    matrix: Matrix | None
-    max_degree: int
-    hom_bound: int
-    int_bound: int
-    transform: Matrix | None
-    out: str | None
-    criteria: set | None  # paper-suite's --criteria; None runs them all
-    from_config: frozenset  # the options the config file set
+    def __init__(self, field, matrix: Matrix | None, max_degree: int, hom_bound: int,
+                 int_bound: int, transform: Matrix | None, out: str | None, criteria: set | None,
+                 from_config: frozenset):
+        self.field = field
+        self.matrix = matrix
+        self.max_degree = max_degree
+        self.hom_bound = hom_bound
+        self.int_bound = int_bound
+        self.transform = transform
+        self.out = out
+        self.criteria = criteria  # paper-suite's --criteria; None runs them all
+        self.from_config = from_config  # the options the config file set
 
 
 def _parse_matrix(field, data) -> Matrix:
@@ -118,7 +117,7 @@ def _build_config(args) -> JobConfig:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
             raise UsageError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(raw, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
@@ -233,13 +232,14 @@ def _parse_criteria(text):
 SHARED_OPTIONS = ("field", "config", "out")
 
 
-@dataclass(frozen=True)
-class Subcommand:
-    name: str
-    help: str
-    handler: Callable  # handler(cfg) -> (JSON payload, text summary, exit status)
-    options: tuple  # read by the handler, beyond SHARED_OPTIONS
-    bound: str | None = None  # the option that bounds the computation's degrees
+class Subcommand(Frozen):
+    """handler(cfg) -> (JSON payload, text summary, exit status); options,
+    the ones the handler reads beyond SHARED_OPTIONS; bound, the option
+    that bounds the computation's degrees."""
+
+    def __init__(self, name: str, help: str, handler: Callable, options: tuple,
+                 bound: str | None = None):
+        vars(self).update(name=name, help=help, handler=handler, options=options, bound=bound)
 
 
 SUBCOMMANDS = (

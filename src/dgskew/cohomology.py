@@ -17,8 +17,6 @@ form already.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .complexes import CochainComplex
 from .dg import DGSpec, _d_kills, d_columns
 from .errors import BoundInsufficientError
@@ -33,27 +31,38 @@ def _element(field, degree: int, vec: dict) -> GradedElement:
     return GradedElement(field, degree, {basis[j]: x for j, x in vec.items()})
 
 
-@dataclass
 class CohomologyClass:
-    degree: int
-    representative: GradedElement
-    coordinates: tuple
+    """A class of degree `degree`: its canonical representative and its
+    coordinates on the report's basis of that degree.  Equal when of equal
+    degree, representative and coordinates."""
+
+    def __init__(self, degree: int, representative: GradedElement, coordinates: tuple):
+        self.degree = degree
+        self.representative = representative
+        self.coordinates = coordinates
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.degree, self.representative, self.coordinates)
+                == (other.degree, other.representative, other.coordinates))
 
     @property
     def is_zero(self) -> bool:
         return not any(self.coordinates)
 
 
-@dataclass
 class CohomologyReport:
-    spec: DGSpec
-    max_degree: int
-    dims: list
-    cocycle_ranks: list
-    coboundary_ranks: list
-    _complex: CochainComplex = dataclass_field(repr=False, compare=False)
-    # degree -> its representatives, once read
-    _bases: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, spec: DGSpec, max_degree: int, dims: list, cocycle_ranks: list,
+                 coboundary_ranks: list, _complex: CochainComplex, _bases: dict | None = None):
+        self.spec = spec
+        self.max_degree = max_degree
+        self.dims = dims
+        self.cocycle_ranks = cocycle_ranks
+        self.coboundary_ranks = coboundary_ranks
+        self._complex = _complex
+        # degree -> its representatives, once read
+        self._bases = {} if _bases is None else _bases
 
     @property
     def bases(self) -> list:

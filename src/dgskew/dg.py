@@ -18,26 +18,22 @@ and builds no element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 
-from .fields import _all_zero, _modulus, check_same_field
+from .fields import Frozen, _all_zero, _modulus, check_same_field
 from .linalg import Matrix, apply_columns, kills
 from .skew import (GradedElement, Monomial, basis_monomials, basis_position, degree_basis,
                    degree_dim)
 
 
-@dataclass(frozen=True)
-class DGSpec:
+class DGSpec(Frozen):
     """Session field plus the defining 3x3 matrix."""
 
-    field: object
-    matrix: Matrix
-
-    def __post_init__(self):
-        if (self.matrix.nrows, self.matrix.ncols) != (3, 3):
+    def __init__(self, field, matrix: Matrix):
+        if (matrix.nrows, matrix.ncols) != (3, 3):
             raise ValueError("defining matrix must be 3x3")
-        check_same_field(self.field, self.matrix.field)
+        check_same_field(field, matrix.field)
+        vars(self).update(field=field, matrix=matrix)
 
     @classmethod
     def from_rows(cls, field, rows) -> "DGSpec":
@@ -137,15 +133,16 @@ def d_matrix(spec: DGSpec, deg: int) -> Matrix:
     return Matrix(F, nrows, len(cols), tuple(tuple(r) for r in rows))
 
 
-@dataclass
 class DGCheckReport:
     """Outcome of the structural checks; failures carry rendered witnesses."""
 
-    max_degree: int
-    square_zero_ok: bool = True
-    leibniz_ok: bool = True
-    relations_ok: bool = True
-    failures: list = dataclass_field(default_factory=list)
+    def __init__(self, max_degree: int, square_zero_ok: bool = True, leibniz_ok: bool = True,
+                 relations_ok: bool = True, failures: list | None = None):
+        self.max_degree = max_degree
+        self.square_zero_ok = square_zero_ok
+        self.leibniz_ok = leibniz_ok
+        self.relations_ok = relations_ok
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

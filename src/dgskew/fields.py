@@ -40,6 +40,30 @@ class FieldMismatchError(TypeError):
     """Raised when values from two different session fields are combined."""
 
 
+class Frozen:
+    """Base of the package's immutable values (`Matrix`, `DGSpec`, the
+    presentations' `Generator` and `AlgebraPresentation`, the command
+    line's and the suite's table rows).  A subclass's `__init__` stores its
+    fields, in order, with `vars(self).update`; after that, assigning or
+    deleting an attribute raises AttributeError.  Two values are equal when
+    they are of one class with equal fields, and a value hashes as the
+    tuple of its fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
 def _rational(x):
     """The canonical form of the rational x: an int when integral, else a
     `Fraction` (whose denominator is then > 1)."""

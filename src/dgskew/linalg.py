@@ -54,14 +54,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 
-from .fields import _all_zero, _modulus, _rational, check_same_field, normalized
+from .fields import Frozen, _all_zero, _modulus, _rational, check_same_field, normalized
 
 
 def _integral(vec):
@@ -124,14 +123,11 @@ def _axpy(p, dst, c, src):
                 del dst[j]
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix over a fixed session field."""
 
-    field: object
-    nrows: int
-    ncols: int
-    entries: tuple
+    def __init__(self, field, nrows: int, ncols: int, entries: tuple):
+        vars(self).update(field=field, nrows=nrows, ncols=ncols, entries=entries)
 
     @classmethod
     def from_rows(cls, field, rows):

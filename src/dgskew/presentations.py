@@ -30,45 +30,39 @@ reproducibility.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BoundInsufficientError
-from .fields import normalized, parse_scalar, render_sum, split_sum
+from .fields import Frozen, normalized, parse_scalar, render_sum, split_sum
 from .linalg import RowSpan, apply_columns, integral_columns
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    degree: int
+class Generator(Frozen):
+    def __init__(self, name: str, degree: int):
+        vars(self).update(name=name, degree=degree)
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Frozen):
     """Generators plus homogeneous relations; a relation maps words (tuples
     of generator indices) to scalars, anything `field.coerce` accepts.  The
     stored relations hold their nonzero coefficients as field scalars."""
 
-    field: object
-    generators: tuple
-    relations: tuple  # tuple of dict[word, scalar]
-
-    def __post_init__(self):
-        for g in self.generators:
+    def __init__(self, field, generators: tuple, relations: tuple):
+        vars(self).update(field=field, generators=generators)
+        for g in generators:
             if type(g.degree) is not int:
                 raise ValueError(f"generator {g.name} has degree {g.degree!r}, not an int")
             if g.degree < 1:
                 raise ValueError(f"generator {g.name} must have positive degree")
-        names = [g.name for g in self.generators]
+        names = [g.name for g in generators]
         for name in names:
             if not (isinstance(name, str) and name.isidentifier()):
                 raise ValueError(f"generator name {name!r} is not an identifier")
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         cleaned = []
-        for rel in self.relations:
-            rel = normalized(self.field, {_word(self.generators, w): self.field.coerce(c)
-                                          for w, c in rel.items()})
+        for rel in relations:  # dict[word, scalar]
+            rel = normalized(field, {_word(generators, w): field.coerce(c)
+                                     for w, c in rel.items()})
             if not rel:
                 raise ValueError("zero relation")
             degs = {self.word_degree(w) for w in rel}
@@ -77,7 +71,7 @@ class AlgebraPresentation:
             if degs == {0}:
                 raise ValueError("degree-0 relation makes the presentation inconsistent")
             cleaned.append(rel)
-        object.__setattr__(self, "relations", tuple(cleaned))
+        vars(self)["relations"] = tuple(cleaned)
 
     def word_degree(self, word) -> int:
         return sum(self.generators[g].degree for g in word)

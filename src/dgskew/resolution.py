@@ -57,7 +57,6 @@ only ever yields "ConsistentUpToCutoff".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from itertools import accumulate, islice
 from math import lcm
 from typing import NamedTuple
@@ -76,14 +75,14 @@ class AlgElt(NamedTuple):
     vec: dict
 
 
-@dataclass
 class FreeStep:
     """One free module F_i: generator degrees, and for i >= 1 the entries of
     d_i: entries[a][b] is the coefficient of F_{i-1}'s generator b in the
     image of F_i's generator a (None when zero)."""
 
-    gen_degrees: list
-    entries: list | None
+    def __init__(self, gen_degrees: list, entries: list | None):
+        self.gen_degrees = gen_degrees
+        self.entries = entries
 
 
 def _entries_key(step: FreeStep):
@@ -170,7 +169,6 @@ def _map_columns(t: TruncatedAlgebra, step: FreeStep, prev_gens, j: int):
                            lambda a, b: step.entries[a][b], left=False)
 
 
-@dataclass
 class ResolutionReport:
     """The free modules F_0..F_n, d_i stored as the entries of F_i, plus per
     (i, j) the row echelon of d_i at internal degree j on the generators of
@@ -178,18 +176,19 @@ class ResolutionReport:
     it has dimension `width - dim` and basis `kernel_sparse()`.  (0, j) is
     the augmentation's, empty, of width dim A_j, for 0 < j."""
 
-    algebra: TruncatedAlgebra
-    hom_bound: int
-    int_bound: int
-    steps: list                      # steps[0] = F_0
-    echelons: dict = dataclass_field(default_factory=dict, repr=False)
-    stopped_at: int | None = None    # first i with no kernel generators <= bound
-    _duals: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-    # map name -> B^(n+1) = im d^n, shared by every dual complex with that d^n
-    _spans: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
-    # i -> the hashable form of F_i's entries, part of every name of d_i^*
-    _entry_keys: dict = dataclass_field(default_factory=dict, init=False, repr=False,
-                                        compare=False)
+    def __init__(self, algebra: TruncatedAlgebra, hom_bound: int, int_bound: int, steps: list,
+                 echelons: dict | None = None, stopped_at: int | None = None):
+        self.algebra = algebra
+        self.hom_bound = hom_bound
+        self.int_bound = int_bound
+        self.steps = steps                  # steps[0] = F_0
+        self.echelons = {} if echelons is None else echelons
+        self.stopped_at = stopped_at        # first i with no kernel generators <= bound
+        self._duals = {}
+        # map name -> B^(n+1) = im d^n, shared by every dual complex with that d^n
+        self._spans = {}
+        # i -> the hashable form of F_i's entries, part of every name of d_i^*
+        self._entry_keys = {}
 
     @property
     def betti(self):
@@ -368,15 +367,15 @@ def _assert_complex(F, i: int, below_maps: dict, maps: dict):
             raise AssertionError(f"d_{i-1} o d_{i} != 0 at internal degree {j}")
 
 
-@dataclass
 class ExtTable:
     """Graded dimensions of Ext^i(k, A) per (homological, internal) degree
     inside the per-degree validity windows."""
 
-    hom_bound: int
-    int_bound: int
-    dims: dict                      # (i, m) -> dim, only nonzero entries
-    windows: list                   # window per homological degree
+    def __init__(self, hom_bound: int, int_bound: int, dims: dict, windows: list):
+        self.hom_bound = hom_bound
+        self.int_bound = int_bound
+        self.dims = dims                # (i, m) -> dim, only nonzero entries
+        self.windows = windows          # window per homological degree
 
     def total_within_windows(self) -> int:
         return sum(self.dims.values())
@@ -428,20 +427,21 @@ def ext_against_algebra(report: ResolutionReport) -> ExtTable:
     return ExtTable(report.hom_bound, report.int_bound, dims, windows)
 
 
-@dataclass
 class WitnessClass:
-    hom_degree: int
-    internal_degree: int
-    functional: dict                  # sparse coordinates on Hom(F_i, A)_m
-    rendered: str
+    def __init__(self, hom_degree: int, internal_degree: int, functional: dict, rendered: str):
+        self.hom_degree = hom_degree
+        self.internal_degree = internal_degree
+        self.functional = functional    # sparse coordinates on Hom(F_i, A)_m
+        self.rendered = rendered
 
 
-@dataclass
 class GorensteinVerdict:
-    verdict: str                      # "NonGorenstein" | "ConsistentUpToCutoff"
-    table: ExtTable
-    witness: list | None = None       # two WitnessClass when NonGorenstein
-    detail: str = ""
+    def __init__(self, verdict: str, table: ExtTable, witness: list | None = None,
+                 detail: str = ""):
+        self.verdict = verdict          # "NonGorenstein" | "ConsistentUpToCutoff"
+        self.table = table
+        self.witness = witness          # two WitnessClass when NonGorenstein
+        self.detail = detail
 
     @property
     def is_refuted(self) -> bool:

@@ -21,7 +21,6 @@ text grammar, and `to_str` in `render`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -85,17 +84,23 @@ def basis_monomials(d: int) -> tuple:
     return tuple(Monomial(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
 
 
-@dataclass
 class GradedElement:
     """A homogeneous element: finite map from degree-d monomials to scalars.
 
     Zero coefficients are never stored.  Treated as immutable after
-    construction.
+    construction.  Two elements are equal when their fields, degrees and
+    terms are; an element is not hashable.
     """
 
-    field: object
-    degree: int
-    terms: dict
+    def __init__(self, field, degree: int, terms: dict):
+        self.field = field
+        self.degree = degree
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.degree, self.terms) == (other.field, other.degree, other.terms)
 
     @classmethod
     def zero(cls, field, degree: int) -> "GradedElement":

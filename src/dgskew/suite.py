@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .classify import classify, crosscheck, predicted_vs_certified
 from .dg import DGSpec, verify_dg
-from .fields import CANDIDATE_PRIMES, QQ, PrimeField
+from .fields import CANDIDATE_PRIMES, QQ, Frozen, PrimeField
 from .linalg import Matrix
 from .presentations import parse_presentation, truncate
 from .resolution import certify, ext_against_algebra, gorenstein_certificate, minimal_resolution
@@ -65,13 +64,13 @@ GORENSTEIN_SIDE_INSTANCES = (
 )
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+    def __init__(self, number: int, name: str, passed: bool, detail: str, seconds: float):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -293,15 +292,12 @@ def _positive_direction_consistency(field):
     return True, f"{len(GORENSTEIN_SIDE_INSTANCES)} instances consistent"
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(Frozen):
     """One row of the suite: check(field) -> (passed, detail), and the
     whole-criterion runtime budget in seconds, if the criterion has one."""
 
-    number: int
-    name: str
-    check: Callable
-    budget: float | None = None
+    def __init__(self, number: int, name: str, check: Callable, budget: float | None = None):
+        vars(self).update(number=number, name=name, check=check, budget=budget)
 
 
 CRITERIA = (
@@ -320,9 +316,9 @@ CRITERIA = (
 )
 
 
-@dataclass
 class SuiteReport:
-    results: list
+    def __init__(self, results: list):
+        self.results = results
 
     @property
     def all_passed(self) -> bool:

@@ -10,8 +10,6 @@ acts is not modeled here; the checker is sound for this subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import classify
 from .cohomology import cohomology
 from .dg import DGSpec
@@ -54,17 +52,19 @@ def apply_transform(C: Matrix, M: Matrix) -> Matrix:
     return C.inverse().mul(M).mul(entrywise_square(C))
 
 
-@dataclass
 class InvarianceReport:
-    matrix: Matrix
-    transformed: Matrix
-    dims_before: list
-    dims_after: list
-    rank_before: int
-    rank_after: int
-    verdict_before: str
-    verdict_after: str
-    falsifications: list
+    def __init__(self, matrix: Matrix, transformed: Matrix, dims_before: list, dims_after: list,
+                 rank_before: int, rank_after: int, verdict_before: str, verdict_after: str,
+                 falsifications: list):
+        self.matrix = matrix
+        self.transformed = transformed
+        self.dims_before = dims_before
+        self.dims_after = dims_after
+        self.rank_before = rank_before
+        self.rank_after = rank_after
+        self.verdict_before = verdict_before
+        self.verdict_after = verdict_after
+        self.falsifications = falsifications
 
     @property
     def ok(self) -> bool:

@@ -196,6 +196,7 @@ def test_suite_subset(capsys):
     (["paper-suite", "--int-bound", "3"], None, "--int-bound"),
     (["cohomology", "--matrix", FLAGSHIP, "--hom-bound", "3"], None, "--hom-bound"),
     (["classify", "--matrix", FLAGSHIP], '{"max_degree": 1}', "max_degree"),
+    (["classify", "--matrix", FLAGSHIP], b"\xff\xfe{", None),
 ], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
         "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
         "crosscheck-degree-2-r2-pairing-zero", "int-bound-3-resolution-step",
@@ -203,11 +204,15 @@ def test_suite_subset(capsys):
         "config-string-degree", "config-not-an-object", "config-fractional-degree",
         "matrix-exponent-string", "matrix-decimal-string", "matrix-json-true",
         "matrix-json-true-in-pair", "classify-max-degree", "gorenstein-max-degree",
-        "paper-suite-int-bound", "cohomology-hom-bound", "classify-config-max-degree"])
+        "paper-suite-int-bound", "cohomology-hom-bound", "classify-config-max-degree",
+        "config-not-utf8"])
 def test_bad_input_is_a_one_line_usage_error(argv, config, option, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "job.json"
-        cfg.write_text(config)
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
