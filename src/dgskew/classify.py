@@ -339,7 +339,7 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
     if c.rank == 1:
         reps = [rep for _, rep in c.generator_reps]
         h1_span = RowSpan(F, degree_dim(1))
-        indep = all(h1_span.add(rep.vector()) for rep in reps if rep.degree == 1)
+        indep = all(h1_span.add(rep.vec) for rep in reps if rep.degree == 1)
         probes.append(Probe("h1_generators_independent", indep, ""))
         for i, rel in enumerate(c.predicted_presentation.relations):
             elem = _evaluate_relation(F, rel, reps)

@@ -24,7 +24,7 @@ from .classify import classify, crosscheck, predicted_vs_certified
 from .cohomology import cohomology
 from .dg import DGSpec, verify_dg
 from .errors import BoundInsufficientError
-from .fields import Frozen, field_from_name, parse_scalar
+from .fields import Frozen, field_from_name, parse_natural
 from .linalg import Matrix
 from .suite import CRITERIA, run_suite
 from .transform import invariance_check, validate_monomial
@@ -98,11 +98,8 @@ def _parse_matrix(field, data) -> Matrix:
             if field.coerce(x[1]) == 0:
                 raise ValueError(f"coefficient {x!r} has a zero denominator in {field.name}")
             return Fraction(x[0], x[1])
-        if isinstance(x, str):  # the grammar's scalar, with an optional sign
-            negative = x.startswith("-")
-            value = parse_scalar(field, x[1:] if negative else x)
-            return -value if negative else value
-        if type(x) is not int:
+        # a string, the grammar's scalar with an optional sign, goes to coerce
+        if type(x) is not int and not isinstance(x, str):
             raise UsageError(f"{x!r} is not an integer, a 'p/q' string or a pair [p, q]")
         return x
     try:
@@ -224,9 +221,13 @@ def _cmd_suite(cfg: JobConfig) -> tuple:
 def _parse_criteria(text):
     """--criteria "1,5,7" as a set of criterion numbers; None runs them all."""
     pieces = [p.strip() for p in text.split(",")] if text else []
-    if not all(p.isdecimal() and 1 <= int(p) <= len(CRITERIA) for p in pieces):
-        raise UsageError(f"--criteria takes numbers 1..{len(CRITERIA)}, got {text!r}")
-    return {int(p) for p in pieces} or None
+    try:
+        numbers = {parse_natural(p, "a criterion") for p in pieces}
+        if all(1 <= n <= len(CRITERIA) for n in numbers):
+            return numbers or None
+    except ValueError:
+        pass
+    raise UsageError(f"--criteria takes numbers 1..{len(CRITERIA)}, got {text!r}")
 
 
 SHARED_OPTIONS = ("field", "config", "out")

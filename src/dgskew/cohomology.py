@@ -10,9 +10,10 @@ reports are byte-identical whatever order the degrees are built in.  Both
 cocycle tests, of the representatives and of a `class_of` input, run the
 differential's kernel on the sparse vectors and test its sums for zero
 (exactly over Q, mod p over F_p), without building d(z) as an element.
-The representatives and a class's representative are built straight from
-the rows and residues the `RowSpan`s hand back, whose scalars are in normal
-form already.
+An element is its position vector, so `class_of` hands its input to the
+spans as it is, and each representative, and a class's representative, is
+the row or residue a `RowSpan` hands back, whose scalars are in normal form
+already; the basis layout stays behind `skew` and `dg`.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from .complexes import CochainComplex
 from .dg import DGSpec, _d_kills, d_columns
 from .errors import BoundInsufficientError
 from .fields import check_same_field
-from .skew import GradedElement, basis_monomials, basis_position, degree_dim
-
-
-def _element(field, degree: int, vec: dict) -> GradedElement:
-    """The element with coefficients vec, a sparse vector on degree_basis(degree)
-    whose scalars a `RowSpan` handed back, so already in normal form."""
-    basis = basis_monomials(degree)
-    return GradedElement(field, degree, {basis[j]: x for j, x in vec.items()})
+from .skew import GradedElement, degree_dim
 
 
 class CohomologyClass:
@@ -88,7 +82,7 @@ class CohomologyReport:
             # row) leaves one of them outside Z^n; d itself decides
             if not _d_kills(self.spec, n, rows):
                 raise AssertionError(f"degree {n}: a representative is not a cocycle")
-            built = [_element(self.spec.field, n, row) for row in rows]
+            built = [GradedElement(self.spec.field, n, row) for row in rows]
             self._bases[n] = built
         return built
 
@@ -104,16 +98,15 @@ class CohomologyReport:
             raise ValueError(f"degree {deg} is negative")
         if deg > self.max_degree:
             raise BoundInsufficientError("a class", deg, self.max_degree)
-        vec = {basis_position(m): c for m, c in z.terms.items()}
-        if not _d_kills(self.spec, deg, (vec,)):
+        if not _d_kills(self.spec, deg, (z.vec,)):
             return None
-        residue = self._complex.boundaries(deg).reduce(vec)
+        residue = self._complex.boundaries(deg).reduce(z.vec)
         self.basis(deg)     # the representatives pass d before their span is read
         coeffs = self._complex.classes(deg).express(residue)
         if coeffs is None:
             raise AssertionError("cocycle outside boundary+representative span")
         # the residue is the combination coeffs of the representatives
-        return CohomologyClass(deg, _element(self.spec.field, deg, residue), tuple(coeffs))
+        return CohomologyClass(deg, GradedElement(self.spec.field, deg, residue), tuple(coeffs))
 
     def class_product(self, u: CohomologyClass, v: CohomologyClass) -> CohomologyClass:
         """Class of representative(u) * representative(v)."""

@@ -8,11 +8,11 @@ d(x^e) = d(x) x^(e-1) for odd e (even powers are central cocycles, which is
 what makes the blockwise formula well defined; verify_dg checks it).
 One kernel applies it on basis positions: `_d_sums` adds coefficient times
 M[i][j] straight into the positions of the next degree that `_blocks`, one
-table per degree, lists for each block.  `d` runs it on an element,
-`d_columns` on unit vectors (M's negated rows are reduced mod p over F_p,
-so the columns come out in normal form), and the cocycle tests of
-`cohomology` through `_d_kills`, which tests the sums for zero as they come
-and builds no element.
+table per degree, lists for each block.  `d` runs it on an element's own
+position vector, `d_columns` on unit vectors (M's negated rows are reduced
+mod p over F_p, so the columns come out in normal form), and the cocycle
+tests of `cohomology` through `_d_kills`, which tests the sums for zero as
+they come and builds no element.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from functools import cache
 
 from .fields import Frozen, _all_zero, _modulus, check_same_field
 from .linalg import Matrix, apply_columns, kills
-from .skew import (GradedElement, Monomial, basis_monomials, basis_position, degree_basis,
-                   degree_dim)
+from .skew import GradedElement, degree_basis, degree_dim, element_from_squares, generators
 
 
 class DGSpec(Frozen):
@@ -44,10 +43,7 @@ def d_generator(spec: DGSpec, i: int) -> GradedElement:
     """d(x_i) = M[i][1] x1^2 + M[i][2] x2^2 + M[i][3] x3^2  (i in 1..3)."""
     if i not in (1, 2, 3):
         raise ValueError("generator index must be 1, 2 or 3")
-    row = spec.matrix.row(i - 1)
-    return GradedElement.from_terms(
-        spec.field, 2,
-        [(Monomial(2, 0, 0), row[0]), (Monomial(0, 2, 0), row[1]), (Monomial(0, 0, 2), row[2])])
+    return element_from_squares(spec.field, spec.matrix.row(i - 1))
 
 
 @cache
@@ -59,7 +55,7 @@ def _blocks(deg: int) -> tuple:
     x3-exponent e, its products with x1^2, x2^2 and x3^2 sit at
     t = T(k') + e, u = T(k'+2) + e and u + 2; m itself sits at T(k) + c."""
     out = []
-    for a, b, c in basis_monomials(deg):
+    for a, b, c in degree_basis(deg):
         k = b + c
         t = k * (k + 1) // 2 + c
         blocks = []
@@ -107,9 +103,8 @@ def _d_kills(spec: DGSpec, deg: int, vecs) -> bool:
 def d(spec: DGSpec, u: GradedElement) -> GradedElement:
     """The differential on a homogeneous element; degree rises by 1."""
     check_same_field(spec.field, u.field)
-    vec = {basis_position(m): x for m, x in u.terms.items()}
     return GradedElement.from_sparse(spec.field, u.degree + 1,
-                                     next(_d_sums(spec, u.degree, (vec,))))
+                                     next(_d_sums(spec, u.degree, (u.vec,))))
 
 
 def d_columns(spec: DGSpec, deg: int, skip=frozenset()):
@@ -165,7 +160,7 @@ def verify_dg(spec: DGSpec, max_degree: int = 8, samples: int = 100,
     outer = d_columns(spec, 0)
     for deg in range(max_degree):
         inner, outer = outer, d_columns(spec, deg + 1)
-        for m, col in zip(basis_monomials(deg), inner):
+        for m, col in zip(degree_basis(deg), inner):
             if not kills(F, outer, col):
                 report.square_zero_ok = False
                 u = GradedElement.monomial(F, m)
@@ -174,7 +169,6 @@ def verify_dg(spec: DGSpec, max_degree: int = 8, samples: int = 100,
 
     # d is defined on normal forms; it respects x_i x_j + x_j x_i = 0 iff
     # d(x_i) x_j - x_i d(x_j) + d(x_j) x_i - x_j d(x_i) = 0.
-    from .skew import generators
     xs = generators(F)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -203,5 +197,5 @@ def verify_dg(spec: DGSpec, max_degree: int = 8, samples: int = 100,
 
 
 def _random_element(field, degree: int, rng: random.Random) -> GradedElement:
-    items = [(m, rng.randint(-3, 3)) for m in degree_basis(degree)]
-    return GradedElement.from_terms(field, degree, items)
+    return GradedElement.from_vector(field, degree,
+                                     [rng.randint(-3, 3) for _ in range(degree_dim(degree))])

@@ -84,7 +84,7 @@ class Rationals:
         if isinstance(x, int):
             return int(x)
         if isinstance(x, str):
-            return _rational(Fraction(x.strip()))
+            return _coerce_text(self, x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -143,7 +143,7 @@ class PrimeField:
         if isinstance(x, Fraction):
             return (x.numerator * self.inv(x.denominator % self.p)) % self.p
         if isinstance(x, str):
-            return self.coerce(Fraction(x.strip()))
+            return _coerce_text(self, x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def add(self, a, b):
@@ -191,10 +191,7 @@ def field_from_name(name: str):
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):
-        # int() would also take spaces, underscores and a sign
-        if not re.fullmatch(r"[0-9]+", name[3:]):
-            raise ValueError(f"the modulus of {name!r} is not a decimal number")
-        return PrimeField(int(name[3:]))
+        return PrimeField(parse_natural(name[3:], f"the modulus of {name!r}"))
     if name == "Fp":
         return PrimeField(CANDIDATE_PRIMES[0])
     raise ValueError(f"unknown field descriptor {name!r} (expected 'Q' or 'Fp:<prime>')")
@@ -208,9 +205,24 @@ def parse_scalar(field, text: str):
     if not _SCALAR.fullmatch(text):
         raise ValueError(f"coefficient {text!r} is not an integer or a quotient p/q")
     try:
-        return field.coerce(text)
+        return field.coerce(Fraction(text))
     except ZeroDivisionError as e:
         raise ValueError(f"coefficient {text!r} has a zero denominator in {field.name}") from e
+
+
+def _coerce_text(field, text: str):
+    """`coerce` of a string: spaces around, one optional "-", then a scalar."""
+    text = text.strip()
+    value = parse_scalar(field, text.removeprefix("-"))
+    return field.coerce(-value) if text.startswith("-") else value
+
+
+def parse_natural(text: str, what: str) -> int:
+    """The nonnegative integer in ASCII digits, as `render` writes one; int()
+    would also take spaces, "_", a sign and other scripts' digits."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"{what} is not a nonnegative integer")
+    return int(text)
 
 
 def render_sum(field, terms) -> str:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 
 from .errors import BoundInsufficientError
-from .fields import Frozen, normalized, parse_scalar, render_sum, split_sum
+from .fields import Frozen, normalized, parse_natural, parse_scalar, render_sum, split_sum
 from .linalg import RowSpan, apply_columns, integral_columns
 
 
@@ -136,7 +136,8 @@ def parse_presentation(field, text: str) -> AlgebraPresentation:
                 if not piece:
                     continue
                 name, _, deg = piece.partition(":")
-                gens.append(Generator(name.strip(), int(deg)))
+                gens.append(Generator(name.strip(),
+                                      parse_natural(deg.strip(), f"degree of {piece!r}")))
         elif head == "rel":
             rels.append(_parse_poly(field, body, gens))
         else:
@@ -161,9 +162,7 @@ def _parse_poly(field, text: str, gens) -> dict:
                 continue
             if "^" in f:
                 name, e = f.split("^")
-                if not e.isdecimal():
-                    raise ValueError(f"exponent in {f!r} is not a nonnegative integer")
-                e = int(e)
+                e = parse_natural(e, f"exponent in {f!r}")
             else:
                 name, e = f, 1
             if name not in index:

@@ -6,11 +6,12 @@ Normal forms are signed exponent triples: every word rewrites uniquely to
 span of the degree-d monomials.  No Groebner machinery is needed; the three
 relations already form a confluent rewriting system for this order.
 
-In `degree_basis` order x1^a x2^b x3^c sits at position T(b+c) + c, with
-T(k) = k(k+1)/2, whatever its degree (`basis_position`).  Products and the
-differential work on these positions: they find each term's index by that
-closed form and take the result's monomials from `basis_monomials`, one
-tuple per degree built on first use, so no monomial is built per term.
+`degree_basis(d)`, one tuple cached per degree, puts x1^a x2^b x3^c at
+position T(b+c) + c, T(k) = k(k+1)/2 (`basis_position`).  A `GradedElement`
+is its sparse vector {position: nonzero scalar}, the form the differential
+and the cochain engine read, and `terms` a view keyed by `Monomial`.
+Products find each term's position by that closed form and read exponents
+off the basis tuples, so no monomial is built per term.
 
 `GradedElement` arithmetic sums coefficients with the native operators and
 normalizes once per result through `fields.normalized`.  Field methods are
@@ -24,7 +25,8 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .fields import check_same_field, normalized, parse_scalar, render_sum, split_sum
+from .fields import (check_same_field, normalized, parse_natural, parse_scalar, render_sum,
+                     split_sum)
 
 
 class Monomial(NamedTuple):
@@ -56,12 +58,6 @@ def mul_monomials(m1, m2):
     return sign, Monomial(a1 + a2, b1 + b2, c1 + c2)
 
 
-def degree_basis(d: int):
-    """All degree-d monomials, lexicographically descending on (a, b, c), as
-    a fresh list."""
-    return list(basis_monomials(d))
-
-
 def degree_dim(d: int) -> int:
     return 0 if d < 0 else (d + 1) * (d + 2) // 2
 
@@ -77,30 +73,36 @@ def basis_position(m) -> int:
 
 
 @cache
-def basis_monomials(d: int) -> tuple:
-    """The monomials of degree_basis(d) as one tuple, built on first use and
-    shared by every caller.  The cache keeps C(d+2, 2) monomials for each
-    degree d that a product or differential has reached."""
+def degree_basis(d: int) -> tuple:
+    """All degree-d monomials, lexicographically descending on (a, b, c), as
+    one tuple built on first use and shared by every caller.  The cache
+    keeps C(d+2, 2) monomials for each degree d that has been reached."""
     return tuple(Monomial(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))
 
 
 class GradedElement:
-    """A homogeneous element: finite map from degree-d monomials to scalars.
-
-    Zero coefficients are never stored.  Treated as immutable after
+    """A homogeneous element: its sparse vector `vec`, {position in
+    degree_basis(degree): nonzero normal-form scalar}, taken as given (the
+    `from_*` constructors normalize).  Treated as immutable after
     construction.  Two elements are equal when their fields, degrees and
-    terms are; an element is not hashable.
+    vectors are; an element is not hashable.
     """
 
-    def __init__(self, field, degree: int, terms: dict):
+    def __init__(self, field, degree: int, vec: dict):
         self.field = field
         self.degree = degree
-        self.terms = terms
+        self.vec = vec
+
+    @property
+    def terms(self) -> dict:
+        """A fresh {Monomial: coefficient} view of `vec`."""
+        basis = degree_basis(self.degree)
+        return {basis[j]: x for j, x in self.vec.items()}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.field, self.degree, self.terms) == (other.field, other.degree, other.terms)
+        return (self.field, self.degree, self.vec) == (other.field, other.degree, other.vec)
 
     @classmethod
     def zero(cls, field, degree: int) -> "GradedElement":
@@ -110,15 +112,16 @@ class GradedElement:
     def from_terms(cls, field, degree: int, items) -> "GradedElement":
         """The sum of the (monomial, coefficient) items; coefficients are
         anything `field.coerce` accepts."""
-        terms = {}
+        vec = {}
         for (a, b, c), coeff in items:
             m = Monomial(a, b, c)
             if not (type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0):
                 raise ValueError(f"monomial {m} has an exponent that is not a nonnegative int")
             if a + b + c != degree:
                 raise ValueError(f"monomial {m} is not of degree {degree}")
-            terms[m] = terms.get(m, 0) + field.coerce(coeff)
-        return cls(field, degree, normalized(field, terms))
+            j = basis_position(m)
+            vec[j] = vec.get(j, 0) + field.coerce(coeff)
+        return cls(field, degree, normalized(field, vec))
 
     @classmethod
     def monomial(cls, field, m, coeff=1) -> "GradedElement":
@@ -126,15 +129,15 @@ class GradedElement:
         return cls.from_terms(field, m.degree, [(m, coeff)])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vec
 
     def add(self, other: "GradedElement") -> "GradedElement":
         check_same_field(self.field, other.field)
         if self.degree != other.degree:
             raise ValueError("degrees differ")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
+        out = dict(self.vec)
+        for j, c in other.vec.items():
+            out[j] = out.get(j, 0) + c
         return GradedElement(self.field, self.degree, normalized(self.field, out))
 
     def sub(self, other: "GradedElement") -> "GradedElement":
@@ -143,18 +146,23 @@ class GradedElement:
     def scale(self, c) -> "GradedElement":
         c = self.field.coerce(c)
         return GradedElement(self.field, self.degree,
-                             normalized(self.field, {m: c * x for m, x in self.terms.items()}))
+                             normalized(self.field, {j: c * x for j, x in self.vec.items()}))
 
     def mul(self, other: "GradedElement") -> "GradedElement":
         check_same_field(self.field, other.field)
         # the sign of mul_monomials and the position T(b+c) + c of the
         # product, inlined on the exponents
-        right = [(a2, b2, c2, b2 + c2, x2) for (a2, b2, c2), x2 in other.terms.items()]
+        left, right = degree_basis(self.degree), degree_basis(other.degree)
+        terms = []
+        for j, x2 in other.vec.items():
+            a2, b2, c2 = right[j]
+            terms.append((a2, b2, c2, b2 + c2, x2))
         out = {}
         get = out.get
-        for (_, b1, c1), x1 in self.terms.items():
+        for j, x1 in self.vec.items():
+            _, b1, c1 = left[j]
             k1 = b1 + c1
-            for a2, b2, c2, k2, x2 in right:
+            for a2, b2, c2, k2, x2 in terms:
                 k = k1 + k2
                 pos = k * (k + 1) // 2 + c1 + c2
                 x = -x1 * x2 if (a2 * k1 + b2 * c1) & 1 else x1 * x2
@@ -162,26 +170,18 @@ class GradedElement:
                 out[pos] = x if y is None else y + x
         return GradedElement.from_sparse(self.field, self.degree + other.degree, out)
 
-    def vector(self):
-        """Coefficients over degree_basis(self.degree)."""
-        v = [self.field.zero] * degree_dim(self.degree)
-        for (_, b, c), x in self.terms.items():
-            k = b + c  # basis_position, inlined
-            v[k * (k + 1) // 2 + c] = x
-        return tuple(v)
-
     @classmethod
     def from_vector(cls, field, degree: int, vec) -> "GradedElement":
         """The element with coefficients vec over degree_basis(degree); each
         coefficient is anything `field.coerce` accepts.  An int 0 is skipped
         before `coerce`; any other value, 0.0 and None included, goes
         through it."""
-        basis = basis_monomials(degree)
-        if len(vec) != len(basis):
+        n = degree_dim(degree)
+        if len(vec) != n:
             raise ValueError(f"vector of length {len(vec)} in degree {degree}, "
-                             f"whose basis has {len(basis)} monomials")
+                             f"whose basis has {n} monomials")
         coerce = field.coerce
-        return cls(field, degree, normalized(field, {m: coerce(c) for m, c in zip(basis, vec)
+        return cls(field, degree, normalized(field, {j: coerce(c) for j, c in enumerate(vec)
                                                      if c or type(c) is not int}))
 
     @classmethod
@@ -189,14 +189,14 @@ class GradedElement:
         """The element with coefficients {position in degree_basis(degree):
         native scalar}; over Q the scalars may be integral `Fraction`s, over
         F_p unreduced ints (see `fields.normalized`)."""
-        basis = basis_monomials(degree)
-        return cls(field, degree, {basis[j]: x for j, x in normalized(field, vec).items()})
+        return cls(field, degree, normalized(field, vec))
 
     def render(self) -> str:
         """Deterministic text form, e.g. "2*x1^2 x3 - 1/3*x2"."""
-        # the order of degree_basis: lexicographically descending
-        return render_sum(self.field, ((self.terms[m], _render_monomial(m))
-                                       for m in sorted(self.terms, reverse=True)))
+        # ascending position: the order of degree_basis, lexicographically descending
+        basis = degree_basis(self.degree)
+        return render_sum(self.field, ((self.vec[j], _render_monomial(basis[j]))
+                                       for j in sorted(self.vec)))
 
     def __repr__(self):
         return f"<{self.render()}>"
@@ -252,9 +252,7 @@ def _parse_term(field, chunk: str):
     for factor in chunk.split():
         if "^" in factor:
             name, e = factor.split("^")
-            if not e.isdecimal():
-                raise ValueError(f"exponent in {factor!r} is not a nonnegative integer")
-            e = int(e)
+            e = parse_natural(e, f"exponent in {factor!r}")
         else:
             name, e = factor, 1
         if name == "1":
@@ -275,14 +273,13 @@ def generators(field):
 
 def element_from_linear(field, coeffs) -> GradedElement:
     """c1*x1 + c2*x2 + c3*x3."""
-    return GradedElement.from_terms(field, 1, [(X1, coeffs[0]), (X2, coeffs[1]), (X3, coeffs[2])])
+    return GradedElement.from_vector(field, 1, coeffs)
 
 
 def element_from_squares(field, coeffs) -> GradedElement:
-    """c1*x1^2 + c2*x2^2 + c3*x3^2."""
-    return GradedElement.from_terms(
-        field, 2,
-        [(Monomial(2, 0, 0), coeffs[0]), (Monomial(0, 2, 0), coeffs[1]), (Monomial(0, 0, 2), coeffs[2])])
+    """c1*x1^2 + c2*x2^2 + c3*x3^2, at positions 0, 3 and 5."""
+    c1, c2, c3 = coeffs
+    return GradedElement.from_vector(field, 2, (c1, 0, 0, c2, 0, c3))
 
 
 def permute_element(u: GradedElement, perm) -> GradedElement:

@@ -27,7 +27,7 @@ from .dg import DGSpec, verify_dg
 from .fields import CANDIDATE_PRIMES, QQ, Frozen, PrimeField
 from .linalg import Matrix
 from .presentations import parse_presentation, truncate
-from .resolution import certify, ext_against_algebra, gorenstein_certificate, minimal_resolution
+from .resolution import certify, ext_against_algebra, minimal_resolution
 from .sampling import (random_full_rank, random_matrix, random_monomial_matrix,
                        random_rank_one, random_rank_two)
 from .transform import invariance_check
@@ -162,11 +162,12 @@ def _non_gorenstein_trio(field):
     each."""
     for rows in NON_GORENSTEIN_TRIO:
         t0 = time.perf_counter()
-        M = Matrix.from_rows(field, rows)
-        c = classify(M)
-        if c.predicted_gorenstein != "NonGorenstein":
-            return False, f"{rows} predicted {c.predicted_gorenstein}"
-        cert = gorenstein_certificate(c.predicted_presentation, hom_bound=6, int_bound=10)
+        comparison = predicted_vs_certified(Matrix.from_rows(field, rows), hom_bound=6,
+                                            int_bound=10)
+        verdict = comparison.classification.predicted_gorenstein
+        if verdict != "NonGorenstein":
+            return False, f"{rows} predicted {verdict}"
+        cert = comparison.certificate
         if not cert.is_refuted:
             return False, f"{rows}: certificate says {cert.verdict}"
         for w in cert.witness:

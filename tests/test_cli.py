@@ -171,6 +171,8 @@ def test_suite_subset(capsys):
 @pytest.mark.parametrize("argv,config,option", [
     (["paper-suite", "--criteria", "a"], None, None),
     (["paper-suite", "--criteria", "13"], None, None),
+    # an Arabic-Indic five, which int() reads as 5
+    (["paper-suite", "--criteria", "\u0665"], None, None),
     (["gorenstein", "--matrix", FLAGSHIP, "--hom-bound", "0"], None, "--hom-bound"),
     (["gorenstein", "--matrix", FLAGSHIP, "--int-bound", "1"], None, "--int-bound"),
     (["gorenstein", "--matrix", "[[1,0,0],[0,1,0],[0,0,1]]", "--int-bound", "-1"], None,
@@ -197,8 +199,8 @@ def test_suite_subset(capsys):
     (["cohomology", "--matrix", FLAGSHIP, "--hom-bound", "3"], None, "--hom-bound"),
     (["classify", "--matrix", FLAGSHIP], '{"max_degree": 1}', "max_degree"),
     (["classify", "--matrix", FLAGSHIP], b"\xff\xfe{", None),
-], ids=["criteria-a", "criteria-13", "hom-bound-0", "int-bound-1", "int-bound-negative",
-        "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
+], ids=["criteria-a", "criteria-13", "criteria-arabic-indic-5", "hom-bound-0", "int-bound-1",
+        "int-bound-negative", "int-bound-negative-relation-free", "crosscheck-degree-2-r1d",
         "crosscheck-degree-2-r2-pairing-zero", "int-bound-3-resolution-step",
         "config-int-bound-3-resolution-step", "unwritable-out",
         "config-string-degree", "config-not-an-object", "config-fractional-degree",

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from dgskew.cli import main
 from dgskew.fields import (CANDIDATE_PRIMES, PRIME_LIMIT, QQ, FieldMismatchError, PrimeField,
                            check_same_field, field_from_name)
+from dgskew.linalg import Matrix
+from dgskew.skew import GradedElement
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
 
@@ -64,6 +66,20 @@ def test_moduli_at_the_limit_name_it():
 def test_coerce_fraction_string():
     assert QQ.coerce("3/4") == Fraction(3, 4)
     assert FP.coerce("1/2") == FP.div(FP.one, FP.coerce(2))
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e5000", "+3", "1/0", "-0.5", "--3", "- 3"])
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_library_scalar_text_follows_the_grammar(F, text):
+    # a string is read as the command line and the text grammars read a
+    # scalar: an integer or p/q after one optional "-".  Fraction would take
+    # a decimal, an exponent and "+", and raise ZeroDivisionError on "1/0"
+    with pytest.raises(ValueError):
+        Matrix.from_rows(F, [[text, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError):
+        GradedElement.from_vector(F, 1, [text, 0, 0])
+    with pytest.raises(ValueError):
+        GradedElement.from_terms(F, 1, [((1, 0, 0), text)])
 
 
 def test_field_from_name():

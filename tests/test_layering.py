@@ -46,6 +46,20 @@ def test_the_complex_engine_imports_only_linear_algebra_and_fields():
     assert _package_imports(ast.parse((SRC / "complexes.py").read_text())) <= {"linalg", "fields"}
 
 
+# the modules that may know where a monomial sits in its degree's basis:
+# the algebra, the kernel of the differential and the facade that re-exports
+BASIS_LAYOUT_MODULES = {"skew", "dg", "__init__"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")
+                                          if p.stem not in BASIS_LAYOUT_MODULES))
+def test_the_basis_layout_stays_behind_skew_and_the_differential(module):
+    # elements carry their position vectors, so no layer above needs it
+    imported = {a.name for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert imported & {"basis_position", "degree_basis"} == set()
+
+
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
 def test_the_package_imports_only_the_standard_library_and_itself(module):
     # pyproject.toml declares no runtime dependency

@@ -410,9 +410,16 @@ def test_normal_form_refuses_a_word_off_the_generators():
 
 def test_bad_exponents_are_rejected_when_parsed():
     # "x^-1*y^3" used to drop the x factor and read as the relation y^3
-    for text in ("gen x:1, y:1; rel x^-1*y^3", "gen x:1; rel x^1.5"):
+    for text in ("gen x:1, y:1; rel x^-1*y^3", "gen x:1; rel x^1.5", "gen x:1; rel x^\u0662"):
         with pytest.raises(ValueError, match="exponent"):
             pres(text)
+
+
+@pytest.mark.parametrize("text", ["gen x:1_0", "gen x:+1", "gen x:\u0661"])
+def test_generator_degrees_are_ascii_digits_when_parsed(text):
+    # int() reads "1_0" as 10, "+1" as 1 and the Arabic-Indic one as 1
+    with pytest.raises(ValueError, match="degree of"):
+        pres(text)
 
 
 def test_truncate_bound_below_relation_degree():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgskew.dg import DGSpec, d as d_of
 from dgskew.fields import QQ, PrimeField
 from dgskew.skew import (GradedElement, Monomial, basis_position, degree_basis,
                          degree_dim, generators, mul_monomials, parse_element,
@@ -58,10 +59,10 @@ def test_associativity(w1, w2, w3):
 
 
 def test_degree_basis_order_and_size():
-    assert degree_basis(0) == [Monomial(0, 0, 0)]
+    assert degree_basis(0) == (Monomial(0, 0, 0),)
     d2 = degree_basis(2)
-    assert d2 == [Monomial(2, 0, 0), Monomial(1, 1, 0), Monomial(1, 0, 1),
-                  Monomial(0, 2, 0), Monomial(0, 1, 1), Monomial(0, 0, 2)]
+    assert d2 == (Monomial(2, 0, 0), Monomial(1, 1, 0), Monomial(1, 0, 1),
+                  Monomial(0, 2, 0), Monomial(0, 1, 1), Monomial(0, 0, 2))
     assert len(degree_basis(3)) == 10
     for d in range(13):
         assert len(degree_basis(d)) == degree_dim(d) == (d + 1) * (d + 2) // 2
@@ -73,7 +74,7 @@ def test_basis_position_is_the_index_in_degree_basis():
     for n in range(41):
         triples = sorted(((a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)),
                          reverse=True)
-        assert degree_basis(n) == triples
+        assert degree_basis(n) == tuple(triples)
         assert [basis_position(m) for m in triples] == list(range(len(triples)))
 
 
@@ -124,7 +125,7 @@ def test_from_vector_rejects_a_vector_of_the_wrong_length(degree, vec):
 def test_from_vector_coerces_each_coefficient(F):
     u = GradedElement.from_vector(F, 1, [1, "1/2", Fraction(0)])
     assert u == GradedElement.from_terms(F, 1, [((1, 0, 0), 1), ((0, 1, 0), "1/2")])
-    assert u.vector() == (F.one, F.coerce("1/2"), F.zero)
+    assert u.vec == {0: F.one, 1: F.coerce("1/2")}
 
 
 @pytest.mark.parametrize("bad", [0.0, None, "x"], ids=repr)
@@ -208,7 +209,10 @@ def test_render_parse_round_trip():
         assert again.sub(e).is_zero()
 
 
-@pytest.mark.parametrize("text", ["x1^-1 x2^2", "x2 x1^1.5", "x3^a", "2*x1^"])
+# "\u0662" and "\uff13" are an Arabic-Indic two and a fullwidth three, which
+# int() reads as digits
+@pytest.mark.parametrize("text", ["x1^-1 x2^2", "x2 x1^1.5", "x3^a", "2*x1^", "x1^\u0662",
+                                  "x2^\uff13"])
 def test_bad_exponents_are_rejected(text):
     with pytest.raises(ValueError, match="exponent"):
         parse_element(QQ, text)
@@ -323,3 +327,40 @@ def test_element_arithmetic_matches_the_free_word_oracle(data, c, F):
         assert u.add(other).terms == linear_combination(F, [(1, u), (1, other)])
         assert u.sub(other).terms == linear_combination(F, [(1, u), (-1, other)])
     assert u.sub(u).is_zero() and u.add(u.scale(-1)).is_zero()
+
+
+def written_out(F, terms):
+    """The text of {monomial: scalar}, written out independently of
+    `render`: terms in descending monomial order, "c*x1^a x2^b x3^c" with a
+    coefficient 1 and the unit monomial left out of a product."""
+    pieces = []
+    for m in sorted(terms, reverse=True):
+        mono = " ".join(g if e == 1 else f"{g}^{e}" for g, e in zip(("x1", "x2", "x3"), m) if e)
+        s = F.to_str(terms[m])
+        sign, s = ("-", s[1:]) if s.startswith("-") else ("+", s)
+        body = s if not mono else mono if s == "1" else f"{s}*{mono}"
+        pieces.append(f"{sign} {body}" if pieces else ("-" if sign == "-" else "") + body)
+    return " ".join(pieces) or "0"
+
+
+@given(st.data(), coefficients, st.sampled_from(FIELDS))
+@settings(max_examples=150)
+def test_an_element_is_its_position_vector(data, c, F):
+    d, terms = data.draw(elements())
+    e, other_terms = data.draw(elements())
+    u = GradedElement.from_terms(F, d, terms)
+    v = GradedElement.from_terms(F, e, other_terms)
+    dense = data.draw(st.lists(st.one_of(st.just(0), coefficients),
+                               min_size=degree_dim(d), max_size=degree_dim(d)))
+    matrix = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                                min_size=3, max_size=3))
+    spec = DGSpec.from_rows(F, matrix)
+    w = GradedElement.from_vector(F, d, dense)
+    for x in (u, v, w, u.mul(v), u.add(w), u.scale(c), d_of(spec, u), d_of(spec, v.mul(w))):
+        terms = x.terms
+        assert x.vec == {basis_position(m): s for m, s in terms.items()}
+        # nonzero scalars in normal form: ints in [1, p) over F_p, over Q ints
+        # and Fractions with denominator > 1
+        assert all(s and type(F.coerce(s)) is type(s) and F.coerce(s) == s
+                   for s in x.vec.values())
+        assert x.render() == written_out(F, terms)
