@@ -14,8 +14,7 @@ from .presentations import (AlgebraPresentation, Generator, TruncatedAlgebra,
                             parse_presentation, truncate)
 from .resolution import (ExtTable, GorensteinVerdict, ResolutionReport, certify,
                          ext_against_algebra, gorenstein_certificate, minimal_resolution)
-from .skew import (GradedElement, Monomial, degree_basis, generators,
-                   mul_monomials, parse_element)
+from .skew import GradedElement, Monomial, degree_basis, generators, parse_element
 from .transform import apply_transform, invariance_check
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "cubic_cocycle_rank", "d", "d_generator", "d_matrix", "degree_basis",
     "ext_against_algebra", "field_from_name", "generators",
     "gorenstein_certificate", "invariance_check", "minimal_resolution",
-    "mul_monomials", "normalize_rank_one", "parse_element", "parse_presentation",
+    "normalize_rank_one", "parse_element", "parse_presentation",
     "predicted_dims", "predicted_vs_certified", "squares_ideal_analysis",
     "truncate", "verify_dg",
 ]

@@ -34,7 +34,7 @@ from .linalg import Matrix, RowSpan
 from .presentations import AlgebraPresentation, Generator, truncate
 from .resolution import GorensteinVerdict, gorenstein_certificate
 from .skew import (GradedElement, Monomial, degree_dim, element_from_linear,
-                   element_from_squares, generators, permute_element)
+                   element_from_squares, evaluate, generators, permute_element)
 
 GORENSTEIN = "Gorenstein"
 NON_GORENSTEIN = "NonGorenstein"
@@ -100,6 +100,7 @@ def normalize_rank_one(M: Matrix) -> RankOneForm:
     matrix, and l_i = u[i] / u[0].  Raises ValueError unless M has rank 1,
     read off the factorization itself: M is nonzero and equals u v^T.
     """
+    M = DGSpec(M.field, M).matrix  # refuses a matrix that is not 3x3
     F = M.field
     # row i of M is u[i] times v, its first nonzero row
     v = next((r for r in M.entries if any(r)), None)
@@ -124,6 +125,7 @@ def normalize_rank_one(M: Matrix) -> RankOneForm:
 
 
 def classify(M: Matrix) -> Classification:
+    M = DGSpec(M.field, M).matrix  # refuses a matrix that is not 3x3
     F = M.field
     kernel = M.kernel_basis()
     rank = 3 - len(kernel)
@@ -342,7 +344,8 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
         indep = all(h1_span.add(rep.vec) for rep in reps if rep.degree == 1)
         probes.append(Probe("h1_generators_independent", indep, ""))
         for i, rel in enumerate(c.predicted_presentation.relations):
-            elem = _evaluate_relation(F, rel, reps)
+            elem = evaluate(F, c.predicted_presentation.word_degree(next(iter(rel))),
+                            [(x, word) for word, x in rel.items()], reps)
             cls = report.class_of(elem)
             ok = cls is not None and cls.is_zero
             probes.append(Probe(f"relation_{i}_vanishes", ok,
@@ -357,17 +360,6 @@ def crosscheck(M: Matrix, max_degree: int = 8) -> CrosscheckReport:
     return CrosscheckReport(c, max_degree, report.dims, probes)
 
 
-def _evaluate_relation(F, rel, reps):
-    """Cochain element of a relation: substitute representatives for words."""
-    total = None
-    for word, coeff in sorted(rel.items()):
-        term = GradedElement.monomial(F, Monomial(0, 0, 0), coeff)
-        for g in word:
-            term = term.mul(reps[g])
-        total = term if total is None else total.add(term)
-    return total
-
-
 def cubic_cocycle_rank(M: Matrix) -> int:
     """Rank of the 6x9 system cutting out degree-3 cocycles supported on the
     nine monomials {x_j^2 * x_i}.
@@ -378,6 +370,7 @@ def cubic_cocycle_rank(M: Matrix) -> int:
     degree-4 square monomials.  Rank 5 characterizes rank-2 matrices, rank 6
     the invertible ones.
     """
+    M = DGSpec(M.field, M).matrix  # refuses a matrix that is not 3x3
     F = M.field
     m = M.entries
     z = F.zero
@@ -413,8 +406,10 @@ def squares_ideal_analysis(M: Matrix, bound: int = 10) -> SquaresIdealReport:
     two nonzero rows of rref(M), which span the same forms as r1, r2, r3,
     and the commutators u_i*u_j - u_j*u_i; its Hilbert function is read off
     the truncation, to max(bound, 2) since the commutators have degree 2.
-    Raises ValueError for a negative bound or a matrix of rank other than 2.
+    Raises ValueError for a negative bound, a matrix that is not 3x3 or one
+    of rank other than 2.
     """
+    M = DGSpec(M.field, M).matrix  # refuses a matrix that is not 3x3
     if bound < 0:
         raise ValueError(f"bound {bound} is negative")
     F = M.field

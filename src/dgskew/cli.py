@@ -98,9 +98,7 @@ def _parse_matrix(field, data) -> Matrix:
             if field.coerce(x[1]) == 0:
                 raise ValueError(f"coefficient {x!r} has a zero denominator in {field.name}")
             return Fraction(x[0], x[1])
-        # a string, the grammar's scalar with an optional sign, goes to coerce
-        if type(x) is not int and not isinstance(x, str):
-            raise UsageError(f"{x!r} is not an integer, a 'p/q' string or a pair [p, q]")
+        # coerce takes an int or a scalar string and refuses anything else
         return x
     try:
         return Matrix.from_rows(field, [[entry(x) for x in row] for row in data])

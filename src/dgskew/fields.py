@@ -16,8 +16,10 @@ Both field classes keep all nine methods, the arithmetic ones included:
 the independent test oracles compute with them, and the benchmark's
 field-call counter wraps them.
 
-The two text grammars, of skew-algebra elements and of presentations, write
-and split their signed sums with the shared `render_sum` and `split_sum`.
+The two text grammars, of skew-algebra elements and of presentations, share
+one term syntax: `parse_terms` reads a signed sum into (coefficient, word)
+pairs, and `render_factors` and `render_sum` write a term and a sum.  Each
+grammar keeps only its names, its factor separator and what a word means.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class Rationals:
     def coerce(self, x):
         if isinstance(x, Fraction):
             return _rational(x)
-        if isinstance(x, int):
-            return int(x)
+        if type(x) is int:  # a bool is not the integer 0 or 1
+            return x
         if isinstance(x, str):
             return _coerce_text(self, x)
         raise TypeError(f"cannot coerce {x!r} into Q")
@@ -138,7 +140,7 @@ class PrimeField:
         self.one = 1
 
     def coerce(self, x) -> int:
-        if isinstance(x, int):
+        if type(x) is int:  # a bool is not the integer 0 or 1
             return x % self.p
         if isinstance(x, Fraction):
             return (x.numerator * self.inv(x.denominator % self.p)) % self.p
@@ -243,20 +245,75 @@ def render_sum(field, terms) -> str:
     return " ".join(out) if out else "0"
 
 
+def render_factors(factors, sep: str) -> str:
+    """The text of a product of (name, exponent >= 1) factors, "name" or
+    "name^e" joined by sep, as the text grammars write a term: "x1^2 x3"
+    with sep " ", "x^2*y" with sep "*"; no factors give "1"."""
+    return sep.join(name if e == 1 else f"{name}^{e}" for name, e in factors) or "1"
+
+
 def split_sum(text: str):
     """The terms of a sum written as `render_sum` writes it, as (sign, term)
     pairs in order: sign is 1 or -1, and term the stripped text after the
-    signs (possibly empty, which the grammars reject)."""
+    signs.  Each "+" and each "-" next to a space starts a term; a "+" must
+    stand between two terms and a "-" before one, so a leading, trailing
+    or doubled "+" and a sign with no term after it raise ValueError."""
     out = []
-    for chunk in text.replace("- ", "+ -").replace(" -", " +-").split("+"):
-        term = chunk.strip()
-        if not term:
-            continue
-        sign = 1
-        while term.startswith("-"):
-            sign = -sign
-            term = term[1:].strip()
-        out.append((sign, term))
+    # the "+" signs written split the text first, so that the ones the
+    # replacements insert before each "-" cannot hide an empty piece
+    for piece in text.split("+"):
+        chunks = [c for c in piece.replace("- ", "+ -").replace(" -", " +-").split("+")
+                  if c.strip()]
+        if not chunks:
+            raise ValueError(f"{text!r} has an empty term: a '+' must stand between two terms")
+        for term in chunks:
+            sign = 1
+            term = term.strip()
+            while term.startswith("-"):
+                sign = -sign
+                term = term[1:].strip()
+            if not term:
+                raise ValueError(f"a '-' in {text!r} stands before no term")
+            out.append((sign, term))
+    return out
+
+
+def parse_terms(field, text: str, names, sep=None):
+    """The terms of a signed sum, in order, as (sign times coefficient,
+    word) pairs, the word the indices in names of its letters.
+
+    A term is a lone scalar, or an optional scalar and "*" followed by
+    factors joined by sep (None: whitespace): "2*x1^2 x3" or "x^2*y".  The
+    text before the first "*" is the scalar unless it reads as a factor (an
+    identifier, or text holding "^"); a term without "*" is a lone scalar
+    unless its first factor reads as one.  A factor "name^e" gives e
+    letters (e a `parse_natural`), and the name "1" none.  An unknown name,
+    a bad exponent or scalar, and an empty factor (a dangling or doubled
+    "*") raise ValueError."""
+    index = {name: g for g, name in enumerate(names)}
+    out = []
+    for sign, term in split_sum(text):
+        head, star, rest = term.partition("*")
+        first = (head if star else term.split(sep)[0]).strip()
+        if first.isidentifier() or "^" in first:
+            coeff, factors = field.one, term.split(sep)
+        elif star:
+            # "2*" splits on whitespace into no factors: one empty factor
+            coeff, factors = parse_scalar(field, head.strip()), rest.split(sep) or [""]
+        else:
+            coeff, factors = parse_scalar(field, term), []
+        word = []
+        for factor in factors:
+            factor = factor.strip()
+            name, caret, e = factor.partition("^")
+            e = parse_natural(e, f"exponent in {factor!r}") if caret else 1
+            if name == "1":
+                continue
+            if name not in index:
+                raise ValueError(f"unknown generator {name!r}" if factor else
+                                 f"empty factor (a dangling or doubled '*') in {term!r}")
+            word += [index[name]] * e
+        out.append((sign * coeff, tuple(word)))
     return out
 
 

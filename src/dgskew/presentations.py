@@ -30,9 +30,10 @@ reproducibility.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 
 from .errors import BoundInsufficientError
-from .fields import Frozen, normalized, parse_natural, parse_scalar, render_sum, split_sum
+from .fields import Frozen, normalized, parse_natural, parse_terms, render_factors, render_sum
 from .linalg import RowSpan, apply_columns, integral_columns
 
 
@@ -94,18 +95,8 @@ class AlgebraPresentation(Frozen):
         return render_sum(self.field, ((c, self.render_word(w)) for w, c in sorted(rel.items())))
 
     def render_word(self, word) -> str:
-        if not word:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            name = self.generators[word[i]].name
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return "*".join(parts)
+        return render_factors([(self.generators[g].name, len(list(run)))
+                               for g, run in groupby(word)], "*")
 
     def to_json(self) -> dict:
         return {"generators": [[g.name, g.degree] for g in self.generators],
@@ -146,30 +137,10 @@ def parse_presentation(field, text: str) -> AlgebraPresentation:
 
 
 def _parse_poly(field, text: str, gens) -> dict:
-    index = {g.name: i for i, g in enumerate(gens)}
+    """The relation {word: coefficient} of a sum of "c*x^2*y" terms."""
     out: dict = {}
-    for sign, chunk in split_sum(text):
-        coeff = field.one
-        factors = [f.strip() for f in chunk.split("*")]
-        if factors and not factors[0].isidentifier() and "^" not in factors[0]:
-            # generator names are identifiers: the leading factor is a
-            # scalar, e.g. "3/2" or "2"
-            coeff = parse_scalar(field, factors[0])
-            factors = factors[1:]
-        word: list[int] = []
-        for f in factors:
-            if not f or f == "1":
-                continue
-            if "^" in f:
-                name, e = f.split("^")
-                e = parse_natural(e, f"exponent in {f!r}")
-            else:
-                name, e = f, 1
-            if name not in index:
-                raise ValueError(f"unknown generator {name!r}")
-            word.extend([index[name]] * e)
-        key = tuple(word)
-        out[key] = out.get(key, 0) + sign * coeff
+    for c, word in parse_terms(field, text, [g.name for g in gens], "*"):
+        out[word] = out.get(word, 0) + c
     return normalized(field, out)
 
 

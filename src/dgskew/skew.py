@@ -11,7 +11,14 @@ position T(b+c) + c, T(k) = k(k+1)/2 (`basis_position`).  A `GradedElement`
 is its sparse vector {position: nonzero scalar}, the form the differential
 and the cochain engine read, and `terms` a view keyed by `Monomial`.
 Products find each term's position by that closed form and read exponents
-off the basis tuples, so no monomial is built per term.
+off the basis tuples, so no monomial is built per term.  `GradedElement.mul`
+is the one product and the one place the sign rule is written: `evaluate`
+multiplies words of elements through it, for the words `parse_element`
+reads and for the variable substitution `permute_element`.
+
+The text grammar writes and reads terms through the shared term syntax of
+`fields` (`render_factors`, `parse_terms`), with the names x1, x2, x3 and
+whitespace between factors.
 
 `GradedElement` arithmetic sums coefficients with the native operators and
 normalizes once per result through `fields.normalized`.  Field methods are
@@ -25,8 +32,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .fields import (check_same_field, normalized, parse_natural, parse_scalar, render_sum,
-                     split_sum)
+from .fields import check_same_field, normalized, parse_terms, render_factors, render_sum
 
 
 class Monomial(NamedTuple):
@@ -39,23 +45,12 @@ class Monomial(NamedTuple):
         return self.a + self.b + self.c
 
 
-ONE = Monomial(0, 0, 0)
 X1 = Monomial(1, 0, 0)
 X2 = Monomial(0, 1, 0)
 X3 = Monomial(0, 0, 1)
 
-
-def mul_monomials(m1, m2):
-    """Product of normal-form monomials, given as any exponent triples:
-    (sign, monomial).
-
-    Sorting the concatenated word x1^a1 x2^b1 x3^c1 * x1^a2 x2^b2 x3^c2 into
-    normal form transposes distinct generators a2*(b1+c1) + b2*c1 times.
-    """
-    a1, b1, c1 = m1
-    a2, b2, c2 = m2
-    sign = -1 if (a2 * (b1 + c1) + b2 * c1) % 2 else 1
-    return sign, Monomial(a1 + a2, b1 + b2, c1 + c2)
+# the generators' names in the text grammar
+NAMES = ("x1", "x2", "x3")
 
 
 def degree_dim(d: int) -> int:
@@ -150,8 +145,10 @@ class GradedElement:
 
     def mul(self, other: "GradedElement") -> "GradedElement":
         check_same_field(self.field, other.field)
-        # the sign of mul_monomials and the position T(b+c) + c of the
-        # product, inlined on the exponents
+        # sorting the concatenated word x1^a1 x2^b1 x3^c1 * x1^a2 x2^b2 x3^c2
+        # into normal form transposes distinct generators a2(b1+c1) + b2c1
+        # times, which gives each term's sign; its position is T(b+c) + c of
+        # the summed exponents
         left, right = degree_basis(self.degree), degree_basis(other.degree)
         terms = []
         for j, x2 in other.vec.items():
@@ -174,8 +171,8 @@ class GradedElement:
     def from_vector(cls, field, degree: int, vec) -> "GradedElement":
         """The element with coefficients vec over degree_basis(degree); each
         coefficient is anything `field.coerce` accepts.  An int 0 is skipped
-        before `coerce`; any other value, 0.0 and None included, goes
-        through it."""
+        before `coerce`; any other value, 0.0, None and False included, goes
+        through it, and `coerce` refuses those three."""
         n = degree_dim(degree)
         if len(vec) != n:
             raise ValueError(f"vector of length {len(vec)} in degree {degree}, "
@@ -203,65 +200,48 @@ class GradedElement:
 
 
 def _render_monomial(m: Monomial) -> str:
-    if m.degree == 0:
-        return "1"
-    factors = []
-    for name, e in zip(("x1", "x2", "x3"), m):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return " ".join(factors)
+    return render_factors([(name, e) for name, e in zip(NAMES, m) if e], " ")
+
+
+def evaluate(field, degree: int, terms, elements) -> GradedElement:
+    """The sum of c * elements[g1] * elements[g2] * ... over the (c, word)
+    terms, each word (g1, g2, ...) a product of degree `degree`, multiplied
+    in the order written through `GradedElement.mul`; c is anything
+    `field.coerce` accepts."""
+    unit = GradedElement.monomial(field, (0, 0, 0))
+    total = GradedElement.zero(field, degree)
+    for c, word in terms:
+        total = total.add((_word_product(elements, word) if word else unit).scale(c))
+    return total
+
+
+def _word_product(elements, word) -> GradedElement:
+    """The product of elements[g] over a nonempty word, its halves first:
+    `mul` reads the basis of each factor's degree, so a word of length n
+    meets about 2 log2(n) degrees, not every degree below its own."""
+    if len(word) == 1:
+        return elements[word[0]]
+    half = len(word) // 2
+    return _word_product(elements, word[:half]).mul(_word_product(elements, word[half:]))
 
 
 def parse_element(field, text: str, degree: int | None = None) -> GradedElement:
-    """Parse the render() grammar: terms of "coeff*x1^a x2^b x3^c" joined by +/-."""
+    """Parse the render() grammar: terms "c*x1^a x2^b x3^c" joined by + and
+    -, read by `fields.parse_terms`; the factors of a term multiply in the
+    order written, so "x2 x1" is -x1 x2."""
     text = text.strip()
     if text in ("0", ""):
         if degree is None:
             raise ValueError("degree required to parse 0")
         return GradedElement.zero(field, degree)
-    terms = split_sum(text)
-    if not terms:
-        raise ValueError(f"no terms in {text!r}")
-    items = []
-    deg = None
-    for sign, chunk in terms:
-        coeff, mono = _parse_term(field, chunk)
-        if deg is None:
-            deg = mono.degree
-        elif mono.degree != deg:
-            raise ValueError(f"inhomogeneous input: {text!r}")
-        items.append((mono, sign * coeff))
-    if degree is not None and deg is not None and deg != degree:
+    terms = parse_terms(field, text, NAMES)
+    degrees = {len(word) for _, word in terms}
+    if len(degrees) > 1:
+        raise ValueError(f"inhomogeneous input: {text!r}")
+    [deg] = degrees
+    if degree is not None and deg != degree:
         raise ValueError(f"parsed degree {deg}, expected {degree}")
-    return GradedElement.from_terms(field, deg if degree is None else degree, items)
-
-
-def _parse_term(field, chunk: str):
-    """(coefficient, monomial) of one unsigned term; its factors multiply in
-    the order written, so "x2 x1" is -x1 x2."""
-    coeff = field.one
-    if "*" in chunk:
-        head, chunk = chunk.split("*", 1)
-        coeff = parse_scalar(field, head.strip())
-    elif not chunk.startswith("x"):
-        coeff = parse_scalar(field, chunk)
-        chunk = ""
-    mono = ONE
-    for factor in chunk.split():
-        if "^" in factor:
-            name, e = factor.split("^")
-            e = parse_natural(e, f"exponent in {factor!r}")
-        else:
-            name, e = factor, 1
-        if name == "1":
-            continue
-        if name not in ("x1", "x2", "x3"):
-            raise ValueError(f"unknown generator {name!r}")
-        sign, mono = mul_monomials(mono, [e if g == name else 0 for g in ("x1", "x2", "x3")])
-        coeff *= sign
-    return coeff, mono
+    return evaluate(field, deg, terms, generators(field))
 
 
 def generators(field):
@@ -286,14 +266,9 @@ def permute_element(u: GradedElement, perm) -> GradedElement:
     """Apply the variable substitution x_i -> x_perm[i] (0-based images).
 
     The substitution is an algebra map, so x1^a x2^b x3^c goes to the product
-    of the pure powers x_perm[0]^a x_perm[1]^b x_perm[2]^c, whose sign
-    `mul_monomials` gives.
+    x_perm[0]^a x_perm[1]^b x_perm[2]^c, which `evaluate` multiplies out.
     """
-    items = []
-    for m, c in u.terms.items():
-        sign, mono = 1, ONE
-        for g, e in zip(perm, m):
-            s, mono = mul_monomials(mono, [e if k == g else 0 for k in range(3)])
-            sign *= s
-        items.append((mono, sign * c))
-    return GradedElement.from_terms(u.field, u.degree, items)
+    gens = generators(u.field)
+    return evaluate(u.field, u.degree,
+                    [(x, (0,) * a + (1,) * b + (2,) * c) for (a, b, c), x in u.terms.items()],
+                    [gens[p] for p in perm])

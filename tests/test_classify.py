@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dgskew.classify import (classify, crosscheck, cubic_cocycle_rank,
-                             normalize_rank_one, predicted_dims,
+                             normalize_rank_one, predicted_dims, predicted_vs_certified,
                              squares_ideal_analysis)
 from dgskew.fields import QQ, field_from_name
 from dgskew.linalg import Matrix, RowSpan
@@ -28,6 +28,19 @@ def test_flagship_rank_one_cases():
 
     c = classify(mat([[0, 1, 1], [0, 1, 1], [0, 1, 1]]))
     assert (c.case_label, c.predicted_gorenstein) == ("R1a", "NonGorenstein")
+
+
+# the rank used to be read as 3 - dim ker M whatever the shape: the 2x2
+# identity classified as R3 and its predicted ring was certified, a 4x4
+# rank-1 matrix as R0, normalize_rank_one took the 4x4 matrix, and
+# cubic_cocycle_rank raised IndexError on the 2x2 one
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 1, 1, 1]] * 4], ids=["2x2", "4x4"])
+@pytest.mark.parametrize("check", [classify, normalize_rank_one, cubic_cocycle_rank,
+                                   squares_ideal_analysis, crosscheck, predicted_vs_certified],
+                         ids=lambda f: f.__name__)
+def test_a_defining_matrix_must_be_3x3(check, rows):
+    with pytest.raises(ValueError, match="^defining matrix must be 3x3$"):
+        check(mat(rows))
 
 
 def test_rank_two_example():

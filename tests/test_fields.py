@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from dgskew.cli import main
 from dgskew.fields import (CANDIDATE_PRIMES, PRIME_LIMIT, QQ, FieldMismatchError, PrimeField,
-                           check_same_field, field_from_name)
+                           check_same_field, field_from_name, parse_terms)
 from dgskew.linalg import Matrix
-from dgskew.skew import GradedElement
+from dgskew.presentations import parse_presentation
+from dgskew.skew import GradedElement, parse_element
 
 FP = PrimeField(CANDIDATE_PRIMES[0])
 
@@ -93,3 +94,50 @@ def test_mixing_fields_is_an_error():
     with pytest.raises(FieldMismatchError):
         check_same_field(QQ, FP)
     assert PrimeField(CANDIDATE_PRIMES[0]) == FP  # same prime, same field
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_coerce_refuses_a_bool(F, flag):
+    # a bool used to read as the integer 1 or 0: True on the diagonal built
+    # the identity, and from_vector skipped no False but read it as 0
+    with pytest.raises(TypeError):
+        F.coerce(flag)
+    with pytest.raises(TypeError):
+        Matrix.from_rows(F, [[flag, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(TypeError):
+        GradedElement.from_vector(F, 1, [flag, 0, 2])
+    with pytest.raises(TypeError):
+        GradedElement.from_terms(F, 1, [((1, 0, 0), flag)])
+
+
+# each used to be read with its dangling or doubled "*" or "+" dropped
+@pytest.mark.parametrize("grammar, text", [
+    ("element", "2*"),
+    ("element", "x1 + x2 +"),
+    ("element", "x1 + + x2"),
+    ("element", "+ x1"),
+    ("presentation", "gen x:1, y:1; rel x*"),
+    ("presentation", "gen x:1, y:1; rel x**y"),
+    ("presentation", "gen x:1, y:1; rel 2*x*y*"),
+    ("presentation", "gen x:1, y:1; rel x*y +"),
+    ("presentation", "gen x:1, y:1; rel x*y + + y*x"),
+])
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_both_grammars_refuse_an_empty_factor_or_term(F, grammar, text):
+    parse = parse_element if grammar == "element" else parse_presentation
+    with pytest.raises(ValueError, match="empty"):
+        parse(F, text)
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
+def test_parse_terms_reads_both_grammars_terms(F):
+    # the scalar is the text before the first "*" unless it reads as a
+    # factor; the factor 1 is no letter, and a sign multiplies the scalar
+    assert parse_terms(F, "2*x1^2 x3 - x2 x1 + 3", ("x1", "x2", "x3")) == [
+        (2, (0, 0, 2)), (-1, (1, 0)), (3, ())]
+    assert parse_terms(F, "x^2*y - 1/2*y*1*x + 1", ("x", "y"), "*") == [
+        (1, (0, 0, 1)), (-F.coerce("1/2"), (1, 0)), (1, ())]
+    for sep, text in ((None, "x1 x4"), ("*", "x*z"), (None, "x1*x2"), (None, "x1^-1")):
+        with pytest.raises(ValueError):
+            parse_terms(F, text, ("x1", "x2", "x", "y"), sep)

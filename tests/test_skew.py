@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from dgskew.dg import DGSpec, d as d_of
 from dgskew.fields import QQ, PrimeField
 from dgskew.skew import (GradedElement, Monomial, basis_position, degree_basis,
-                         degree_dim, generators, mul_monomials, parse_element,
-                         permute_element)
+                         degree_dim, evaluate, generators, parse_element, permute_element)
 from oracles import (all_words, element_product, linear_combination, permuted_by_words,
                      reduce_word)
 
@@ -27,11 +26,19 @@ def monomial_of_word(word):
     return Monomial(*exps)
 
 
+def monomial_product(m1, m2):
+    """(sign, monomial) of the product of two monomials, given as any
+    exponent triples: the one term of `GradedElement.mul` on them."""
+    product = GradedElement.monomial(QQ, m1).mul(GradedElement.monomial(QQ, m2))
+    [(m, sign)] = product.terms.items()
+    return sign, m
+
+
 def test_basic_products():
     x1, x2, x3 = (Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1))
-    assert mul_monomials(x1, x2) == (1, Monomial(1, 1, 0))
-    assert mul_monomials(x2, x1) == (-1, Monomial(1, 1, 0))
-    assert mul_monomials(Monomial(0, 1, 1), x1) == (1, Monomial(1, 1, 1))
+    assert monomial_product(x1, x2) == (1, Monomial(1, 1, 0))
+    assert monomial_product(x2, x1) == (-1, Monomial(1, 1, 0))
+    assert monomial_product(Monomial(0, 1, 1), x1) == (1, Monomial(1, 1, 1))
 
 
 @given(words, words)
@@ -40,7 +47,7 @@ def test_sign_matches_word_oracle(w1, w2):
     s1, e1 = reduce_word(w1)
     s2, e2 = reduce_word(w2)
     s12, e12 = reduce_word(w1 + w2)
-    sign, prod = mul_monomials(Monomial(*e1), Monomial(*e2))
+    sign, prod = monomial_product(Monomial(*e1), Monomial(*e2))
     assert prod == Monomial(*e12)
     assert s1 * s2 * sign == s12
 
@@ -50,10 +57,10 @@ def test_sign_matches_word_oracle(w1, w2):
 def test_associativity(w1, w2, w3):
     m1, m2, m3 = (monomial_of_word(w) for w in (w1, w2, w3))
     # associativity on signs and exponents
-    s12, p12 = mul_monomials(m1, m2)
-    sl, pl = mul_monomials(p12, m3)
-    s23, p23 = mul_monomials(m2, m3)
-    sr, pr = mul_monomials(m1, p23)
+    s12, p12 = monomial_product(m1, m2)
+    sl, pl = monomial_product(p12, m3)
+    s23, p23 = monomial_product(m2, m3)
+    sr, pr = monomial_product(m1, p23)
     assert pl == pr
     assert s12 * sl == s23 * sr
 
@@ -79,15 +86,15 @@ def test_basis_position_is_the_index_in_degree_basis():
 
 
 def test_mul_monomials_takes_plain_triples():
-    assert mul_monomials((0, 1, 0), (1, 0, 0)) == (-1, Monomial(1, 1, 0))
-    assert mul_monomials([0, 1, 1], (1, 0, 0)) == (1, Monomial(1, 1, 1))
+    assert monomial_product((0, 1, 0), (1, 0, 0)) == (-1, Monomial(1, 1, 0))
+    assert monomial_product([0, 1, 1], (1, 0, 0)) == (1, Monomial(1, 1, 1))
     for p in range(4):
         for q in range(4):
             for m1 in degree_basis(p):
                 for m2 in degree_basis(q):
-                    sign, prod = mul_monomials(tuple(m1), list(m2))
+                    sign, prod = monomial_product(tuple(m1), list(m2))
                     assert type(prod) is Monomial
-                    assert (sign, prod) == mul_monomials(m1, m2)
+                    assert (sign, prod) == monomial_product(m1, m2)
                     s1, s2 = reduce_word(_spelled(m1))[0], reduce_word(_spelled(m2))[0]
                     assert (s1 * s2 * sign, tuple(prod)) == reduce_word(_spelled(m1) + _spelled(m2))
 
@@ -146,7 +153,7 @@ def test_from_vector_checks_every_coefficient(F, bad):
 @pytest.mark.parametrize("F", [QQ, PrimeField(7)], ids=str)
 def test_from_vector_zeros_of_every_form_drop_out(F):
     want = GradedElement.from_terms(F, 2, [((1, 1, 0), 2), ((0, 0, 2), "-1/3")])
-    for zero in (0, "0", Fraction(0), " 0 ", False):
+    for zero in (0, "0", Fraction(0), " 0 "):
         u = GradedElement.from_vector(F, 2, [zero, 2, zero, zero, zero, "-1/3"])
         assert u == want
     assert GradedElement.from_vector(F, 2, ["0", 0, Fraction(0), 0, 0, 8]).terms == {
@@ -364,3 +371,31 @@ def test_an_element_is_its_position_vector(data, c, F):
         assert all(s and type(F.coerce(s)) is type(s) and F.coerce(s) == s
                    for s in x.vec.values())
         assert x.render() == written_out(F, terms)
+
+
+@given(st.data(), st.sampled_from(FIELDS))
+@settings(max_examples=150)
+def test_evaluate_matches_the_free_word_product(data, F):
+    # the sum of c * elements[g1] * elements[g2] * ... over random words,
+    # against the products of the free-word oracle taken letter by letter
+    elements = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = data.draw(st.integers(0, 2))
+        terms = data.draw(st.lists(st.tuples(st.sampled_from(degree_basis(d)), coefficients),
+                                   min_size=1, max_size=4))
+        elements.append(GradedElement.from_terms(F, d, terms))
+    words = data.draw(st.lists(st.lists(st.integers(0, len(elements) - 1), max_size=5)
+                               .map(tuple), min_size=1, max_size=4))
+    degree = sum(elements[g].degree for g in words[0])
+    terms = [(data.draw(coefficients), w) for w in words
+             if sum(elements[g].degree for g in w) == degree]
+    products = []
+    for c, word in terms:
+        product = GradedElement.monomial(F, (0, 0, 0))
+        for g in word:
+            product = GradedElement.from_terms(F, product.degree + elements[g].degree,
+                                               element_product(product, elements[g]).items())
+        products.append((c, product))
+    got = evaluate(F, degree, terms, elements)
+    assert got.degree == degree
+    assert got.terms == linear_combination(F, products)
